@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +42,21 @@ class UsageError(NvctrlError):
     """Bad command-line or configuration input (exit status 2)."""
 
 
+def _checked(what: str, build, *args):
+    """Build a value from configuration input; bad input is a usage error."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise UsageError(f"bad {what}: {exc!r}") from exc
+
+
+def _positive(value, what: str) -> float:
+    number = _checked(what, float, value)
+    if not (math.isfinite(number) and number > 0):
+        raise UsageError(f"{what} must be a positive finite number, got {value!r}")
+    return number
+
+
 def _parse_set_value(text: str):
     try:
         return json.loads(text)
@@ -64,7 +80,7 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
         p = Path(path)
         if not p.exists():
             raise FileMissing(f"config file not found: {p}")
-        loaded = json.loads(p.read_text(encoding="utf-8"))
+        loaded = _checked(f"config file {p}", json.loads, p.read_text(encoding="utf-8"))
         # accept a previously written manifest as a config
         if "config" in loaded and "command" in loaded:
             loaded = loaded["config"]
@@ -81,10 +97,7 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
 
 
 def _params_from_config(config: dict) -> SystemParams:
-    try:
-        return SystemParams.from_dict(config.get("params", {}))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad params block: {exc}") from exc
+    return _checked("params block", SystemParams.from_dict, config.get("params", {}))
 
 
 def _write_manifest(out: Path, command: str, config: dict) -> None:
@@ -104,7 +117,7 @@ def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:
     p = Path(path_text)
     if not p.exists():
         raise FileMissing(f"{what} sequence file not found: {p}")
-    return PulseSequence.load(p)
+    return _checked(f"{what} sequence file {p}", PulseSequence.load, p)
 
 
 def cmd_angles(args) -> int:
@@ -135,14 +148,14 @@ def cmd_esr(args) -> int:
     params = _params_from_config(config)
     block = config.get("esr", {})
     branch = int(block.get("branch", -1))
-    linewidth = float(block.get("linewidth_mhz", 0.02))
+    linewidth = _positive(block.get("linewidth_mhz", 0.02), "esr.linewidth_mhz")
     f_lo = float(block.get("f_min_mhz", -0.35))
     f_hi = float(block.get("f_max_mhz", 0.35))
     n = int(block.get("n_points", 2001))
+    lines = _checked("esr.branch", spin_model.esr_lines, params, branch)
+    spec = spin_model.esr_spectrum(lines, linewidth, np.linspace(f_lo, f_hi, n))
     out = _outdir(args)
     _write_manifest(out, "esr", config)
-    lines = spin_model.esr_lines(params, branch)
-    spec = spin_model.esr_spectrum(lines, linewidth, np.linspace(f_lo, f_hi, n))
     signals.write_json(
         out / "esr_lines.json",
         {"branch": branch, "lines": [{"offset_mhz": o, "probability": p} for o, p in lines]},
@@ -210,11 +223,11 @@ def cmd_optimize(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     params = _params_from_config(config)
     block = config.get("optimize", {})
-    problem = _problem_from_config(params, block)
-    ga = _ga_from_config(block.get("ga", {}), config["seed"])
+    problem = _checked("optimize block", _problem_from_config, params, block)
+    ga = _checked("optimize.ga block", _ga_from_config, block.get("ga", {}), config["seed"])
     out = _outdir(args)
     _write_manifest(out, "optimize", config)
-    result = optimizer.optimize(problem, ga, workers=int(block.get("workers", 1)))
+    result = optimizer.optimize(problem, ga)
     result.best_sequence.save(out / "sequence.json")
     result.save(out / "result.json")
     signals.write_csv(
@@ -237,13 +250,11 @@ def cmd_fid(args) -> int:
     protocol = block.get("protocol", "analytic_uc")
     if protocol not in _FID_PROTOCOLS:
         raise UsageError(f"unknown fid protocol {protocol!r}; expected one of {_FID_PROTOCOLS}")
-    record = float(
-        block.get("record_us", 300.0 if protocol.endswith("uc_prime") else 200.0)
+    record = _positive(
+        block.get("record_us", 300.0 if protocol.endswith("uc_prime") else 200.0), "fid.record_us"
     )
-    step = float(block.get("dt_us", 1.0))
+    step = _positive(block.get("dt_us", 1.0), "fid.dt_us")
     tau = experiments.default_tau_grid(record, step)
-    out = _outdir(args)
-    _write_manifest(out, "fid", config)
     if protocol == "analytic_uc":
         trace = experiments.analytic_fid("uc", params, tau)
     elif protocol == "analytic_uc_prime":
@@ -257,14 +268,14 @@ def cmd_fid(args) -> int:
         subspace = {"u90_ms0": 0, "u90_ms-1": -1, "u90_ms+1": +1}[protocol]
         seq = _load_sequence(block.get("sequence"), "excitation")
         seq_ut = _load_sequence(block.get("sequence_readout"), "readout")
+        polarization = _checked("fid.polarization", float, block.get("polarization", 1.0))
+        if not -1.0 <= polarization <= 1.0:
+            raise UsageError(f"fid.polarization must lie in [-1, 1], got {polarization!r}")
         trace = experiments.fid_u90(
-            params,
-            subspace,
-            seq,
-            seq_ut,
-            tau,
-            initial_polarization=float(block.get("polarization", 1.0)),
+            params, subspace, seq, seq_ut, tau, initial_polarization=polarization
         )
+    out = _outdir(args)
+    _write_manifest(out, "fid", config)
     trace.to_csv(out / "fid.csv")
     signals.write_json(
         out / "fid.json",
@@ -325,10 +336,11 @@ def cmd_bloch(args) -> int:
     if initial not in states:
         raise UsageError(f"unknown initial state {initial!r}; expected one of {sorted(states)}")
     rho = states[initial]()
+    dt = _positive(block.get("dt_us", 0.01), "bloch.dt_us")
     out = _outdir(args)
     _write_manifest(out, "bloch", config)
     h = spin_model.build_hamiltonian_subspace(params)
-    samples = trajectory(h, seq, rho, dt_us=float(block.get("dt_us", 0.01)))
+    samples = trajectory(h, seq, rho, dt_us=dt)
     cols = list(zip(*(
         (t, e.x, e.y, e.z, c.x, c.y, c.z) for t, e, c in samples
     )))
@@ -367,12 +379,12 @@ def cmd_polarize(args) -> int:
     n = int(block.get("n_points", 501))
     grid = np.linspace(0.0, d_max, n)
     curve = experiments.polarization_curve(model, grid)
+    seq = _load_sequence(block.get("sequence"), "polarizing")
     out = _outdir(args)
     _write_manifest(out, "polarize", config)
     signals.write_csv(out / "polarization.csv", ("d_l_us", "p"), (grid, curve))
     d_star, p_star = experiments.polarization_curve_max(model, 0.0, d_max)
     payload = {"curve_max": {"d_l_us": d_star, "p": p_star}}
-    seq = _load_sequence(block.get("sequence"), "polarizing")
     if seq is not None:
         outcome = experiments.polarization_protocol_sim(params, seq)
         payload["protocol"] = {
@@ -445,12 +457,14 @@ def cmd_tables(args) -> int:
     params = _params_from_config(config)
     block = config.get("tables", {})
     which = args.which or block.get("which", "I")
+    if which not in ("I", "II", "III", "all"):
+        raise UsageError(f"unknown table {which!r}; expected I, II, III or all")
+    ga_block = block.get("ga", {})
+    ga = _checked("tables.ga block", _ga_from_config, ga_block, config["seed"]) if ga_block else None
     out = _outdir(args)
     config.setdefault("tables", {})["which"] = which
     _write_manifest(out, "tables", config)
     names = ["I", "II", "III"] if which == "all" else [which]
-    ga_block = block.get("ga", {})
-    ga = _ga_from_config(ga_block, config["seed"]) if ga_block else None
     for name in names:
         rows = optimizer.reproduce_tables(name, params=params, ga=ga, base_seed=config["seed"])
         header = ("table", "target", "mode", "rabi_mhz", "n_pulses", "seed", "fidelity", "duration_us")

@@ -24,7 +24,7 @@ from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
-from .propagation import PulseSequence, sequence_propagator
+from .propagation import PulseSequence, _eig, _propagators, sequence_propagator
 from .signals import FidTrace, Spectrum
 from .spin_model import (
     E2,
@@ -77,20 +77,13 @@ def analytic_fid(kind: str, params: SystemParams, tau_grid) -> FidTrace:
     return FidTrace(tau, signal, "analytic")
 
 
-def _batched_propagators(matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i 2 pi H t) for every t, shape (T, d, d)."""
-    w, v = np.linalg.eigh(matrix)
-    phases = np.exp(-1j * TWO_PI * np.outer(times, w))
-    return (v[None, :, :] * phases[:, None, :]) @ v.conj().T
-
-
 def _free_propagators_6(params: SystemParams, times: np.ndarray) -> np.ndarray:
     """Blockwise free evolution of the 6-level space (interaction frame)."""
     h_plus, h_zero, h_minus = nuclear_block_hamiltonians(params)
     out = np.zeros((times.size, 6, 6), dtype=complex)
-    out[:, 0:2, 0:2] = _batched_propagators(h_plus, times)
-    out[:, 2:4, 2:4] = _batched_propagators(h_zero, times)
-    out[:, 4:6, 4:6] = _batched_propagators(h_minus, times)
+    out[:, 0:2, 0:2] = _propagators(_eig(h_plus), times)
+    out[:, 2:4, 2:4] = _propagators(_eig(h_zero), times)
+    out[:, 4:6, 4:6] = _propagators(_eig(h_minus), times)
     return out
 
 
@@ -139,11 +132,11 @@ def fid_uc(
     u_prep = _prep_unitary(params, seq_uc, dagger=False)
     u_read = _prep_unitary(params, seq_uc_dag, dagger=True)
     rho1 = u_prep @ rho0_state().matrix @ u_prep.conj().T
-    frees = _batched_propagators(h.matrix, tau)
+    frees = _propagators(_eig(h.matrix), tau)
     rho_tau = frees @ rho1 @ frees.conj().transpose(0, 2, 1)
     rho_f = u_read[None] @ rho_tau @ u_read.conj().T[None]
     signal = (rho_f[:, 0, 0] + rho_f[:, 1, 1]).real / 2.0
-    return FidTrace(tau, np.clip(signal, 0.0, 1.0), "uc_readout")
+    return FidTrace(tau, signal, "uc_readout")
 
 
 def fid_uc_prime(
@@ -173,7 +166,7 @@ def fid_uc_prime(
     rho4 = rho_back[:, 2:6, 2:6]
     rho_f = u_read[None] @ rho4 @ u_read.conj().T[None]
     signal = (rho_f[:, 0, 0] + rho_f[:, 1, 1]).real / 2.0
-    return FidTrace(tau, np.clip(signal, 0.0, 1.0), "uc_prime_readout")
+    return FidTrace(tau, signal, "uc_prime_readout")
 
 
 _U90_TAGS = {0: "u90_ms0", -1: "u90_ms-1", +1: "u90_ms+1"}
@@ -248,7 +241,7 @@ def fid_u90(
         read = _embed_upper(sequence_propagator(h_upper, seq_ut))
         rho_f = read[None] @ rho_tau @ read.conj().T[None]
         signal = (rho_f[:, 2, 2] + rho_f[:, 3, 3]).real
-    return FidTrace(tau, np.clip(signal, 0.0, 1.0), _U90_TAGS[subspace])
+    return FidTrace(tau, signal, _U90_TAGS[subspace])
 
 
 def spectrum_from_fid(

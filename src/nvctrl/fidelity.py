@@ -18,7 +18,6 @@ from .spin_model import (
     E2,
     Hamiltonian,
     SX2,
-    SZ2,
     SystemParams,
     build_hamiltonian_subspace,
     eigenstructure,
@@ -113,12 +112,6 @@ def u90_gate() -> np.ndarray:
     return np.kron(E2, rot_half(SX2, math.pi / 2.0))
 
 
-def nuclear_hadamard() -> np.ndarray:
-    """2x2 Hadamard built from the pseudo-Hadamard conjugated by z-rotations."""
-    rz = rot_half(SZ2, math.pi / 2.0)
-    return 1j * rz @ rot_half(SX2, math.pi / 2.0) @ rz
-
-
 def ideal_uc_unitary(params: SystemParams) -> np.ndarray:
     """A unitary that maps |0,up> -> |0> x s_0 and |0,down> -> |-1> x s_minus,
     completed orthonormally; it carries rho0 exactly onto rho_c."""
@@ -166,23 +159,13 @@ def build_target(name: str, params: SystemParams, rabi_mhz: float = 0.5) -> Targ
     raise UnknownTarget(f"unknown target {name!r}; expected one of {TARGET_NAMES}")
 
 
-def gate_fidelity(u: np.ndarray, u_target: np.ndarray, relaxed: bool = False) -> float:
-    """|Tr(U_T^dag U)| / 4, invariant under a global phase of either argument.
-
-    With relaxed=True the fidelity is additionally maximized over one relative
-    phase between the two electron manifolds (z-rotations are absorbable into
-    a frame shift); the strict form is the default.
-    """
+def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
+    """|Tr(U_T^dag U)| / 4, invariant under a global phase of either argument."""
     u = np.asarray(u)
     u_target = np.asarray(u_target)
     if u.shape != (4, 4) or u_target.shape != (4, 4):
         raise DimensionMismatch("gate fidelity expects 4x4 unitaries")
-    m = u @ u_target.conj().T
-    if relaxed:
-        m0 = m[0, 0] + m[1, 1]
-        m1 = m[2, 2] + m[3, 3]
-        return float((abs(m0) + abs(m1)) / 4.0)
-    return float(abs(np.trace(m)) / 4.0)
+    return float(abs(np.trace(u @ u_target.conj().T)) / 4.0)
 
 
 def state_fidelity(rho: DensityState, rho_target: DensityState) -> float:

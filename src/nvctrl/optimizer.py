@@ -5,14 +5,13 @@ The genome packs the free parameters of an n-pulse sequence as flat blocks
 [tau_1..tau_n | phi_1..phi_n] (switched mode, every flip angle fixed at 180
 degrees).  Fitness evaluation is vectorized over the population; all random
 draws happen on one per-restart generator in a fixed schedule, so results are
-bitwise reproducible for a given seed regardless of the worker count.
+bitwise reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .fidelity import (
     robust_fidelity,
     sequence_fidelity,
 )
-from .propagation import PulseSequence
+from .propagation import PulseSequence, _eig, _propagators
 from .spin_model import PSEUDO_SX, SystemParams, TWO_PI, build_hamiltonian_subspace
 
 MODE_FREE = "free_angles"
@@ -214,12 +213,12 @@ class _FitnessKernel:
         self.tau_max = b.tau_max_us
         self.t_max = b.t_max_us
         h = build_hamiltonian_subspace(problem.params).matrix
-        self._free = np.linalg.eigh(h)
+        self._free = _eig(h)
         if problem.robustness is not None:
             self.omegas = problem.robustness.samples()
         else:
             self.omegas = np.array([problem.rabi_mhz])
-        self._drive = [np.linalg.eigh(h + w * PSEUDO_SX) for w in self.omegas]
+        self._drive = [_eig(h + w * PSEUDO_SX) for w in self.omegas]
         t = problem.target
         if t.kind == "unitary":
             self._ut_conj = t.unitary.conj()
@@ -245,17 +244,12 @@ class _FitnessKernel:
         return taus, ts, phis
 
     def _propagators(self, taus, ts, phis, sample: int) -> np.ndarray:
-        wf, vf = self._free
-        wd, vd = self._drive[sample]
-        vf_h = vf.conj().T
-        vd_h = vd.conj().T
+        drive = self._drive[sample]
         u = None
         for k in range(self.n):
-            ph = np.exp(-1j * TWO_PI * np.outer(taus[:, k], wf))
-            uf = (vf[None, :, :] * ph[:, None, :]) @ vf_h
+            uf = _propagators(self._free, taus[:, k])
             u = uf if u is None else uf @ u
-            ph = np.exp(-1j * TWO_PI * np.outer(ts[:, k], wd))
-            um = (vd[None, :, :] * ph[:, None, :]) @ vd_h
+            um = _propagators(drive, ts[:, k])
             z = np.exp(-1j * np.outer(phis[:, k], _ZDIAG))
             u = (z[:, :, None] * um * z.conj()[:, None, :]) @ u
         return u
@@ -294,17 +288,6 @@ def fitness(problem: ControlProblem, genome) -> float:
     return float(fit[0])
 
 
-def _evaluate(kernel: _FitnessKernel, genomes: np.ndarray, workers: int):
-    if workers <= 1 or genomes.shape[0] < 2 * workers:
-        return kernel.objective(genomes)
-    chunks = np.array_split(np.arange(genomes.shape[0]), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda idx: kernel.objective(genomes[idx]), chunks))
-    fit = np.concatenate([r[0] for r in results])
-    dur = np.concatenate([r[1] for r in results])
-    return fit, dur
-
-
 _Candidate = tuple  # (fitness, duration, genome)
 
 
@@ -317,7 +300,7 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return tuple(a[2]) < tuple(b[2])
 
 
-def _run_restart(kernel, problem, ga, rng, workers):
+def _run_restart(kernel, problem, ga, rng):
     lo, hi = genome_bounds(problem)
     length = lo.size
     n = problem.n_pulses
@@ -325,7 +308,7 @@ def _run_restart(kernel, problem, ga, rng, workers):
     sigma = ga.mutation_sigma * (hi - lo)
 
     pop = rng.uniform(lo, hi, size=(ga.population, length))
-    fit, dur = _evaluate(kernel, pop, workers)
+    fit, dur = kernel.objective(pop)
 
     best = None
     history = []
@@ -358,7 +341,7 @@ def _run_restart(kernel, problem, ga, rng, workers):
         children = children + np.where(mut, noise, 0.0)
         children[:, : length - n] = np.clip(children[:, : length - n], lo[: length - n], hi[: length - n])
         children[:, phase_cols] = np.mod(children[:, phase_cols], TWO_PI)
-        child_fit, child_dur = _evaluate(kernel, children, workers)
+        child_fit, child_dur = kernel.objective(children)
         pop = np.concatenate([pop[elite_idx], children], axis=0)
         fit = np.concatenate([fit[elite_idx], child_fit])
         dur = np.concatenate([dur[elite_idx], child_dur])
@@ -394,7 +377,7 @@ def _tournament(rng, fit, size, count):
     return idx[np.arange(count), np.argmax(fit[idx], axis=1)]
 
 
-def optimize(problem: ControlProblem, ga: GaConfig | None = None, workers: int = 1) -> OptimResult:
+def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
     """Best-of-restarts GA search.
 
     The reported fidelity (and robust fidelity, when a robustness range is
@@ -409,7 +392,7 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None, workers: int =
     best_history = None
     for child_seq in children:
         rng = np.random.default_rng(child_seq)
-        cand, history = _run_restart(kernel, problem, ga, rng, workers)
+        cand, history = _run_restart(kernel, problem, ga, rng)
         if best is None or _better(cand, best):
             best = cand
             best_history = history
@@ -462,7 +445,6 @@ def reproduce_tables(
     params: SystemParams | None = None,
     ga: GaConfig | None = None,
     base_seed: int = 20260809,
-    workers: int = 1,
 ) -> list[dict]:
     """Run the benchmark batch `which` in ("I", "II", "III") and return rows.
 
@@ -487,7 +469,7 @@ def reproduce_tables(
             mode=mode,
             duration_penalty=penalty,
         )
-        result = optimize(problem, cfg, workers=workers)
+        result = optimize(problem, cfg)
         rows.append(
             {
                 "table": which,

@@ -3,7 +3,8 @@
 A sequence alternates free-precession delays and constant-amplitude microwave
 pulses on the electron pseudo-spin.  All propagators are built by Hermitian
 eigendecomposition, U = V exp(-i 2 pi w t) V^dag, which is exact at any
-duration; the factor 2*pi enters here and nowhere else.
+duration.  `_propagators` is the one place that does so, for a whole batch of
+durations at once; the factor 2*pi enters there and nowhere else.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch
-from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, PSEUDO_SZ, TWO_PI
+from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,15 @@ class PulseSequence:
     segments: tuple
 
     def __post_init__(self):
+        if not math.isfinite(self.rabi_mhz):
+            raise ValueError(f"Rabi frequency must be finite, got {self.rabi_mhz!r}")
         if self.rabi_mhz < 0:
             raise ValueError("Rabi frequency must be non-negative")
         normalized = []
         for seg in self.segments:
+            values = (seg.us, seg.phase_rad) if isinstance(seg, Pulse) else (seg.us,)
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"segment values must be finite, got {seg!r}")
             if seg.us < 0:
                 raise ValueError("segment durations must be non-negative")
             if isinstance(seg, Pulse):
@@ -160,17 +166,25 @@ class BlochVector:
         return np.array([self.x, self.y, self.z])
 
 
-def expm_herm(matrix: np.ndarray, t_us: float) -> np.ndarray:
-    """exp(-i 2 pi H t) for Hermitian H (MHz) via eigendecomposition."""
+def _eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w (MHz), eigenvector columns V and V^dag of a Hermitian matrix."""
     w, v = np.linalg.eigh(matrix)
-    return (v * np.exp(-1j * TWO_PI * w * t_us)) @ v.conj().T
+    return w, v, v.conj().T
+
+
+def _propagators(eig, times) -> np.ndarray:
+    """exp(-i 2 pi H t) for every t in `times` (microseconds), shape (T, d, d),
+    from the `_eig` decomposition of H."""
+    w, v, v_h = eig
+    phases = np.exp(-1j * TWO_PI * np.outer(times, w))
+    return (v[None] * phases[:, None, :]) @ v_h
 
 
 def free_propagator(h: Hamiltonian, tau_us: float) -> np.ndarray:
     """Propagator of free precession for tau_us microseconds."""
     if tau_us < 0:
         raise ValueError("delay must be non-negative")
-    return expm_herm(h.matrix, tau_us)
+    return _propagators(_eig(h.matrix), [tau_us])[0]
 
 
 def drive_operator(rabi_mhz: float, phase_rad: float) -> np.ndarray:
@@ -178,27 +192,13 @@ def drive_operator(rabi_mhz: float, phase_rad: float) -> np.ndarray:
     return rabi_mhz * (PSEUDO_SX * math.cos(phase_rad) + PSEUDO_SY * math.sin(phase_rad))
 
 
-def pulse_propagator(
-    h: Hamiltonian,
-    rabi_mhz: float,
-    phase_rad: float,
-    t_us: float,
-    detuning_mhz: float = 0.0,
-) -> np.ndarray:
-    """Propagator of a rectangular pulse: exp(-i 2 pi (H + drive) t).
-
-    detuning_mhz is the carrier offset below the transition frequency; it adds
-    -detuning * s_z to the rotating-frame generator and defaults to zero
-    (resonant carrier).
-    """
+def pulse_propagator(h: Hamiltonian, rabi_mhz: float, phase_rad: float, t_us: float) -> np.ndarray:
+    """Propagator of a resonant rectangular pulse: exp(-i 2 pi (H + drive) t)."""
     if h.dim != 4:
         raise DimensionMismatch("pulse propagation requires the 4-dim subspace Hamiltonian")
     if t_us < 0:
         raise ValueError("pulse duration must be non-negative")
-    gen = h.matrix + drive_operator(rabi_mhz, phase_rad)
-    if detuning_mhz != 0.0:
-        gen = gen - detuning_mhz * PSEUDO_SZ
-    return expm_herm(gen, t_us)
+    return _propagators(_eig(h.matrix + drive_operator(rabi_mhz, phase_rad)), [t_us])[0]
 
 
 def sequence_propagator(h: Hamiltonian, seq: PulseSequence) -> np.ndarray:
@@ -271,15 +271,14 @@ def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: fl
             gen = h.matrix
         else:
             gen = h.matrix + drive_operator(seq.rabi_mhz, seg.phase_rad)
-        w, v = np.linalg.eigh(gen)
         n_steps = int(math.floor(seg.us / dt_us + 1e-12))
         rel_times = [dt_us * k for k in range(1, n_steps + 1)]
         if not rel_times or rel_times[-1] < seg.us:
             rel_times.append(seg.us)
-        for rel in rel_times:
-            u = (v * np.exp(-1j * TWO_PI * w * rel)) @ v.conj().T
+        # the samples, then the segment end the next segment starts from
+        us = _propagators(_eig(gen), rel_times + [seg.us])
+        for rel, u in zip(rel_times, us):
             record(t0 + rel, evolve(state, u))
-        u_full = (v * np.exp(-1j * TWO_PI * w * seg.us)) @ v.conj().T
-        state = evolve(state, u_full)
+        state = evolve(state, us[-1])
         t0 += seg.us
     return samples

@@ -49,13 +49,6 @@ class FidTrace:
         cols = read_csv(path, ("tau_us", "signal"))
         return cls(cols[0], cols[1], protocol)
 
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "tau_us": [float(x) for x in self.tau_us],
-            "signal": [float(x) for x in self.signal],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -86,13 +79,6 @@ class Spectrum:
     def from_csv(cls, path, metadata: dict | None = None) -> "Spectrum":
         cols = read_csv(path, ("freq_mhz", "amplitude"))
         return cls(cols[0], cols[1], metadata or {})
-
-    def to_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "freq_mhz": [float(x) for x in self.freq_mhz],
-            "amplitude": [float(x) for x in self.amplitude],
-        }
 
 
 def write_csv(path, header, columns) -> None:

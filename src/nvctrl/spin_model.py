@@ -81,6 +81,10 @@ class SystemParams:
     nu_n_override: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not self.d_mhz > 0:
             raise ValueError("zero-field splitting must be positive")
         if self.b_mt < 0:

@@ -297,3 +297,36 @@ def test_tables_command_structure(tmp_path):
     text = (out / "table_III.csv").read_text().strip().splitlines()
     assert text[0].startswith("table,target,mode,rabi_mhz,n_pulses,seed")
     assert len(text) == 4  # header + three pulse counts
+
+
+MALFORMED = {
+    "fid-dt-zero": ["fid", "--set", "fid.dt_us=0"],
+    "fid-dt-nan": ["fid", "--set", "fid.dt_us=NaN"],
+    "fid-record-negative": ["fid", "--set", "fid.record_us=-5"],
+    "esr-linewidth-negative": ["esr", "--set", "esr.linewidth_mhz=-1"],
+    "sequence-not-json": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={not_json}"],
+    "sequence-no-phase": ["bloch", "--set", "bloch.sequence={no_phase}"],
+    "sequence-nan": ["polarize", "--set", "polarize.sequence={nan_delay}"],
+    "params-nan": ["angles", "--set", "params.b_mt=NaN"],
+    "config-not-json": ["angles", "--config", "{not_json}"],
+    "optimize-no-pulses": ["optimize", "--set", "optimize.n_pulses=0"],
+    "optimize-population-one": ["optimize", "--set", "optimize.ga.population=1"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
+    files = {
+        "not_json": "{ this is not JSON\n",
+        "no_phase": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1.0}]}),
+        "nan_delay": '{"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": NaN}]}',
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    out = tmp_path / "out"
+    assert run([a.format(**paths) for a in argv] + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not out.exists()

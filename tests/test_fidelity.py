@@ -10,7 +10,6 @@ import nvctrl as nc
 from nvctrl.errors import DimensionMismatch, UnknownTarget, ZeroPurity
 from nvctrl.fidelity import (
     ideal_uc_unitary,
-    nuclear_hadamard,
     rho0_state,
     rho_c_state,
     rho_p_state,
@@ -57,13 +56,6 @@ def test_gate_fidelity_right_multiplication_invariance(s1, s2, s3):
     f2 = nc.gate_fidelity(u @ w, u_t @ w)
     assert f1 == pytest.approx(f2, abs=1e-10)
     assert 0.0 <= f1 <= 1.0 + 1e-12
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
-@settings(max_examples=50, deadline=None)
-def test_gate_fidelity_relaxed_dominates_strict(s1, s2):
-    u, u_t = random_unitary(s1), random_unitary(s2)
-    assert nc.gate_fidelity(u, u_t, relaxed=True) >= nc.gate_fidelity(u, u_t) - 1e-12
 
 
 def test_gate_fidelity_dimension_mismatch():
@@ -123,17 +115,6 @@ def test_u90_rotates_carbon_z_to_minus_y():
     out = nc.evolve(rho, u90_gate())
     c = nc.bloch_vector(out, "carbon")
     assert (c.x, c.y, c.z) == pytest.approx((0.0, -1.0, 0.0), abs=1e-12)
-
-
-def test_hadamard_relation():
-    """The z-conjugated pseudo-Hadamard is the textbook Hadamard and squares
-    to the identity up to global phase."""
-    h = nuclear_hadamard()
-    assert np.allclose(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), atol=1e-12)
-    h2 = h @ h
-    phase = h2[0, 0]
-    assert abs(abs(phase) - 1.0) < 1e-12 or np.allclose(h2, np.eye(2), atol=1e-12)
-    assert np.allclose(h2, phase * np.eye(2) if abs(phase) > 0.5 else np.eye(2), atol=1e-12)
 
 
 def test_ideal_uc_maps_rho0_to_rho_c(paper):

@@ -160,13 +160,36 @@ def test_fitness_matches_direct_recomposition(paper, h_sub):
             assert nc.fitness(problem, g) == pytest.approx(direct, abs=1e-12)
 
 
-def test_optimize_deterministic_and_worker_independent(u90_problem):
-    r1 = nc.optimize(u90_problem, SMALL_GA, workers=1)
-    r2 = nc.optimize(u90_problem, SMALL_GA, workers=1)
-    r3 = nc.optimize(u90_problem, SMALL_GA, workers=3)
-    assert r1.best_sequence == r2.best_sequence == r3.best_sequence
-    assert r1.fidelity == r2.fidelity == r3.fidelity
-    assert r1.history == r2.history == r3.history
+@pytest.mark.parametrize("target", ["u_90", "u_p"])
+def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, target):
+    """A batch of random genomes through the GA kernel against fidelities of
+    the decoded sequences propagated by the independent scipy-expm product."""
+    from nvctrl.optimizer import _FitnessKernel
+    from tests_support import trotter_sequence
+
+    problem = nc.ControlProblem(
+        params=paper, target=nc.build_target(target, paper, 0.5), n_pulses=3, rabi_mhz=0.5
+    )
+    rng = np.random.default_rng(23)
+    lo, hi = genome_bounds(problem)
+    genomes = rng.uniform(lo, hi, size=(32, lo.size))
+    fit, _ = _FitnessKernel(problem).objective(genomes)
+    t = problem.target
+    for g, f in zip(genomes, fit):
+        u = trotter_sequence(h_sub, nc.decode(problem, g), dt=0.01)
+        if t.kind == "unitary":
+            want = nc.gate_fidelity(u, t.unitary)
+        else:
+            want = nc.state_fidelity(nc.evolve(t.rho_initial, u), t.rho_target)
+        assert f == pytest.approx(want, abs=1e-7)
+
+
+def test_optimize_deterministic_for_a_seed(u90_problem):
+    r1 = nc.optimize(u90_problem, SMALL_GA)
+    r2 = nc.optimize(u90_problem, SMALL_GA)
+    assert r1.best_sequence == r2.best_sequence
+    assert r1.fidelity == r2.fidelity
+    assert r1.history == r2.history
 
 
 def test_optimize_history_monotone(u90_problem):

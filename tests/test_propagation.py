@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nvctrl as nc
 from nvctrl.errors import DimensionMismatch
-from nvctrl.propagation import Delay, Pulse
+from nvctrl.propagation import Delay, Pulse, _eig, _propagators
 from nvctrl.spin_model import BASIS_LABELS_4, TWO_PI
 from tests_support import random_hamiltonian, random_sequence, trotter_sequence
 
@@ -66,21 +66,20 @@ def test_pulse_propagator_dimension_mismatch(paper):
         nc.pulse_propagator(build_hamiltonian_ec(paper), 0.5, 0.0, 1.0)
 
 
-def test_pulse_propagator_detuning_tilts_rotation_axis():
-    """An off-resonant drive no longer fully inverts the pseudo-spin."""
-    h0 = zero_hamiltonian()
-    resonant = nc.pulse_propagator(h0, 0.5, 0.0, 1.0)
-    detuned = nc.pulse_propagator(h0, 0.5, 0.0, 1.0, detuning_mhz=0.3)
-    ket0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    assert abs((resonant @ ket0)[2]) == pytest.approx(1.0, abs=1e-12)
-    assert abs((detuned @ ket0)[2]) < 1.0 - 1e-3
-    from tests_support import trotter_sequence  # oracle: fold detuning into H
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_batched_core_matches_scipy_expm(dim):
+    """The one eigendecomposition propagator against scipy's Pade expm."""
+    from scipy.linalg import expm
 
-    from nvctrl.spin_model import PSEUDO_SZ
-
-    h_det = nc.Hamiltonian(4, -0.3 * PSEUDO_SZ, BASIS_LABELS_4)
-    seq = nc.PulseSequence(0.5, (Pulse(1.0, 0.0),))
-    assert np.linalg.norm(detuned - trotter_sequence(h_det, seq)) < 1e-7
+    rng = np.random.default_rng(dim)
+    times = np.array([0.0, 0.013, 0.5, 1.7, 12.0])
+    for _ in range(10):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (a + a.conj().T) / 2.0
+        batch = _propagators(_eig(h), times)
+        assert batch.shape == (times.size, dim, dim)
+        for t, u in zip(times, batch):
+            assert np.linalg.norm(u - expm(-1j * TWO_PI * h * t)) < 1e-10
 
 
 def test_sequence_propagator_empty_is_identity(h_sub):
@@ -228,6 +227,19 @@ def test_trajectory_endpoint_matches_sequence_propagator(h_sub):
     )
 
 
+def test_trajectory_endpoint_matches_trotter_oracle(h_sub):
+    from nvctrl.fidelity import rho0_state
+
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        seq = random_sequence(rng, n_segments=4, max_us=1.5)
+        t_end, e_end, c_end = nc.trajectory(h_sub, seq, rho0_state(), dt_us=0.1)[-1]
+        final = nc.evolve(rho0_state(), trotter_sequence(h_sub, seq))
+        assert t_end == pytest.approx(seq.total_duration_us, abs=1e-9)
+        assert e_end.as_array() == pytest.approx(nc.bloch_vector(final, "electron").as_array(), abs=1e-9)
+        assert c_end.as_array() == pytest.approx(nc.bloch_vector(final, "carbon").as_array(), abs=1e-9)
+
+
 def test_trajectory_carbon_precession_frequency(paper, h_sub):
     """A pure m_S = 0 coherence rotates at nu_C: locate the peak of the DFT
     of the sampled transverse component."""
@@ -283,6 +295,18 @@ def test_pulse_sequence_validation_and_phases():
     seq = nc.PulseSequence(0.5, (Pulse(1.0, -math.pi),))
     assert 0.0 <= seq.pulses()[0].phase_rad < TWO_PI
     assert seq.total_duration_us == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pulse_sequence_rejects_non_finite_values(value):
+    for rabi, segments in (
+        (value, ()),
+        (0.5, (Delay(value),)),
+        (0.5, (Pulse(value, 0.0),)),
+        (0.5, (Delay(1.0), Pulse(1.0, value))),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            nc.PulseSequence(rabi, segments)
 
 
 duration = st.floats(min_value=0.0, max_value=50.0, **finite)

@@ -335,6 +335,17 @@ def test_params_rejects_unknown_keys():
         nc.SystemParams.from_dict({"d_mhz": 2870.0, "bogus": 1.0})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(value):
+    from dataclasses import fields
+
+    for f in fields(nc.SystemParams):
+        with pytest.raises(ValueError, match=f.name):
+            nc.SystemParams(**{f.name: value})
+    with pytest.raises(ValueError):
+        nc.SystemParams.from_json('{"b_mt": NaN}')
+
+
 def test_params_overrides_supersede_products():
     p = nc.SystemParams(nu_c_override=0.3, nu_e_override=100.0)
     assert p.nu_c == 0.3
