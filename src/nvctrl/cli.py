@@ -57,6 +57,13 @@ def _positive(value, what: str) -> float:
     return number
 
 
+def _at_least(value, minimum: int, what: str) -> int:
+    number = _checked(what, int, value)
+    if number < minimum:
+        raise UsageError(f"{what} must be at least {minimum}, got {value!r}")
+    return number
+
+
 def _parse_set_value(text: str):
     try:
         return json.loads(text)
@@ -151,7 +158,7 @@ def cmd_esr(args) -> int:
     linewidth = _positive(block.get("linewidth_mhz", 0.02), "esr.linewidth_mhz")
     f_lo = float(block.get("f_min_mhz", -0.35))
     f_hi = float(block.get("f_max_mhz", 0.35))
-    n = int(block.get("n_points", 2001))
+    n = _at_least(block.get("n_points", 2001), 2, "esr.n_points")
     lines = _checked("esr.branch", spin_model.esr_lines, params, branch)
     spec = spin_model.esr_spectrum(lines, linewidth, np.linspace(f_lo, f_hi, n))
     out = _outdir(args)
@@ -299,15 +306,18 @@ def cmd_spectrum(args) -> int:
     p = Path(source)
     if not p.exists():
         raise FileMissing(f"FID file not found: {p}")
-    trace = signals.FidTrace.from_csv(p)
+    trace = _checked(f"FID file {p}", signals.FidTrace.from_csv, p)
+    spec = _checked(
+        "spectrum block",
+        lambda: experiments.spectrum_from_fid(
+            trace,
+            window=block.get("window", "hann"),
+            zerofill_factor=int(block.get("zerofill_factor", 4)),
+            exp_rate=block.get("exp_rate"),
+        ),
+    )
     out = _outdir(args)
     _write_manifest(out, "spectrum", config)
-    spec = experiments.spectrum_from_fid(
-        trace,
-        window=block.get("window", "hann"),
-        zerofill_factor=int(block.get("zerofill_factor", 4)),
-        exp_rate=block.get("exp_rate"),
-    )
     spec.to_csv(out / "spectrum.csv")
     peaks = signals.top_peaks(spec, int(block.get("n_peaks", 3)))
     signals.write_json(
@@ -367,16 +377,19 @@ def cmd_polarize(args) -> int:
     params = _params_from_config(config)
     block = config.get("polarize", {})
     defaults = experiments.paper_polarization_model()
-    model = experiments.PolarizationModel(
-        c0=float(block.get("c0", defaults.c0)),
-        c1=float(block.get("c1", defaults.c1)),
-        c2=float(block.get("c2", defaults.c2)),
-        alpha=float(block.get("alpha", defaults.alpha)),
-        beta=float(block.get("beta", defaults.beta)),
-        gamma=float(block.get("gamma", defaults.gamma)),
+    model = _checked(
+        "polarize block",
+        lambda: experiments.PolarizationModel(
+            c0=float(block.get("c0", defaults.c0)),
+            c1=float(block.get("c1", defaults.c1)),
+            c2=float(block.get("c2", defaults.c2)),
+            alpha=float(block.get("alpha", defaults.alpha)),
+            beta=float(block.get("beta", defaults.beta)),
+            gamma=float(block.get("gamma", defaults.gamma)),
+        ),
     )
-    d_max = float(block.get("d_max_us", 50.0))
-    n = int(block.get("n_points", 501))
+    d_max = _positive(block.get("d_max_us", 50.0), "polarize.d_max_us")
+    n = _at_least(block.get("n_points", 501), 2, "polarize.n_points")
     grid = np.linspace(0.0, d_max, n)
     curve = experiments.polarization_curve(model, grid)
     seq = _load_sequence(block.get("sequence"), "polarizing")

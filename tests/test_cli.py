@@ -311,6 +311,17 @@ MALFORMED = {
     "config-not-json": ["angles", "--config", "{not_json}"],
     "optimize-no-pulses": ["optimize", "--set", "optimize.n_pulses=0"],
     "optimize-population-one": ["optimize", "--set", "optimize.ga.population=1"],
+    "spectrum-zerofill-zero": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.zerofill_factor=0",
+    ],
+    "spectrum-window-unknown": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.window=bogus",
+    ],
+    "spectrum-fid-bad-header": ["spectrum", "--set", "spectrum.fid_csv={bad_header_csv}"],
+    "polarize-alpha-negative": ["polarize", "--set", "polarize.alpha=-1"],
+    "polarize-points-negative": ["polarize", "--set", "polarize.n_points=-2"],
+    "polarize-dmax-nan": ["polarize", "--set", "polarize.d_max_us=NaN"],
+    "esr-points-negative": ["esr", "--set", "esr.n_points=-3"],
 }
 
 
@@ -320,6 +331,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "not_json": "{ this is not JSON\n",
         "no_phase": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1.0}]}),
         "nan_delay": '{"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": NaN}]}',
+        "fid_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\n3.0,0.5\n",
+        "bad_header_csv": "time,value\n0.0,0.5\n1.0,0.75\n",
     }
     paths = {}
     for name, text in files.items():

@@ -184,6 +184,95 @@ def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, target):
         assert f == pytest.approx(want, abs=1e-7)
 
 
+@pytest.fixture
+def minimize_results(monkeypatch):
+    """Every scipy result the polish receives, in call order."""
+    from nvctrl import optimizer
+
+    results = []
+    real_minimize = optimizer.minimize
+
+    def recording_minimize(*args, **kwargs):
+        results.append(real_minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(optimizer, "minimize", recording_minimize)
+    return results
+
+
+def _ascent_gradient(kernel, genome, h=1e-6):
+    """Central-difference gradient of the kernel fitness, one genome at a time."""
+    grad = np.zeros(genome.size)
+    for i in range(genome.size):
+        step = np.zeros(genome.size)
+        step[i] = h
+        up, _ = kernel.objective((genome + step)[None, :])
+        down, _ = kernel.objective((genome - step)[None, :])
+        grad[i] = (up[0] - down[0]) / (2.0 * h)
+    return grad
+
+
+@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
+def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, problem_name):
+    """From random in-box genomes the polish never loses fitness, stops inside
+    its budget, and ends where the box-projected gradient vanishes."""
+    from nvctrl.optimizer import _FitnessKernel, _polish
+
+    problem = request.getfixturevalue(problem_name)
+    kernel = _FitnessKernel(problem)
+    lo, hi = genome_bounds(problem)
+    starts = np.random.default_rng(31).uniform(lo, hi, size=(4, lo.size))
+    # the polish leaves phases unbounded: the kernel treats them as periodic
+    lo[-problem.n_pulses :], hi[-problem.n_pulses :] = -np.inf, np.inf
+    for start in starts:
+        start_fit, _ = kernel.objective(start[None, :])
+        fit, _, x = _polish(kernel, start, 4000)
+        assert fit >= start_fit[0]
+        assert minimize_results[-1].status == 0
+        assert np.all(x >= lo) and np.all(x <= hi)
+        grad = _ascent_gradient(kernel, x)
+        projected = np.clip(x + grad, lo, hi) - x
+        assert np.max(np.abs(projected)) < 1e-6
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10])
+def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, budget):
+    """One polish evaluation is one kernel call on 2L + 1 genomes; the budget
+    caps them up to scipy's check between iterations (one line search, at
+    most maxls = 20 evaluations, may run past it)."""
+    from nvctrl.optimizer import _FitnessKernel, _polish
+
+    kernel = _FitnessKernel(up_problem)
+    batches = []
+    real_objective = kernel.objective
+
+    def counting_objective(genomes):
+        batches.append(np.atleast_2d(genomes).shape[0])
+        return real_objective(genomes)
+
+    kernel.objective = counting_objective
+    lo, hi = genome_bounds(up_problem)
+    _polish(kernel, np.random.default_rng(7).uniform(lo, hi), budget)
+    (res,) = minimize_results
+    assert res.nfev <= budget + 20
+    # every evaluation is one stacked call, then one re-evaluation of the result
+    assert batches == [2 * lo.size + 1] * res.nfev + [1]
+
+
+@pytest.mark.parametrize(
+    ("fixture", "best_fitness"),
+    [
+        ("up_free3_result", 0.992422261809),
+        ("u90_result", 0.974224874778),
+        ("up_short_result", 0.922904421954),
+        ("up_switched_result", 0.590934808507),
+    ],
+)
+def test_fixture_best_fitness_is_pinned(request, fixture, best_fitness):
+    """The polished optima of the shared GA fixtures at the acceptance seed."""
+    assert request.getfixturevalue(fixture).best_fitness == pytest.approx(best_fitness, abs=1e-9)
+
+
 def test_optimize_deterministic_for_a_seed(u90_problem):
     r1 = nc.optimize(u90_problem, SMALL_GA)
     r2 = nc.optimize(u90_problem, SMALL_GA)
