@@ -17,7 +17,7 @@ time-average out of every measured population) are dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
@@ -309,6 +309,10 @@ class PolarizationModel:
     gamma: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("pumping rates must be non-negative")
 

@@ -60,6 +60,8 @@ class RobustnessRange:
     n_samples: int = 5
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega_lo_mhz) and math.isfinite(self.omega_hi_mhz)):
+            raise ValueError("drive amplitude band must be finite")
         if self.omega_lo_mhz > self.omega_hi_mhz:
             raise ValueError("omega_lo must not exceed omega_hi")
         if self.n_samples < 1:

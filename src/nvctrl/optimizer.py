@@ -44,8 +44,8 @@ class Bounds:
     tau_max_us: float = 10.0
 
     def __post_init__(self):
-        if self.t_max_us <= 0 or self.tau_max_us <= 0:
-            raise ValueError("bounds must be positive")
+        if not (0 < self.t_max_us < math.inf and 0 < self.tau_max_us < math.inf):
+            raise ValueError("bounds must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,14 @@ class ControlProblem:
     def __post_init__(self):
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
-        if self.rabi_mhz <= 0:
-            raise ValueError("Rabi frequency must be positive")
+        if not 0 < self.rabi_mhz < math.inf:
+            raise ValueError("Rabi frequency must be positive and finite")
         if self.mode not in (MODE_FREE, MODE_SWITCHED):
             raise ValueError(f"mode must be {MODE_FREE!r} or {MODE_SWITCHED!r}")
         if abs(self.params.a_zx) + abs(self.params.a_zz) == 0:
             raise ValueError("indirect control requires a nonzero hyperfine coupling")
-        if self.duration_penalty < 0:
-            raise ValueError("duration penalty must be non-negative")
+        if not 0 <= self.duration_penalty < math.inf:
+            raise ValueError("duration penalty must be non-negative and finite")
 
     @property
     def effective_bounds(self) -> Bounds:

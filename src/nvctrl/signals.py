@@ -92,6 +92,8 @@ def write_csv(path, header, columns) -> None:
 
 def read_csv(path, expected_header=None) -> list[np.ndarray]:
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if len(text) < 2:
+        raise ValueError(f"no data rows in {path}")
     header = tuple(text[0].split(","))
     if expected_header is not None and header != tuple(expected_header):
         raise ValueError(f"unexpected CSV header {header!r} in {path}")

@@ -1,8 +1,14 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nvctrl as nc
 from nvctrl.cli import main
@@ -143,6 +149,7 @@ def test_fid_missing_sequence_file(tmp_path):
                 "--set", "fid.protocol=uc",
                 "--set", "fid.sequence=/nonexistent/seq.json"])
     assert code == 3
+    assert not (tmp_path / "x").exists()
 
 
 def test_fid_unknown_protocol(tmp_path):
@@ -258,6 +265,7 @@ def test_fit_polarization_command(tmp_path):
 def test_fit_missing_data_file(tmp_path):
     assert run(["fit", "polarization", "--out", tmp_path / "x",
                 "--data", "/nonexistent.csv"]) == 3
+    assert not (tmp_path / "x").exists()
 
 
 def test_manifest_reproduces_outputs_bitwise(tmp_path):
@@ -322,6 +330,27 @@ MALFORMED = {
     "polarize-points-negative": ["polarize", "--set", "polarize.n_points=-2"],
     "polarize-dmax-nan": ["polarize", "--set", "polarize.d_max_us=NaN"],
     "esr-points-negative": ["esr", "--set", "esr.n_points=-3"],
+    "esr-branch-not-int": ["esr", "--set", "esr.branch=x"],
+    "esr-range-inverted": ["esr", "--set", "esr.f_min_mhz=1", "--set", "esr.f_max_mhz=0"],
+    "esr-fmin-nan": ["esr", "--set", "esr.f_min_mhz=NaN"],
+    "polarize-c0-nan": ["polarize", "--set", "polarize.c0=NaN"],
+    "optimize-rabi-nan": ["optimize", "--set", "optimize.rabi_mhz=NaN"],
+    "optimize-penalty-nan": ["optimize", "--set", "optimize.duration_penalty=NaN"],
+    "optimize-bounds-nan": ["optimize", "--set", 'optimize.bounds={{"t_max_us": NaN, "tau_max_us": 10}}'],
+    "optimize-robust-nan": ["optimize", "--set", 'optimize.robust={{"lo_mhz": NaN, "hi_mhz": 0.52}}'],
+    "spectrum-peaks-negative": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.n_peaks=-1",
+    ],
+    "spectrum-fid-empty": ["spectrum", "--set", "spectrum.fid_csv={empty_csv}"],
+    "fit-sinusoid-nu-zero": ["fit", "sinusoid", "--data", "{fid_csv}", "--nu", "0"],
+    "fit-sinusoid-two-rows": ["fit", "sinusoid", "--data", "{two_rows_csv}", "--nu", "0.1"],
+    "fit-polarization-one-column": ["fit", "polarization", "--data", "{one_column_csv}"],
+    "fit-fidelities-b0-negative": [
+        "fit", "fidelities", "--b0", "-1", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
+    ],
+    "fit-fidelities-b0-nan": [
+        "fit", "fidelities", "--b0", "nan", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
+    ],
 }
 
 
@@ -333,6 +362,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "nan_delay": '{"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": NaN}]}',
         "fid_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\n3.0,0.5\n",
         "bad_header_csv": "time,value\n0.0,0.5\n1.0,0.75\n",
+        "empty_csv": "",
+        "two_rows_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n",
+        "one_column_csv": "d_l_us\n" + "".join(f"{d}.0\n" for d in range(8)),
     }
     paths = {}
     for name, text in files.items():
@@ -343,3 +375,54 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert not out.exists()
+
+
+FUZZ_KEYS = {
+    "angles": [f"params.{f.name}" for f in dataclasses.fields(nc.SystemParams)],
+    "esr": [f"esr.{k}" for k in ("branch", "linewidth_mhz", "f_min_mhz", "f_max_mhz", "n_points")],
+    "fid": [
+        f"fid.{k}"
+        for k in ("protocol", "record_us", "dt_us", "sequence", "sequence_dagger",
+                  "sequence_readout", "polarization")
+    ],
+    "spectrum": [f"spectrum.{k}" for k in ("fid_csv", "window", "zerofill_factor", "exp_rate", "n_peaks")],
+    "bloch": [f"bloch.{k}" for k in ("sequence", "initial", "dt_us")],
+    "polarize": [
+        f"polarize.{k}"
+        for k in ("c0", "c1", "c2", "alpha", "beta", "gamma", "d_max_us", "n_points", "sequence")
+    ],
+}
+# every value is either rejected or too large to allocate (1e308), so no
+# draw builds a big grid
+FUZZ_VALUES = ("NaN", "Infinity", "-Infinity", "-1", "0", "0.5", "1e308",
+               '"bogus"', "null", "true", "[]", "{}")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
+        lambda command: st.tuples(st.just(command), st.sampled_from(FUZZ_KEYS[command]))
+    ),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+def test_fuzzed_config_value_keeps_exit_contract(tmp_path, case, value):
+    command, key = case
+    seq_path = tmp_path / "seq.json"
+    fid_path = tmp_path / "fid.csv"
+    if not seq_path.exists():
+        nc.PulseSequence(0.5, (nc.Delay(0.2), nc.Pulse(1.0, 0.5))).save(seq_path)
+        tau = np.arange(16.0)
+        nc.FidTrace(tau, 0.5 + 0.25 * np.cos(math.pi * tau)).to_csv(fid_path)
+    base = {
+        "spectrum": ["--set", f"spectrum.fid_csv={fid_path}"],
+        "bloch": ["--set", f"bloch.sequence={seq_path}"],
+    }.get(command, [])
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([command, *base, "--set", f"{key}={value}", "--out", out])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or not out.exists()
+    shutil.rmtree(out, ignore_errors=True)

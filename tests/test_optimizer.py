@@ -27,6 +27,23 @@ def up_problem(paper):
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_inputs_reject_non_finite_values(paper, value):
+    target = nc.build_target("u_90", paper)
+    for build in (
+        lambda: nc.ControlProblem(paper, target, rabi_mhz=value),
+        lambda: nc.ControlProblem(paper, target, duration_penalty=value),
+        lambda: nc.Bounds(value, 10.0),
+        lambda: nc.Bounds(2.0, value),
+        lambda: nc.RobustnessRange(value, 0.52),
+        lambda: nc.RobustnessRange(0.48, value),
+        lambda: nc.PolarizationModel(value, 0.51, 0.50, 1.10, 0.41, 0.022),
+        lambda: nc.PolarizationModel(0.31, 0.51, 0.50, 1.10, 0.41, value),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_genome_layout_lengths(u90_problem, up_problem, paper):
     assert genome_length(u90_problem) == 6
     switched = nc.ControlProblem(
