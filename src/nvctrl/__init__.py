@@ -14,6 +14,7 @@ from .errors import (
     DegenerateAxis,
     DimensionMismatch,
     FileMissing,
+    InvariantViolation,
     NoConvergence,
     NonPositiveInput,
     NonuniformGrid,
@@ -61,7 +62,6 @@ from .optimizer import (
     reproduce_tables,
 )
 from .propagation import (
-    BlochVector,
     Delay,
     DensityState,
     Pulse,
@@ -75,7 +75,6 @@ from .propagation import (
 )
 from .signals import FidTrace, Spectrum
 from .spin_model import (
-    EigenStructure,
     Hamiltonian,
     SystemParams,
     build_hamiltonian_full,

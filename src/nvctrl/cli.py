@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -102,15 +103,19 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     return config
 
 
-def _block(config: dict, name: str) -> dict:
+def _block(config: dict, name: str, keys) -> dict:
+    """The config block `name`, holding only the keys the command reads."""
     block = config.get(name, {})
     if not isinstance(block, dict):
         raise UsageError(f"config block {name!r} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise UsageError(f"unknown keys {unknown} in config block {name!r}; expected some of {sorted(keys)}")
     return block
 
 
 def _params_from_config(config: dict) -> SystemParams:
-    return SystemParams.from_dict(_block(config, "params"))
+    return SystemParams.from_dict(_block(config, "params", [f.name for f in fields(SystemParams)]))
 
 
 def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:
@@ -142,7 +147,7 @@ def cmd_angles(config, args):
 
 def cmd_esr(config, args):
     params = _params_from_config(config)
-    block = _block(config, "esr")
+    block = _block(config, "esr", ("branch", "linewidth_mhz", "f_min_mhz", "f_max_mhz", "n_points"))
     branch = int(block.get("branch", -1))
     linewidth = _positive(block.get("linewidth_mhz", 0.02), "esr.linewidth_mhz")
     f_lo = float(block.get("f_min_mhz", -0.35))
@@ -162,21 +167,15 @@ def cmd_esr(config, args):
     return files, f"wrote {len(lines)} ESR lines (branch {branch:+d}) and spectrum"
 
 
+_GA_INT_KEYS = ("population", "generations", "elite_count", "tournament_size", "restarts", "polish_evals")
+_GA_FLOAT_KEYS = ("crossover_rate", "mutation_rate", "mutation_sigma")
+_GA_KEYS = ("seed", *_GA_INT_KEYS, *_GA_FLOAT_KEYS)
+
+
 def _ga_from_config(block: dict, seed: int) -> GaConfig:
     kwargs = {"seed": int(block.get("seed", seed))}
-    for key in (
-        "population",
-        "generations",
-        "elite_count",
-        "tournament_size",
-        "restarts",
-        "polish_evals",
-    ):
-        if key in block:
-            kwargs[key] = int(block[key])
-    for key in ("crossover_rate", "mutation_rate", "mutation_sigma"):
-        if key in block:
-            kwargs[key] = float(block[key])
+    kwargs.update({key: int(block[key]) for key in _GA_INT_KEYS if key in block})
+    kwargs.update({key: float(block[key]) for key in _GA_FLOAT_KEYS if key in block})
     return GaConfig(**kwargs)
 
 
@@ -193,13 +192,13 @@ def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
         raise UsageError(f"unknown mode {mode_text!r}")
     robust = None
     if block.get("robust"):
-        r = block["robust"]
+        r = _block(block, "robust", ("lo_mhz", "hi_mhz", "n_samples"))
         robust = RobustnessRange(
             float(r["lo_mhz"]), float(r["hi_mhz"]), int(r.get("n_samples", 5))
         )
     bounds = None
     if "bounds" in block:
-        b = block["bounds"]
+        b = _block(block, "bounds", ("t_max_us", "tau_max_us"))
         bounds = optimizer.Bounds(float(b["t_max_us"]), float(b["tau_max_us"]))
     return ControlProblem(
         params=params,
@@ -215,9 +214,11 @@ def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
 
 def cmd_optimize(config, args):
     params = _params_from_config(config)
-    block = _block(config, "optimize")
+    block = _block(config, "optimize", (
+        "target", "rabi_mhz", "mode", "robust", "bounds", "n_pulses", "duration_penalty", "ga",
+    ))
     problem = _problem_from_config(params, block)
-    ga = _ga_from_config(_block(block, "ga"), config["seed"])
+    ga = _ga_from_config(_block(block, "ga", _GA_KEYS), config["seed"])
     result = optimizer.optimize(problem, ga)
     files = {
         "sequence.json": result.best_sequence.save,
@@ -237,7 +238,9 @@ def cmd_optimize(config, args):
 
 def cmd_fid(config, args):
     params = _params_from_config(config)
-    block = _block(config, "fid")
+    block = _block(config, "fid", (
+        "protocol", "record_us", "dt_us", "sequence", "sequence_dagger", "sequence_readout", "polarization",
+    ))
     protocol = block.get("protocol", "analytic_uc")
     if protocol not in _FID_PROTOCOLS:
         raise UsageError(f"unknown fid protocol {protocol!r}; expected one of {_FID_PROTOCOLS}")
@@ -278,7 +281,7 @@ def cmd_fid(config, args):
 
 
 def cmd_spectrum(config, args):
-    block = _block(config, "spectrum")
+    block = _block(config, "spectrum", ("fid_csv", "window", "zerofill_factor", "exp_rate", "n_peaks"))
     source = block.get("fid_csv")
     if source is None:
         raise UsageError("spectrum needs spectrum.fid_csv pointing at a FID file")
@@ -306,7 +309,7 @@ def cmd_spectrum(config, args):
 
 def cmd_bloch(config, args):
     params = _params_from_config(config)
-    block = _block(config, "bloch")
+    block = _block(config, "bloch", ("sequence", "initial", "dt_us"))
     seq = _load_sequence(block.get("sequence"), "bloch")
     if seq is None:
         raise UsageError("bloch needs bloch.sequence pointing at a sequence file")
@@ -317,27 +320,26 @@ def cmd_bloch(config, args):
     rho = states[initial]()
     dt = _positive(block.get("dt_us", 0.01), "bloch.dt_us")
     h = spin_model.build_hamiltonian_subspace(params)
-    samples = trajectory(h, seq, rho, dt_us=dt)
-    cols = [np.array(col) for col in zip(*(
-        (t, e.x, e.y, e.z, c.x, c.y, c.z) for t, e, c in samples
-    ))]
-    t, e, c = samples[-1]
+    rows = trajectory(h, seq, rho, dt_us=dt)
+    t, ex, ey, ez, cx, cy, cz = rows[-1].tolist()
     files = {
         "trajectory.csv": lambda path: signals.write_csv(
-            path, ("time_us", "e_x", "e_y", "e_z", "c_x", "c_y", "c_z"), cols
+            path, ("time_us", "e_x", "e_y", "e_z", "c_x", "c_y", "c_z"), rows.T
         ),
         "bloch.json": {
             "final_time_us": t,
-            "electron": {"x": e.x, "y": e.y, "z": e.z},
-            "carbon": {"x": c.x, "y": c.y, "z": c.z},
+            "electron": {"x": ex, "y": ey, "z": ez},
+            "carbon": {"x": cx, "y": cy, "z": cz},
         },
     }
-    return files, f"final carbon vector ({c.x:+.4f}, {c.y:+.4f}, {c.z:+.4f}) after {t:.2f} us"
+    return files, f"final carbon vector ({cx:+.4f}, {cy:+.4f}, {cz:+.4f}) after {t:.2f} us"
 
 
 def cmd_polarize(config, args):
     params = _params_from_config(config)
-    block = _block(config, "polarize")
+    block = _block(config, "polarize", (
+        "c0", "c1", "c2", "alpha", "beta", "gamma", "d_max_us", "n_points", "sequence",
+    ))
     defaults = experiments.paper_polarization_model()
     model = experiments.PolarizationModel(
         c0=float(block.get("c0", defaults.c0)),
@@ -421,11 +423,11 @@ def cmd_fit_fidelities(config, args):
 
 def cmd_tables(config, args):
     params = _params_from_config(config)
-    block = _block(config, "tables")
+    block = _block(config, "tables", ("which", "ga"))
     which = args.which or block.get("which", "I")
     if which not in ("I", "II", "III", "all"):
         raise UsageError(f"unknown table {which!r}; expected I, II, III or all")
-    ga_block = _block(block, "ga")
+    ga_block = _block(block, "ga", _GA_KEYS)
     ga = _ga_from_config(ga_block, config["seed"]) if ga_block else None
     config.setdefault("tables", {})["which"] = which
     files, lines = {}, []

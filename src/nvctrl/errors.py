@@ -43,3 +43,7 @@ class NonPositiveInput(NvctrlError):
 
 class FileMissing(NvctrlError):
     """A required input file does not exist."""
+
+
+class InvariantViolation(NvctrlError):
+    """A computed propagator or state broke unitarity, unit trace or Hermiticity."""

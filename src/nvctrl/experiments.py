@@ -7,11 +7,13 @@ convention in which ideal preparation at tau = 0 yields 1/2 (half the m_S = 0
 population), so simulated traces line up with the closed-form two-cosine
 expressions without rescaling.
 
-Protocols that visit other electron manifolds run in the 6-level
-electron (+1, 0, -1) x 13C space at fixed m_N = +1.  Free evolution there is
-taken in the interaction frame of the electron energies: manifold-diagonal
-dynamics are exact, while phases of inter-manifold coherences (which
-time-average out of every measured population) are dropped.
+Every protocol runs through one core, `_fid`, in the 6-level electron
+(+1, 0, -1) x 13C space at fixed m_N = +1.  Free evolution there is taken in
+the interaction frame of the electron energies: manifold-diagonal dynamics
+are exact, while phases of inter-manifold coherences (which time-average out
+of every measured population) are dropped.  On the {0, -1} manifolds the
+blocks equal the 4-level working Hamiltonian, so protocols confined there
+are exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
-from .propagation import PulseSequence, _eig, _propagators, sequence_propagator
+from .propagation import PulseSequence, _eig, _evolve, _propagators, sequence_propagator
 from .signals import FidTrace, Spectrum
 from .spin_model import (
     E2,
@@ -44,11 +46,8 @@ DEFAULT_UC_PRIME_RECORD_US = 300.0
 DEFAULT_STEP_US = 1.0
 
 # 6-level basis order: (+1,up), (+1,down), (0,up), (0,down), (-1,up), (-1,down)
-_SWAP_01 = np.zeros((6, 6), dtype=complex)
-for _i in range(2):
-    _SWAP_01[_i, _i + 2] = 1.0
-    _SWAP_01[_i + 2, _i] = 1.0
-_SWAP_01[4, 4] = _SWAP_01[5, 5] = 1.0
+# _SWAP_01: ideal 180-degree swap of the m_S = 0 and +1 populations
+_SWAP_01 = np.eye(6, dtype=complex)[[2, 3, 0, 1, 4, 5]]
 
 
 def default_tau_grid(record_us: float, step_us: float = DEFAULT_STEP_US) -> np.ndarray:
@@ -94,24 +93,45 @@ def _embed_lower(u4: np.ndarray) -> np.ndarray:
     return u6
 
 
-_UPPER_PERM = np.array([2, 3, 0, 1])  # {|0>,|+1>}-manifold basis -> 6-dim indices
-
-
 def _embed_upper(u4: np.ndarray) -> np.ndarray:
     """4-dim operator on {|0>, |+1>} x C (basis |0,up>,|0,down>,|+1,up>,|+1,down>)
     -> 6-dim (identity on m_S = -1)."""
     u6 = np.eye(6, dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            u6[_UPPER_PERM[i], _UPPER_PERM[j]] = u4[i, j]
+    u6[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])] = u4  # the 6-dim indices of that basis
     return u6
 
 
-def _prep_unitary(params: SystemParams, seq: PulseSequence | None, dagger: bool) -> np.ndarray:
-    if seq is None:
-        u = ideal_uc_unitary(params)
-        return u.conj().T if dagger else u
-    return sequence_propagator(build_hamiltonian_subspace(params), seq)
+def _carbon_in_ms0(p: float) -> np.ndarray:
+    """6-level state: electron in m_S = 0, carbon z-polarization p (p = 0 is rho0)."""
+    return np.diag([0.0, 0.0, (1.0 + p) / 2.0, (1.0 - p) / 2.0, 0.0, 0.0]).astype(complex)
+
+
+# readout observables: half the m_S = 0 population, the m_S = 0 population,
+# and the population of |0,up>
+_HALF_MS0 = np.diag([0.0, 0.0, 0.5, 0.5, 0.0, 0.0]).astype(complex)
+_MS0 = 2.0 * _HALF_MS0
+_MS0_UP = np.diag([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+def _fid(params, tau, rho6, pre, read, observable, protocol) -> FidTrace:
+    """The one FID core: prepare pre rho6 pre^dag, precess freely for every
+    delay in `tau`, and report Re Tr[(read^dag O read) rho(tau)]."""
+    tau = _validate_grid(tau)
+    rho_tau = _evolve(_free_propagators_6(params, tau), pre @ rho6 @ pre.conj().T)
+    signal = np.einsum("ij,tji->t", read.conj().T @ observable @ read, rho_tau).real
+    return FidTrace(tau, signal, protocol)
+
+
+def _fid_coherence(params, seq_uc, seq_uc_dag, tau, swap, protocol) -> FidTrace:
+    """Prepare carbon coherence from rho0 with seq_uc, precess between two
+    `swap`s, convert back with seq_uc_dag and report half the m_S = 0
+    population.  A missing sequence is the ideal coherence generator (or its
+    inverse)."""
+    h, ideal = build_hamiltonian_subspace(params), ideal_uc_unitary(params)
+    prep = ideal if seq_uc is None else sequence_propagator(h, seq_uc)
+    back = ideal.conj().T if seq_uc_dag is None else sequence_propagator(h, seq_uc_dag)
+    pre, read = swap @ _embed_lower(prep), _embed_lower(back) @ swap
+    return _fid(params, tau, _carbon_in_ms0(0.0), pre, read, _HALF_MS0, protocol)
 
 
 def fid_uc(
@@ -127,16 +147,8 @@ def fid_uc(
     report half the m_S = 0 population.  Spectral peaks sit at nu_C and
     nu_minus.
     """
-    tau = _validate_grid(tau_grid if tau_grid is not None else default_tau_grid(DEFAULT_UC_RECORD_US))
-    h = build_hamiltonian_subspace(params)
-    u_prep = _prep_unitary(params, seq_uc, dagger=False)
-    u_read = _prep_unitary(params, seq_uc_dag, dagger=True)
-    rho1 = u_prep @ rho0_state().matrix @ u_prep.conj().T
-    frees = _propagators(_eig(h.matrix), tau)
-    rho_tau = frees @ rho1 @ frees.conj().transpose(0, 2, 1)
-    rho_f = u_read[None] @ rho_tau @ u_read.conj().T[None]
-    signal = (rho_f[:, 0, 0] + rho_f[:, 1, 1]).real / 2.0
-    return FidTrace(tau, signal, "uc_readout")
+    tau = tau_grid if tau_grid is not None else default_tau_grid(DEFAULT_UC_RECORD_US)
+    return _fid_coherence(params, seq_uc, seq_uc_dag, tau, np.eye(6, dtype=complex), "uc_readout")
 
 
 def fid_uc_prime(
@@ -151,31 +163,11 @@ def fid_uc_prime(
     the m_S = 0 and +1 populations, so the free precession probes nu_minus
     and nu_plus.
     """
-    tau = _validate_grid(
-        tau_grid if tau_grid is not None else default_tau_grid(DEFAULT_UC_PRIME_RECORD_US)
-    )
-    u_prep = _prep_unitary(params, seq_uc, dagger=False)
-    u_read = _prep_unitary(params, seq_uc_dag, dagger=True)
-    rho1 = u_prep @ rho0_state().matrix @ u_prep.conj().T
-    rho6 = np.zeros((6, 6), dtype=complex)
-    rho6[2:6, 2:6] = rho1
-    rho6 = _SWAP_01 @ rho6 @ _SWAP_01
-    frees = _free_propagators_6(params, tau)
-    rho_tau = frees @ rho6 @ frees.conj().transpose(0, 2, 1)
-    rho_back = _SWAP_01[None] @ rho_tau @ _SWAP_01[None]
-    rho4 = rho_back[:, 2:6, 2:6]
-    rho_f = u_read[None] @ rho4 @ u_read.conj().T[None]
-    signal = (rho_f[:, 0, 0] + rho_f[:, 1, 1]).real / 2.0
-    return FidTrace(tau, signal, "uc_prime_readout")
+    tau = tau_grid if tau_grid is not None else default_tau_grid(DEFAULT_UC_PRIME_RECORD_US)
+    return _fid_coherence(params, seq_uc, seq_uc_dag, tau, _SWAP_01, "uc_prime_readout")
 
 
 _U90_TAGS = {0: "u90_ms0", -1: "u90_ms-1", +1: "u90_ms+1"}
-
-
-def _ideal_180y_lower() -> np.ndarray:
-    """Instantaneous 180-degree y-rotation of the electron pseudo-spin on the
-    {|0>, |-1>} manifold, nuclear state untouched."""
-    return np.kron(rot_half(SY2, math.pi), E2)
 
 
 def fid_u90(
@@ -202,46 +194,27 @@ def fid_u90(
         raise ValueError("subspace must be 0, -1 or +1")
     if not -1.0 <= initial_polarization <= 1.0:
         raise ValueError("initial polarization must lie in [-1, 1]")
-    tau = _validate_grid(tau_grid if tau_grid is not None else default_tau_grid(DEFAULT_UC_RECORD_US))
-    p = initial_polarization
-    rho6 = np.zeros((6, 6), dtype=complex)
-    rho6[2, 2] = (1.0 + p) / 2.0
-    rho6[3, 3] = (1.0 - p) / 2.0
-
-    h_lower = build_hamiltonian_subspace(params)
-
-    if subspace == -1:
-        if seq_u90 is None:
-            transfer = _embed_lower(_ideal_180y_lower())
-        else:
-            transfer = _embed_lower(sequence_propagator(h_lower, seq_u90))
-        pre, post = transfer, transfer
+    tau = tau_grid if tau_grid is not None else default_tau_grid(DEFAULT_UC_RECORD_US)
+    if seq_u90 is not None:
+        gate = sequence_propagator(build_hamiltonian_subspace(params), seq_u90)
+    elif subspace == -1:
+        # instantaneous 180-degree y-rotation of the electron pseudo-spin
+        gate = np.kron(rot_half(SY2, math.pi), E2)
     else:
-        if seq_u90 is None:
-            excite = _embed_lower(u90_gate())
-        else:
-            excite = _embed_lower(sequence_propagator(h_lower, seq_u90))
-        if subspace == +1:
-            pre = _SWAP_01 @ excite
-            post = _SWAP_01
-        else:
-            pre, post = excite, np.eye(6, dtype=complex)
-
-    rho6 = pre @ rho6 @ pre.conj().T
-    frees = _free_propagators_6(params, tau)
-    rho_tau = frees @ rho6 @ frees.conj().transpose(0, 2, 1)
-    rho_tau = post[None] @ rho_tau @ post.conj().T[None]
-
+        gate = u90_gate()
+    pre = _embed_lower(gate)
+    post = {0: np.eye(6, dtype=complex), -1: pre, +1: _SWAP_01}[subspace]
+    if subspace == +1:
+        pre = _SWAP_01 @ pre
     if seq_ut is None:
-        read = np.kron(E3, rot_half(SX2, math.pi / 2.0).conj().T)
-        rho_f = read[None] @ rho_tau @ read.conj().T[None]
-        signal = rho_f[:, 2, 2].real
+        read, observable = np.kron(E3, rot_half(SX2, math.pi / 2.0).conj().T), _MS0_UP
     else:
-        h_upper = build_hamiltonian_subspace_plus(params)
-        read = _embed_upper(sequence_propagator(h_upper, seq_ut))
-        rho_f = read[None] @ rho_tau @ read.conj().T[None]
-        signal = (rho_f[:, 2, 2] + rho_f[:, 3, 3]).real
-    return FidTrace(tau, signal, _U90_TAGS[subspace])
+        u_t = sequence_propagator(build_hamiltonian_subspace_plus(params), seq_ut)
+        read, observable = _embed_upper(u_t), _MS0
+    return _fid(
+        params, tau, _carbon_in_ms0(initial_polarization), pre, read @ post, observable,
+        _U90_TAGS[subspace],
+    )
 
 
 def spectrum_from_fid(
@@ -313,6 +286,14 @@ class PolarizationModel:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        # keeps every term of the curve finite at every finite d >= 0
+        for what, value in (
+            ("alpha + beta", self.alpha + self.beta),
+            ("2 gamma", 2.0 * self.gamma),
+            ("|c0| + |c1| + |c2|", abs(self.c0) + abs(self.c1) + abs(self.c2)),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{what} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("pumping rates must be non-negative")
 

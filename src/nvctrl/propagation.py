@@ -5,6 +5,11 @@ pulses on the electron pseudo-spin.  All propagators are built by Hermitian
 eigendecomposition, U = V exp(-i 2 pi w t) V^dag, which is exact at any
 duration.  `_propagators` is the one place that does so, for a whole batch of
 durations at once; the factor 2*pi enters there and nowhere else.
+
+Physical invariants are checked once per batch where results leave this
+module: `sequence_propagator` checks unitarity, and `_evolve`, which every
+readout (trajectory samples and FID delays) goes through, checks unit trace
+and Hermiticity.  A violation raises `InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation
 from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI
+
+# tolerance of the unitarity, trace and Hermiticity checks
+_INVARIANT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,25 +155,6 @@ class DensityState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Bloch-sphere components of one spin-1/2 subsystem."""
-
-    x: float
-    y: float
-    z: float
-    subsystem: str
-
-    def __post_init__(self):
-        if self.subsystem not in ("electron", "carbon"):
-            raise ValueError("subsystem must be 'electron' or 'carbon'")
-        if self.x**2 + self.y**2 + self.z**2 > 1.0 + 1e-9:
-            raise ValueError("Bloch vector norm exceeds 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
 def _eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues w (MHz), eigenvector columns V and V^dag of a Hermitian matrix."""
     w, v = np.linalg.eigh(matrix)
@@ -202,14 +191,32 @@ def pulse_propagator(h: Hamiltonian, rabi_mhz: float, phase_rad: float, t_us: fl
 
 
 def sequence_propagator(h: Hamiltonian, seq: PulseSequence) -> np.ndarray:
-    """Time-ordered product of the segment propagators (rightmost acts first)."""
+    """Time-ordered product of the segment propagators (rightmost acts first),
+    checked for unitarity."""
     u = np.eye(h.dim, dtype=complex)
     for seg in seq.segments:
         if isinstance(seg, Delay):
             u = free_propagator(h, seg.us) @ u
         else:
             u = pulse_propagator(h, seq.rabi_mhz, seg.phase_rad, seg.us) @ u
+    error = np.linalg.norm(u.conj().T @ u - np.eye(h.dim))
+    if not error <= _INVARIANT_TOL:
+        raise InvariantViolation(f"sequence propagator is not unitary: |U^dag U - I| = {error:.3g}")
     return u
+
+
+def _evolve(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """States U rho U^dag for a batch of propagators `us`, shape (T, d, d);
+    unit trace and Hermiticity are checked once for the whole batch."""
+    rhos = us @ rho @ us.conj().transpose(0, 2, 1)
+    trace_error = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max(initial=0.0)
+    herm_error = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(initial=0.0)
+    if not (trace_error <= _INVARIANT_TOL and herm_error <= _INVARIANT_TOL):
+        raise InvariantViolation(
+            f"evolved states lost unit trace or Hermiticity: "
+            f"trace error {trace_error:.3g}, Hermiticity error {herm_error:.3g}"
+        )
+    return rhos
 
 
 def evolve(rho: DensityState, u: np.ndarray) -> DensityState:
@@ -219,53 +226,45 @@ def evolve(rho: DensityState, u: np.ndarray) -> DensityState:
     return DensityState(u @ rho.matrix @ u.conj().T)
 
 
-def _bloch_from_2x2(m: np.ndarray, subsystem: str) -> BlochVector:
-    x = 2.0 * m[0, 1].real
-    y = 2.0 * m[1, 0].imag
-    z = (m[0, 0] - m[1, 1]).real
-    return BlochVector(float(x), float(y), float(z), subsystem)
+def _bloch(rhos: np.ndarray, subsystem: str) -> np.ndarray:
+    """(T, 3) Bloch components of one spin for a batch of 4-dim states, taken
+    from the reduced 2x2 state; the reshaped index order is (electron, carbon,
+    electron', carbon')."""
+    r = rhos.reshape(-1, 2, 2, 2, 2)
+    if subsystem == "electron":
+        sub = r[:, :, 0, :, 0] + r[:, :, 1, :, 1]
+    elif subsystem == "carbon":
+        sub = r[:, 0, :, 0, :] + r[:, 1, :, 1, :]
+    else:
+        raise ValueError("subsystem must be 'electron' or 'carbon'")
+    return np.stack(
+        [2.0 * sub[:, 0, 1].real, 2.0 * sub[:, 1, 0].imag, (sub[:, 0, 0] - sub[:, 1, 1]).real], axis=1
+    )
 
 
-def bloch_vector(rho: DensityState, subsystem: str) -> BlochVector:
-    """Bloch components of the electron pseudo-spin or the 13C spin.
+def bloch_vector(rho: DensityState, subsystem: str) -> np.ndarray:
+    """Bloch components (x, y, z) of the electron pseudo-spin or the 13C spin.
 
     The electron z-component is the population difference P(|0>) - P(|-1>),
     i.e. |0> is pseudo-spin up.
     """
     if rho.dim != 4:
         raise DimensionMismatch("bloch_vector expects a 4-dim state")
-    m = rho.matrix
-    if subsystem == "carbon":
-        sub = m[0:2, 0:2] + m[2:4, 2:4]
-    elif subsystem == "electron":
-        sub = np.array(
-            [
-                [m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-                [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]],
-            ]
-        )
-    else:
-        raise ValueError("subsystem must be 'electron' or 'carbon'")
-    return _bloch_from_2x2(sub, subsystem)
+    return _bloch(rho.matrix, subsystem)[0]
 
 
-def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: float = 0.01):
+def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: float = 0.01) -> np.ndarray:
     """Bloch-sphere trajectory sampled every dt_us within each segment plus at
     every segment boundary.
 
-    Returns a list of (time_us, electron BlochVector, carbon BlochVector).
-    The default step resolves the fastest nuclear precession comfortably.
+    Returns a (T, 7) array whose rows are (time_us, e_x, e_y, e_z, c_x, c_y,
+    c_z): the electron and carbon Bloch components at each sample time.  The
+    default step resolves the fastest nuclear precession comfortably.
     """
     if dt_us <= 0:
         raise ValueError("dt must be positive")
-    samples = []
-
-    def record(t, state):
-        samples.append((float(t), bloch_vector(state, "electron"), bloch_vector(state, "carbon")))
-
-    state = rho0
-    t0 = 0.0
-    record(t0, state)
+    times, states = [np.zeros(1)], [rho0.matrix[None]]
+    state, t0 = rho0.matrix, 0.0
     for seg in seq.segments:
         if isinstance(seg, Delay):
             gen = h.matrix
@@ -276,9 +275,9 @@ def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: fl
         if not rel_times or rel_times[-1] < seg.us:
             rel_times.append(seg.us)
         # the samples, then the segment end the next segment starts from
-        us = _propagators(_eig(gen), rel_times + [seg.us])
-        for rel, u in zip(rel_times, us):
-            record(t0 + rel, evolve(state, u))
-        state = evolve(state, us[-1])
-        t0 += seg.us
-    return samples
+        rhos = _evolve(_propagators(_eig(gen), rel_times + [seg.us]), state)
+        times.append(t0 + np.array(rel_times))
+        states.append(rhos[:-1])
+        state, t0 = rhos[-1], t0 + seg.us
+    rhos = np.concatenate(states)
+    return np.column_stack([np.concatenate(times), _bloch(rhos, "electron"), _bloch(rhos, "carbon")])

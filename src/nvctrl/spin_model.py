@@ -148,10 +148,6 @@ class Hamiltonian:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending, MHz) and eigenvector columns."""
-        return np.linalg.eigh(self.matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class EigenStructure:

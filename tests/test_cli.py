@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
+from nvctrl import propagation
 from nvctrl.cli import main
 from nvctrl.signals import read_csv
 
@@ -186,7 +187,26 @@ def test_bloch_command(tmp_path):
 
     u = nc.sequence_propagator(h, seq)
     expect = nc.bloch_vector(nc.evolve(rho0_state(), u), "carbon")
-    assert final["carbon"]["z"] == pytest.approx(expect.z, abs=1e-9)
+    assert final["carbon"]["z"] == pytest.approx(expect[2], abs=1e-9)
+
+
+def test_non_unitary_core_is_runtime_error(tmp_path, monkeypatch, capsys):
+    """With phase factors of magnitude 1.001 in the propagation core, the
+    trajectory's trace check and the sequence propagator's unitarity check
+    stop the command with exit 3 before anything is written."""
+    core = propagation._propagators
+    monkeypatch.setattr(propagation, "_propagators", lambda eig, times: 1.001 * core(eig, times))
+    seq_path = tmp_path / "seq.json"
+    nc.PulseSequence(0.5, (nc.Delay(0.2), nc.Pulse(1.0, 0.5))).save(seq_path)
+    for argv in (
+        ["bloch", "--set", f"bloch.sequence={seq_path}"],
+        ["fid", "--set", "fid.protocol=uc", "--set", f"fid.sequence={seq_path}"],
+    ):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_bloch_missing_sequence_is_usage_error(tmp_path):
@@ -351,6 +371,15 @@ MALFORMED = {
     "fit-fidelities-b0-nan": [
         "fit", "fidelities", "--b0", "nan", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
     ],
+    "polarize-gamma-overflow": ["polarize", "--set", "polarize.gamma=1e308"],
+    "polarize-rates-overflow": ["polarize", "--set", "polarize.alpha=1e308", "--set", "polarize.beta=1e308"],
+    "esr-key-misspelt": ["esr", "--set", "esr.linewdith_mhz=5"],
+    "fid-key-misspelt": ["fid", "--set", "fid.dt=0.5"],
+    "bloch-key-misspelt": ["bloch", "--set", "bloch.sequence={sequence}", "--set", "bloch.dt=0.05"],
+    "optimize-ga-key-misspelt": ["optimize", *TINY_GA, "--set", "optimize.ga.populaton=12"],
+    "optimize-robust-key-misspelt": [
+        "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.47, "hi_mhz": 0.53, "n_sample": 5}}',
+    ],
 }
 
 
@@ -359,6 +388,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
     files = {
         "not_json": "{ this is not JSON\n",
         "no_phase": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1.0}]}),
+        "sequence": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1.0, "phase_rad": 0.0}]}),
         "nan_delay": '{"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": NaN}]}',
         "fid_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\n3.0,0.5\n",
         "bad_header_csv": "time,value\n0.0,0.5\n1.0,0.75\n",

@@ -10,6 +10,8 @@ from nvctrl.errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from nvctrl.experiments import default_tau_grid, ideal_reset
 from nvctrl.fidelity import u_t_sequence
 from nvctrl.signals import fwhm, top_peaks
+from nvctrl.spin_model import nuclear_block_hamiltonians
+from tests_support import oracle_fid, random_sequence
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -153,6 +155,43 @@ def test_fid_u90_polarization_scales_signal(paper):
     amp_full = full.signal.max() - full.signal.min()
     amp_half = half.signal.max() - half.signal.min()
     assert amp_half == pytest.approx(0.5 * amp_full, rel=1e-6)
+
+
+def random_params(rng):
+    return nc.SystemParams(
+        b_mt=float(rng.uniform(1.0, 40.0)),
+        a_zz=float(rng.uniform(-0.5, 0.5)),
+        a_zx=float(rng.uniform(-0.5, 0.5)),
+    )
+
+
+def test_subspace_hamiltonian_is_block_diagonal_in_the_6_level_blocks():
+    """The 4-level working Hamiltonian is blockdiag(h_zero, h_minus), so the
+    FID protocols may precess in the 6-level blocks exactly."""
+    rng = np.random.default_rng(21)
+    for params in [nc.SystemParams()] + [random_params(rng) for _ in range(20)]:
+        _, h_zero, h_minus = nuclear_block_hamiltonians(params)
+        want = np.zeros((4, 4), dtype=complex)
+        want[:2, :2], want[2:, 2:] = h_zero, h_minus
+        assert np.abs(nc.build_hamiltonian_subspace(params).matrix - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("protocol", ["uc", "uc_prime", 0, -1, +1])
+def test_fid_protocols_match_expm_oracle(protocol):
+    """Every sequence-driven FID protocol against an independent scipy-expm
+    oracle, one delay at a time, for random sequences and parameters."""
+    rng = np.random.default_rng(31)
+    for params in (nc.SystemParams(), random_params(rng)):
+        for _ in range(3):
+            tau = np.sort(rng.uniform(0.0, 40.0, 6))
+            prep, read = random_sequence(rng), random_sequence(rng)
+            if protocol in ("uc", "uc_prime"):
+                fid = nc.fid_uc if protocol == "uc" else nc.fid_uc_prime
+                got, p = fid(params, prep, read, tau).signal, 0.0
+            else:
+                p = float(rng.uniform(-1.0, 1.0))
+                got = nc.fid_u90(params, protocol, prep, read, tau, initial_polarization=p).signal
+            assert np.abs(got - oracle_fid(params, protocol, tau, prep, read, p)).max() <= 1e-9
 
 
 def test_spectrum_pure_cosine_peak_location():
@@ -377,6 +416,5 @@ def test_trajectory_of_optimized_transfer_polarizes_carbon(paper, robust_results
 
     h = nc.build_hamiltonian_subspace(paper)
     seq = robust_results["u_p"].best_sequence
-    samples = nc.trajectory(h, seq, rho0_state(), dt_us=0.05)
-    _, _, carbon = samples[-1]
-    assert carbon.z >= 0.95
+    rows = nc.trajectory(h, seq, rho0_state(), dt_us=0.05)
+    assert rows[-1, 6] >= 0.95  # final c_z

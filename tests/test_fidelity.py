@@ -99,8 +99,8 @@ def test_build_target_state_targets(paper):
     t = nc.build_target("u_p", paper)
     carbon = nc.bloch_vector(t.rho_target, "carbon")
     electron = nc.bloch_vector(t.rho_target, "electron")
-    assert carbon.z == pytest.approx(1.0, abs=1e-12)
-    assert (electron.x, electron.y, electron.z) == pytest.approx((0, 0, 0), abs=1e-12)
+    assert carbon[2] == pytest.approx(1.0, abs=1e-12)
+    assert tuple(electron) == pytest.approx((0, 0, 0), abs=1e-12)
 
     t = nc.build_target("u_c", paper)
     assert t.kind == "state"
@@ -114,7 +114,7 @@ def test_u90_rotates_carbon_z_to_minus_y():
     rho = nc.DensityState(np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex))  # carbon up
     out = nc.evolve(rho, u90_gate())
     c = nc.bloch_vector(out, "carbon")
-    assert (c.x, c.y, c.z) == pytest.approx((0.0, -1.0, 0.0), abs=1e-12)
+    assert tuple(c) == pytest.approx((0.0, -1.0, 0.0), abs=1e-12)
 
 
 def test_ideal_uc_maps_rho0_to_rho_c(paper):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
-from nvctrl.errors import DimensionMismatch
+from nvctrl import propagation
+from nvctrl.errors import DimensionMismatch, InvariantViolation
 from nvctrl.propagation import Delay, Pulse, _eig, _propagators
 from nvctrl.spin_model import BASIS_LABELS_4, TWO_PI
 from tests_support import random_hamiltonian, random_sequence, trotter_sequence
@@ -175,56 +176,57 @@ def test_bloch_vector_reference_states(paper):
 
     e = nc.bloch_vector(rho0_state(), "electron")
     c = nc.bloch_vector(rho0_state(), "carbon")
-    assert (e.x, e.y, e.z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
-    assert (c.x, c.y, c.z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    assert tuple(e) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+    assert tuple(c) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
     e = nc.bloch_vector(rho_p_state(), "electron")
     c = nc.bloch_vector(rho_p_state(), "carbon")
-    assert (e.x, e.y, e.z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
-    assert (c.x, c.y, c.z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+    assert tuple(e) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    assert tuple(c) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     # tracing the coherence state gives (-cos(theta)/2, 1/2, sin(theta)/2):
     # norm sqrt(1/2) regardless of the tilt angle
     theta = math.radians(nc.quantization_angles(paper)[1])
-    c = nc.bloch_vector(rho_c_state(paper), "carbon")
-    assert (c.x, c.y, c.z) == pytest.approx(
+    x, y, z = nc.bloch_vector(rho_c_state(paper), "carbon")
+    assert (x, y, z) == pytest.approx(
         (-math.cos(theta) / 2.0, 0.5, math.sin(theta) / 2.0), abs=1e-12
     )
-    assert math.hypot(c.x, math.hypot(c.y, c.z)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert c.y > 0 and c.z > 0
+    assert math.hypot(x, math.hypot(y, z)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert y > 0 and z > 0
 
 
 def test_bloch_vector_dimension_check():
     rho6 = nc.DensityState(np.eye(6, dtype=complex) / 6.0)
     with pytest.raises(DimensionMismatch):
         nc.bloch_vector(rho6, "carbon")
+    rho4 = nc.DensityState(np.eye(4, dtype=complex) / 4.0)
+    with pytest.raises(ValueError):
+        nc.bloch_vector(rho4, "proton")
 
 
 def test_trajectory_empty_sequence(h_sub):
     from nvctrl.fidelity import rho0_state
 
-    samples = nc.trajectory(h_sub, nc.PulseSequence(0.5, ()), rho0_state())
-    assert len(samples) == 1
-    t, e, c = samples[0]
+    rows = nc.trajectory(h_sub, nc.PulseSequence(0.5, ()), rho0_state())
+    assert rows.shape == (1, 7)
+    t, e_x, e_y, e_z, c_x, c_y, c_z = rows[0]
     assert t == 0.0
-    assert e.z == pytest.approx(1.0)
+    assert e_z == pytest.approx(1.0)
 
 
 def test_trajectory_endpoint_matches_sequence_propagator(h_sub):
     from nvctrl.fidelity import rho0_state
 
     seq = nc.PulseSequence(0.5, (Delay(0.37), Pulse(0.81, 1.1), Delay(0.2)))
-    samples = nc.trajectory(h_sub, seq, rho0_state(), dt_us=0.05)
-    t_end, e_end, c_end = samples[-1]
-    assert t_end == pytest.approx(seq.total_duration_us, abs=1e-9)
+    rows = nc.trajectory(h_sub, seq, rho0_state(), dt_us=0.05)
+    assert rows[-1, 0] == pytest.approx(seq.total_duration_us, abs=1e-9)
+    # every sample is a physical state: both Bloch vectors inside the sphere
+    assert np.all(np.linalg.norm(rows[:, 1:4], axis=1) <= 1.0 + 1e-9)
+    assert np.all(np.linalg.norm(rows[:, 4:7], axis=1) <= 1.0 + 1e-9)
     u = nc.sequence_propagator(h_sub, seq)
     final = nc.evolve(rho0_state(), u)
-    assert e_end.as_array() == pytest.approx(
-        nc.bloch_vector(final, "electron").as_array(), abs=1e-10
-    )
-    assert c_end.as_array() == pytest.approx(
-        nc.bloch_vector(final, "carbon").as_array(), abs=1e-10
-    )
+    assert rows[-1, 1:4] == pytest.approx(nc.bloch_vector(final, "electron"), abs=1e-10)
+    assert rows[-1, 4:7] == pytest.approx(nc.bloch_vector(final, "carbon"), abs=1e-10)
 
 
 def test_trajectory_endpoint_matches_trotter_oracle(h_sub):
@@ -233,11 +235,11 @@ def test_trajectory_endpoint_matches_trotter_oracle(h_sub):
     rng = np.random.default_rng(11)
     for _ in range(5):
         seq = random_sequence(rng, n_segments=4, max_us=1.5)
-        t_end, e_end, c_end = nc.trajectory(h_sub, seq, rho0_state(), dt_us=0.1)[-1]
+        end = nc.trajectory(h_sub, seq, rho0_state(), dt_us=0.1)[-1]
         final = nc.evolve(rho0_state(), trotter_sequence(h_sub, seq))
-        assert t_end == pytest.approx(seq.total_duration_us, abs=1e-9)
-        assert e_end.as_array() == pytest.approx(nc.bloch_vector(final, "electron").as_array(), abs=1e-9)
-        assert c_end.as_array() == pytest.approx(nc.bloch_vector(final, "carbon").as_array(), abs=1e-9)
+        assert end[0] == pytest.approx(seq.total_duration_us, abs=1e-9)
+        assert end[1:4] == pytest.approx(nc.bloch_vector(final, "electron"), abs=1e-9)
+        assert end[4:7] == pytest.approx(nc.bloch_vector(final, "carbon"), abs=1e-9)
 
 
 def test_trajectory_carbon_precession_frequency(paper, h_sub):
@@ -251,8 +253,7 @@ def test_trajectory_carbon_precession_frequency(paper, h_sub):
     dt = 0.25
     n = 256
     seq = nc.PulseSequence(0.5, (Delay(n * dt),))
-    samples = nc.trajectory(h_sub, seq, rho, dt_us=dt)
-    x = np.array([c.x for _, _, c in samples[:n]])
+    x = nc.trajectory(h_sub, seq, rho, dt_us=dt)[:n, 4]
     spectrum = np.abs(np.fft.rfft(x - x.mean(), n=8 * n))
     freqs = np.fft.rfftfreq(8 * n, d=dt)
     peak = freqs[np.argmax(spectrum)]
@@ -282,11 +283,14 @@ def test_density_state_validation():
         nc.DensityState(bad)
 
 
-def test_bloch_vector_norm_validation():
-    with pytest.raises(ValueError):
-        nc.BlochVector(1.0, 1.0, 1.0, "carbon")
-    with pytest.raises(ValueError):
-        nc.BlochVector(0.0, 0.0, 0.5, "proton")
+def test_non_unitary_core_fails_the_postcondition(monkeypatch, h_sub):
+    """A propagation core whose phase factors have magnitude 1.001 cannot
+    pass the unitarity check of sequence_propagator."""
+    core = propagation._propagators
+    monkeypatch.setattr(propagation, "_propagators", lambda eig, times: 1.001 * core(eig, times))
+    seq = nc.PulseSequence(0.5, (Delay(0.37), Pulse(0.81, 1.1)))
+    with pytest.raises(InvariantViolation):
+        nc.sequence_propagator(h_sub, seq)
 
 
 def test_pulse_sequence_validation_and_phases():
