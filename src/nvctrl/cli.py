@@ -152,8 +152,8 @@ def cmd_esr(config, args):
     linewidth = _positive(block.get("linewidth_mhz", 0.02), "esr.linewidth_mhz")
     f_lo = float(block.get("f_min_mhz", -0.35))
     f_hi = float(block.get("f_max_mhz", 0.35))
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo < f_hi):
-        raise UsageError(f"esr.f_min_mhz must be finite and below esr.f_max_mhz, got {f_lo!r}, {f_hi!r}")
+    if not (math.isfinite(f_hi - f_lo) and f_lo < f_hi):
+        raise UsageError(f"esr.f_min_mhz < esr.f_max_mhz must bound a finite window, got {f_lo!r}, {f_hi!r}")
     n = _at_least(block.get("n_points", 2001), 2, "esr.n_points")
     lines = spin_model.esr_lines(params, branch)
     spec = spin_model.esr_spectrum(lines, linewidth, np.linspace(f_lo, f_hi, n))

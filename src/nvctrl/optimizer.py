@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from .errors import BadGenomeLength, ZeroPurity
@@ -26,13 +27,15 @@ from .fidelity import (
     robust_fidelity,
     sequence_fidelity,
 )
-from .propagation import PulseSequence, _eig, _propagators
+from .propagation import PulseSequence, _phases
 from .spin_model import PSEUDO_SX, SystemParams, TWO_PI, build_hamiltonian_subspace
 
 MODE_FREE = "free_angles"
 MODE_SWITCHED = "switched_180"
 
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
+# eigenvalues of rho_initial at or below this are round-off, not rank
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -200,12 +203,30 @@ def encode(problem: ControlProblem, seq: PulseSequence) -> np.ndarray:
     return np.array(taus + phis)
 
 
+def _rank_factor(rho: np.ndarray) -> np.ndarray:
+    """Columns A with A A^dag = rho, one per eigenvalue above round-off."""
+    lam, w = np.linalg.eigh(rho)
+    keep = lam > _RANK_TOL
+    return w[:, keep] * np.sqrt(lam[keep])
+
+
 class _FitnessKernel:
     """Vectorized sequence propagation and fidelity over a genome batch.
 
-    Eigendecompositions of the free and driven Hamiltonians are done once;
-    the pulse phase enters through conjugation by exp(-i phi s_z), which
-    commutes with the static subspace Hamiltonian.
+    The kernel works in the eigenbasis Vf of the free Hamiltonian.  That
+    Hamiltonian conserves m_S, so Vf is block-local and commutes with the
+    phase rotation Z(phi) = exp(-i phi s_z), and a pulse of phase phi is
+    Z Vd D_d(t) Vd^dag Z^dag.  In the Vf basis a sequence is then
+    prod_k Z_k M D_d(t_k) M^dag Z_k^dag D_f(tau_k), with the constant
+    M = Vf^dag Vd of each drive sample and diagonal factors D(t) = exp(-i 2pi w t).
+    No genome gets a 4x4 propagator of its own: the kernel carries only the
+    columns its target needs, batch last as a (4, c, B) array, through two
+    constant 4x4 contractions and two diagonal products per pulse.  Gates
+    carry the 4 columns of the identity; states carry the c columns of
+    Vf^dag A, where rho_initial = A A^dag.  Every contraction is an
+    `np.einsum` without path optimization, which sums each genome in the
+    same order at any batch position, so a genome's fitness does not depend
+    on the batch it is evaluated in.
     """
 
     def __init__(self, problem: ControlProblem):
@@ -215,23 +236,31 @@ class _FitnessKernel:
         self.tau_max = b.tau_max_us
         self.t_max = b.t_max_us
         h = build_hamiltonian_subspace(problem.params).matrix
-        self._free = _eig(h)
+        blocks = [np.linalg.eigh(h[s, s]) for s in (slice(0, 2), slice(2, 4))]
+        self._w_free = np.concatenate([w for w, _ in blocks])
+        vf = block_diag(*(v for _, v in blocks))
+        vf_h = vf.conj().T
         if problem.robustness is not None:
             self.omegas = problem.robustness.samples()
         else:
             self.omegas = np.array([problem.rabi_mhz])
-        self._drive = [_eig(h + w * PSEUDO_SX) for w in self.omegas]
+        self._drive = []
+        for w in self.omegas:
+            w_drive, vd = np.linalg.eigh(h + w * PSEUDO_SX)
+            m = vf_h @ vd
+            self._drive.append((w_drive, m, m.conj().T))
         t = problem.target
         if t.kind == "unitary":
-            self._ut_conj = t.unitary.conj()
-            self._state = None
+            self._columns = np.eye(4, dtype=complex)
+            self._score_op = (vf_h @ t.unitary @ vf).conj()
+            self._state_norm = None
         else:
-            rho_i = t.rho_initial.matrix
-            rho_t = t.rho_target.matrix
             norm = math.sqrt(t.rho_initial.purity() * t.rho_target.purity())
             if norm < 1e-12:
                 raise ZeroPurity("target states have vanishing purity")
-            self._state = (rho_i, rho_t, norm)
+            self._columns = vf_h @ _rank_factor(t.rho_initial.matrix)
+            self._score_op = vf_h @ t.rho_target.matrix @ vf
+            self._state_norm = norm
 
     def split(self, genomes: np.ndarray):
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
@@ -245,33 +274,33 @@ class _FitnessKernel:
             phis = g[:, n:]
         return taus, ts, phis
 
-    def _propagators(self, taus, ts, phis, sample: int) -> np.ndarray:
-        drive = self._drive[sample]
-        u = None
+    def _fidelities(self, diagonals, ts, sample: int) -> np.ndarray:
+        w_drive, m, m_h = self._drive[sample]
+        drive = np.exp(-1j * _phases(w_drive, ts)).reshape(-1, self.n, 4).transpose(1, 2, 0)
+        x = self._columns[:, :, None]
         for k in range(self.n):
-            uf = _propagators(self._free, taus[:, k])
-            u = uf if u is None else uf @ u
-            um = _propagators(drive, ts[:, k])
-            z = np.exp(-1j * np.outer(phis[:, k], _ZDIAG))
-            u = (z[:, :, None] * um * z.conj()[:, None, :]) @ u
-        return u
-
-    def _fidelities(self, taus, ts, phis, sample: int) -> np.ndarray:
-        u = self._propagators(taus, ts, phis, sample)
-        if self._state is None:
-            tr = np.einsum("ij,pij->p", self._ut_conj, u)
-            return np.abs(tr) / 4.0
-        rho_i, rho_t, norm = self._state
-        m = u @ rho_i @ u.conj().transpose(0, 2, 1)
-        return np.einsum("ij,pji->p", rho_t, m).real / norm
+            x = diagonals[k][:, None, :] * x
+            x = np.einsum("ij,jcb->icb", m_h, x)
+            x = drive[k][:, None, :] * x
+            x = np.einsum("ij,jcb->icb", m, x)
+        x = diagonals[self.n][:, None, :] * x
+        if self._state_norm is None:
+            return np.abs(np.einsum("ij,ijb->b", self._score_op, x)) / 4.0
+        return np.einsum("icb,ij,jcb->b", x.conj(), self._score_op, x).real / self._state_norm
 
     def objective(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitness (mean fidelity minus optional duration penalty) and total
         durations for a batch of genomes."""
         taus, ts, phis = self.split(genomes)
+        # diagonal k merges Z_{k-1}, D_f(tau_k) and Z_k^dag (phi_0 = 0); the
+        # last one, with no delay and phi_{n+1} = 0, is the final Z_n
+        zero = np.zeros((taus.shape[0], 1))
+        turns = np.diff(np.hstack([zero, phis, zero]), axis=1)
+        angles = _phases(self._w_free, np.hstack([taus, zero])).reshape(-1, self.n + 1, 4)
+        diagonals = np.exp(-1j * (angles - turns[:, :, None] * _ZDIAG)).transpose(1, 2, 0)
         acc = np.zeros(taus.shape[0])
         for s in range(len(self.omegas)):
-            acc += self._fidelities(taus, ts, phis, s)
+            acc += self._fidelities(diagonals, ts, s)
         fid = acc / len(self.omegas)
         dur = taus.sum(axis=1) + ts.sum(axis=1)
         fit = fid - self.problem.duration_penalty * dur / self.tau_max
@@ -349,7 +378,7 @@ def _run_restart(kernel, problem, ga, rng):
         noise = rng.normal(0.0, 1.0, size=(n_child, length)) * sigma
         children = children + np.where(mut, noise, 0.0)
         children[:, : length - n] = np.clip(children[:, : length - n], lo[: length - n], hi[: length - n])
-        children[:, phase_cols] = np.mod(children[:, phase_cols], TWO_PI)
+        children[:, phase_cols] = np.mod(children[:, phase_cols], hi[phase_cols])
         child_fit, child_dur = kernel.objective(children)
         pop = np.concatenate([pop[elite_idx], children], axis=0)
         fit = np.concatenate([fit[elite_idx], child_fit])

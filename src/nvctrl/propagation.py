@@ -4,7 +4,9 @@ A sequence alternates free-precession delays and constant-amplitude microwave
 pulses on the electron pseudo-spin.  All propagators are built by Hermitian
 eigendecomposition, U = V exp(-i 2 pi w t) V^dag, which is exact at any
 duration.  `_propagators` is the one place that does so, for a whole batch of
-durations at once; the factor 2*pi enters there and nowhere else.
+durations at once.  The factor 2*pi enters only in `_phases`, the phase angles
+2 pi w t that `_propagators` and the diagonal factors of the GA fitness
+kernel share.
 
 Physical invariants are checked once per batch where results leave this
 module: `sequence_propagator` checks unitarity, and `_evolve`, which every
@@ -161,11 +163,17 @@ def _eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, v, v.conj().T
 
 
+def _phases(w, times) -> np.ndarray:
+    """Phase angles 2 pi w t (radians) for every t in `times` (microseconds)
+    and every eigenvalue w (MHz), shape (T, d)."""
+    return TWO_PI * np.outer(times, w)
+
+
 def _propagators(eig, times) -> np.ndarray:
     """exp(-i 2 pi H t) for every t in `times` (microseconds), shape (T, d, d),
     from the `_eig` decomposition of H."""
     w, v, v_h = eig
-    phases = np.exp(-1j * TWO_PI * np.outer(times, w))
+    phases = np.exp(-1j * _phases(w, times))
     return (v[None] * phases[:, None, :]) @ v_h
 
 

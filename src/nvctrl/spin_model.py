@@ -370,6 +370,11 @@ def esr_spectrum(lines, linewidth: float, grid) -> Spectrum:
     if f.ndim != 1 or f.size == 0 or np.any(np.diff(f) <= 0):
         raise BadGrid("grid must be non-empty and strictly increasing")
     hwhm = linewidth / 2.0
+    # the Lorentzian squares the detunings and the half width; beyond float
+    # range its wings would silently read as zeros
+    reach = max(abs(float(f[0])), abs(float(f[-1]))) + max((abs(c) for c, _ in lines), default=0.0)
+    if not math.isfinite(reach * reach + hwhm * hwhm):
+        raise OverflowError(f"Lorentzian of width {linewidth!r} MHz overflows on a grid reaching {reach!r} MHz")
     amp = np.zeros_like(f)
     for center, prob in lines:
         amp += prob * hwhm**2 / ((f - center) ** 2 + hwhm**2)

@@ -353,6 +353,8 @@ MALFORMED = {
     "esr-branch-not-int": ["esr", "--set", "esr.branch=x"],
     "esr-range-inverted": ["esr", "--set", "esr.f_min_mhz=1", "--set", "esr.f_max_mhz=0"],
     "esr-fmin-nan": ["esr", "--set", "esr.f_min_mhz=NaN"],
+    "esr-fmax-overflow": ["esr", "--set", "esr.f_max_mhz=1e308"],
+    "esr-fmin-overflow": ["esr", "--set", "esr.f_min_mhz=-1e308"],
     "polarize-c0-nan": ["polarize", "--set", "polarize.c0=NaN"],
     "optimize-rabi-nan": ["optimize", "--set", "optimize.rabi_mhz=NaN"],
     "optimize-penalty-nan": ["optimize", "--set", "optimize.duration_penalty=NaN"],

@@ -177,28 +177,84 @@ def test_fitness_matches_direct_recomposition(paper, h_sub):
             assert nc.fitness(problem, g) == pytest.approx(direct, abs=1e-12)
 
 
-@pytest.mark.parametrize("target", ["u_90", "u_p"])
-def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, target):
+def _kernel_problem(paper, target, n_pulses=3, robustness=None):
+    return nc.ControlProblem(
+        params=paper,
+        target=nc.build_target(target, paper, 0.5),
+        n_pulses=n_pulses,
+        rabi_mhz=0.5,
+        robustness=robustness,
+    )
+
+
+KERNEL_PROBLEMS = {
+    "u_90": ("u_90", 3, None),
+    "u_p": ("u_p", 3, None),
+    "u_c_dagger": ("u_c_dagger", 3, None),
+    "robust_u_90": ("u_90", 2, nc.RobustnessRange(0.48, 0.52, 5)),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_PROBLEMS.values(), ids=KERNEL_PROBLEMS.keys())
+def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, case):
     """A batch of random genomes through the GA kernel against fidelities of
-    the decoded sequences propagated by the independent scipy-expm product."""
+    the decoded sequences propagated by the independent scipy-expm product,
+    averaged over the drive samples of a robust problem."""
+    from dataclasses import replace
+
     from nvctrl.optimizer import _FitnessKernel
     from tests_support import trotter_sequence
 
-    problem = nc.ControlProblem(
-        params=paper, target=nc.build_target(target, paper, 0.5), n_pulses=3, rabi_mhz=0.5
-    )
+    problem = _kernel_problem(paper, *case)
     rng = np.random.default_rng(23)
     lo, hi = genome_bounds(problem)
     genomes = rng.uniform(lo, hi, size=(32, lo.size))
     fit, _ = _FitnessKernel(problem).objective(genomes)
     t = problem.target
+    omegas = problem.robustness.samples() if problem.robustness else [problem.rabi_mhz]
     for g, f in zip(genomes, fit):
-        u = trotter_sequence(h_sub, nc.decode(problem, g), dt=0.01)
-        if t.kind == "unitary":
-            want = nc.gate_fidelity(u, t.unitary)
-        else:
-            want = nc.state_fidelity(nc.evolve(t.rho_initial, u), t.rho_target)
-        assert f == pytest.approx(want, abs=1e-7)
+        seq = nc.decode(problem, g)
+        want = 0.0
+        for omega in omegas:
+            u = trotter_sequence(h_sub, replace(seq, rabi_mhz=float(omega)), dt=0.01)
+            if t.kind == "unitary":
+                want += nc.gate_fidelity(u, t.unitary)
+            else:
+                want += nc.state_fidelity(nc.evolve(t.rho_initial, u), t.rho_target)
+        assert f == pytest.approx(want / len(omegas), abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("u_p", 3, None), ("u_90", 2, None), ("u_c_dagger", 3, None),
+     ("u_c", 3, nc.RobustnessRange(0.47, 0.53, 5))],
+    ids=["u_p", "u_90", "u_c_dagger", "robust_u_c"],
+)
+def test_fitness_is_independent_of_batch_position(paper, case):
+    """Each genome's fitness alone equals, bitwise, its fitness at its place in
+    a GA-sized batch and in the same batch reversed."""
+    from nvctrl.optimizer import _FitnessKernel
+
+    problem = _kernel_problem(paper, *case)
+    kernel = _FitnessKernel(problem)
+    lo, hi = genome_bounds(problem)
+    genomes = np.random.default_rng(41).uniform(lo, hi, size=(98, lo.size))
+    batch, _ = kernel.objective(genomes)
+    reversed_batch, _ = kernel.objective(genomes[::-1])
+    alone = np.array([kernel.objective(g[None, :])[0][0] for g in genomes])
+    assert np.all(alone == batch)
+    assert np.all(alone == reversed_batch[::-1])
+
+
+@pytest.mark.parametrize("target", ["u_c", "u_c_dagger", "u_p"])
+def test_rank_factor_reproduces_initial_state(paper, target):
+    """The kernel carries rank(rho_initial) columns A with A A^dag = rho_initial."""
+    from nvctrl.optimizer import _rank_factor
+
+    rho = nc.build_target(target, paper, 0.5).rho_initial.matrix
+    a = _rank_factor(rho)
+    assert a.shape == (4, 2)
+    assert np.abs(a @ a.conj().T - rho).max() <= 1e-15
 
 
 @pytest.fixture
