@@ -56,8 +56,6 @@ from .optimizer import (
     MODE_SWITCHED,
     OptimResult,
     decode,
-    encode,
-    fitness,
     optimize,
     reproduce_tables,
 )
@@ -67,9 +65,6 @@ from .propagation import (
     Pulse,
     PulseSequence,
     bloch_vector,
-    evolve,
-    free_propagator,
-    pulse_propagator,
     sequence_propagator,
     trajectory,
 )
@@ -79,8 +74,6 @@ from .spin_model import (
     SystemParams,
     build_hamiltonian_full,
     build_hamiltonian_subspace,
-    diagonalizing_transform,
-    eigenstructure,
     esr_lines,
     esr_spectrum,
     nuclear_frequencies,

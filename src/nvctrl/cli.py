@@ -115,7 +115,7 @@ def _block(config: dict, name: str, keys) -> dict:
 
 
 def _params_from_config(config: dict) -> SystemParams:
-    return SystemParams.from_dict(_block(config, "params", [f.name for f in fields(SystemParams)]))
+    return SystemParams(**_block(config, "params", [f.name for f in fields(SystemParams)]))
 
 
 def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:

@@ -309,7 +309,13 @@ def paper_polarization_model() -> PolarizationModel:
 
 
 def polarization_curve(model: PolarizationModel, d_grid) -> np.ndarray:
+    """p(d) on a grid of laser durations (microseconds)."""
     d = np.asarray(d_grid, dtype=float)
+    # an exponent beyond float range overflows (a RuntimeWarning, not an error)
+    d_end = float(np.max(np.abs(d), initial=0.0))
+    for what, rate in (("(alpha + beta) d", model.pump_rate), ("2 gamma d", 2.0 * model.gamma)):
+        if not math.isfinite(rate * d_end):
+            raise OverflowError(f"{what} overflows at d = {d_end!r} us")
     return model.c0 - model.c1 * np.exp(-model.pump_rate * d) + model.c2 * np.exp(-2.0 * model.gamma * d)
 
 
@@ -457,11 +463,7 @@ class PolarizationOutcome:
     peak_ratio: float
 
 
-def polarization_protocol_sim(
-    params: SystemParams,
-    seq_up,
-    reset_model=ideal_reset,
-) -> PolarizationOutcome:
+def polarization_protocol_sim(params: SystemParams, seq_up) -> PolarizationOutcome:
     """Apply the polarizing sequence to rho0, reset the electron, and report
     the carbon polarization p = P(0,up) - P(0,down).
 
@@ -477,6 +479,6 @@ def polarization_protocol_sim(
         u = np.asarray(seq_up, dtype=complex)
     rho = u @ rho0_state().matrix @ u.conj().T
     ratio = float(rho[0, 0].real / 0.5)
-    after = reset_model(rho)
+    after = ideal_reset(rho)
     p = float((after[0, 0] - after[1, 1]).real)
     return PolarizationOutcome(polarization=p, peak_ratio=ratio)

@@ -18,9 +18,10 @@ from .spin_model import (
     E2,
     Hamiltonian,
     SX2,
+    SY2,
     SystemParams,
     build_hamiltonian_subspace,
-    eigenstructure,
+    quantization_angles,
 )
 
 TARGET_NAMES = ("u_c", "u_c_dagger", "u_p", "u_90", "u_t")
@@ -93,10 +94,17 @@ def s0_ket() -> np.ndarray:
     return np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0)
 
 
+def _minus_eigenstates(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Nuclear eigenstates (phi_minus, psi_minus) of the m_S = -1 manifold: the
+    columns of the rotation exp(-i theta_minus I_y) that tilts z onto its axis."""
+    r = rot_half(SY2, math.radians(quantization_angles(params)[1]))
+    return r[:, 0], r[:, 1]
+
+
 def s_minus_ket(params: SystemParams) -> np.ndarray:
     """(|phi_minus> - |psi_minus>)/sqrt(2): carbon coherence in m_S = -1."""
-    vecs = eigenstructure(params).eigvecs
-    return (vecs["phi_minus"] - vecs["psi_minus"]) / math.sqrt(2.0)
+    phi, psi = _minus_eigenstates(params)
+    return (phi - psi) / math.sqrt(2.0)
 
 
 def rho_c_state(params: SystemParams) -> DensityState:
@@ -118,10 +126,9 @@ def ideal_uc_unitary(params: SystemParams) -> np.ndarray:
     """A unitary that maps |0,up> -> |0> x s_0 and |0,down> -> |-1> x s_minus,
     completed orthonormally; it carries rho0 exactly onto rho_c."""
     s0 = s0_ket()
-    sm = s_minus_ket(params)
     s0p = np.array([1.0, -1j], dtype=complex) / math.sqrt(2.0)
-    vecs = eigenstructure(params).eigvecs
-    smp = (vecs["phi_minus"] + vecs["psi_minus"]) / math.sqrt(2.0)
+    phi, psi = _minus_eigenstates(params)
+    sm, smp = (phi - psi) / math.sqrt(2.0), (phi + psi) / math.sqrt(2.0)
     cols = [
         np.concatenate([s0, [0.0, 0.0]]),
         np.concatenate([[0.0, 0.0], sm]),

@@ -170,6 +170,25 @@ def genome_bounds(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros_like(hi), hi
 
 
+def _split(problem: ControlProblem, genomes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delays, pulse durations and phases of a genome batch, each (B, n).
+
+    Durations clamp to the bounds; in switched mode every pulse lasts the
+    fixed 180-degree time.  Phases stay as given.
+    """
+    g = np.atleast_2d(np.asarray(genomes, dtype=float))
+    n = problem.n_pulses
+    b = problem.effective_bounds
+    taus = np.clip(g[:, :n], 0.0, b.tau_max_us)
+    if problem.mode == MODE_FREE:
+        ts = np.clip(g[:, n : 2 * n], 0.0, b.t_max_us)
+        phis = g[:, 2 * n :]
+    else:
+        ts = np.full_like(taus, problem.switched_pulse_us)
+        phis = g[:, n:]
+    return taus, ts, phis
+
+
 def decode(problem: ControlProblem, genome) -> PulseSequence:
     """Genome -> sequence; durations clamp to bounds, phases wrap mod 2pi."""
     g = np.asarray(genome, dtype=float)
@@ -177,30 +196,8 @@ def decode(problem: ControlProblem, genome) -> PulseSequence:
         raise BadGenomeLength(
             f"expected genome of length {genome_length(problem)}, got shape {g.shape}"
         )
-    n = problem.n_pulses
-    b = problem.effective_bounds
-    taus = np.clip(g[:n], 0.0, b.tau_max_us)
-    if problem.mode == MODE_FREE:
-        ts = np.clip(g[n : 2 * n], 0.0, b.t_max_us)
-        phis = np.mod(g[2 * n :], TWO_PI)
-    else:
-        ts = np.full(n, problem.switched_pulse_us)
-        phis = np.mod(g[n:], TWO_PI)
-    return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, phis)
-
-
-def encode(problem: ControlProblem, seq: PulseSequence) -> np.ndarray:
-    """Sequence -> genome; exact round trip for in-bounds sequences."""
-    n = problem.n_pulses
-    delays = seq.delays()
-    pulses = seq.pulses()
-    if len(delays) != n or len(pulses) != n:
-        raise BadGenomeLength(f"sequence must have {n} delays and {n} pulses")
-    taus = [d.us for d in delays]
-    phis = [p.phase_rad for p in pulses]
-    if problem.mode == MODE_FREE:
-        return np.array(taus + [p.us for p in pulses] + phis)
-    return np.array(taus + phis)
+    taus, ts, phis = (a[0] for a in _split(problem, g))
+    return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, np.mod(phis, TWO_PI))
 
 
 def _rank_factor(rho: np.ndarray) -> np.ndarray:
@@ -232,9 +229,7 @@ class _FitnessKernel:
     def __init__(self, problem: ControlProblem):
         self.problem = problem
         self.n = problem.n_pulses
-        b = problem.effective_bounds
-        self.tau_max = b.tau_max_us
-        self.t_max = b.t_max_us
+        self.tau_max = problem.effective_bounds.tau_max_us
         h = build_hamiltonian_subspace(problem.params).matrix
         blocks = [np.linalg.eigh(h[s, s]) for s in (slice(0, 2), slice(2, 4))]
         self._w_free = np.concatenate([w for w, _ in blocks])
@@ -262,18 +257,6 @@ class _FitnessKernel:
             self._score_op = vf_h @ t.rho_target.matrix @ vf
             self._state_norm = norm
 
-    def split(self, genomes: np.ndarray):
-        g = np.atleast_2d(np.asarray(genomes, dtype=float))
-        n = self.n
-        taus = np.clip(g[:, :n], 0.0, self.tau_max)
-        if self.problem.mode == MODE_FREE:
-            ts = np.clip(g[:, n : 2 * n], 0.0, self.t_max)
-            phis = g[:, 2 * n :]
-        else:
-            ts = np.full_like(taus, self.problem.switched_pulse_us)
-            phis = g[:, n:]
-        return taus, ts, phis
-
     def _fidelities(self, diagonals, ts, sample: int) -> np.ndarray:
         w_drive, m, m_h = self._drive[sample]
         drive = np.exp(-1j * _phases(w_drive, ts)).reshape(-1, self.n, 4).transpose(1, 2, 0)
@@ -291,7 +274,7 @@ class _FitnessKernel:
     def objective(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitness (mean fidelity minus optional duration penalty) and total
         durations for a batch of genomes."""
-        taus, ts, phis = self.split(genomes)
+        taus, ts, phis = _split(self.problem, genomes)
         # diagonal k merges Z_{k-1}, D_f(tau_k) and Z_k^dag (phi_0 = 0); the
         # last one, with no delay and phi_{n+1} = 0, is the final Z_n
         zero = np.zeros((taus.shape[0], 1))
@@ -305,18 +288,6 @@ class _FitnessKernel:
         dur = taus.sum(axis=1) + ts.sum(axis=1)
         fit = fid - self.problem.duration_penalty * dur / self.tau_max
         return fit, dur
-
-
-def fitness(problem: ControlProblem, genome) -> float:
-    """Deterministic GA objective for a single genome."""
-    g = np.asarray(genome, dtype=float)
-    if g.shape != (genome_length(problem),):
-        raise BadGenomeLength(
-            f"expected genome of length {genome_length(problem)}, got shape {g.shape}"
-        )
-    kernel = _FitnessKernel(problem)
-    fit, _ = kernel.objective(g[None, :])
-    return float(fit[0])
 
 
 _Candidate = tuple  # (fitness, duration, genome)
@@ -514,7 +485,7 @@ def reproduce_tables(
         raise ValueError("which must be 'I', 'II' or 'III'")
     params = params or SystemParams()
     if which == "III":
-        params = params.with_updates(nu_c_override=0.3)
+        params = replace(params, nu_c_override=0.3)
     rows = []
     for i, (target_name, mode, rabi, n_pulses, penalty) in enumerate(_TABLE_ROWS[which]):
         seed = base_seed + i

@@ -29,6 +29,10 @@ from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI
 # tolerance of the unitarity, trace and Hermiticity checks
 _INVARIANT_TOL = 1e-10
 
+# most samples one trajectory may hold; the count is checked before any state
+# is built, since every sample costs a 4x4 propagator and a state
+_MAX_TRAJECTORY_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class Delay:
@@ -43,6 +47,17 @@ class Pulse:
 
     us: float
     phase_rad: float
+
+
+# the keys of each segment kind in a sequence file, its values in field order
+_SEGMENT_KEYS = {"delay": ("kind", "us"), "pulse": ("kind", "us", "phase_rad")}
+
+
+def _number(value, key: str):
+    """A sequence-file value; JSON true/false would otherwise pass as 1/0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,15 +121,19 @@ class PulseSequence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseSequence":
+        """Inverse of `to_json_dict`; a segment may hold only its kind's keys,
+        and no value may be a JSON boolean."""
         segments = []
         for seg in data["segments"]:
-            if seg["kind"] == "delay":
-                segments.append(Delay(seg["us"]))
-            elif seg["kind"] == "pulse":
-                segments.append(Pulse(seg["us"], seg["phase_rad"]))
-            else:
-                raise ValueError(f"unknown segment kind {seg['kind']!r}")
-        return cls(data["rabi_mhz"], tuple(segments))
+            kind = seg["kind"]
+            if kind not in _SEGMENT_KEYS:
+                raise ValueError(f"unknown segment kind {kind!r}")
+            unknown = sorted(set(seg) - set(_SEGMENT_KEYS[kind]))
+            if unknown:
+                raise ValueError(f"unknown keys {unknown} in a {kind} segment")
+            values = [_number(seg[key], key) for key in _SEGMENT_KEYS[kind][1:]]
+            segments.append(Delay(*values) if kind == "delay" else Pulse(*values))
+        return cls(_number(data["rabi_mhz"], "rabi_mhz"), tuple(segments))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
@@ -147,12 +166,6 @@ class DensityState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def pure(cls, ket) -> "DensityState":
-        v = np.asarray(ket, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -173,15 +186,12 @@ def _propagators(eig, times) -> np.ndarray:
     """exp(-i 2 pi H t) for every t in `times` (microseconds), shape (T, d, d),
     from the `_eig` decomposition of H."""
     w, v, v_h = eig
-    phases = np.exp(-1j * _phases(w, times))
+    with np.errstate(over="ignore"):
+        angles = _phases(w, times)
+    if not np.isfinite(angles).all():
+        raise OverflowError("propagator phase 2 pi w t is beyond float range; a segment is too long")
+    phases = np.exp(-1j * angles)
     return (v[None] * phases[:, None, :]) @ v_h
-
-
-def free_propagator(h: Hamiltonian, tau_us: float) -> np.ndarray:
-    """Propagator of free precession for tau_us microseconds."""
-    if tau_us < 0:
-        raise ValueError("delay must be non-negative")
-    return _propagators(_eig(h.matrix), [tau_us])[0]
 
 
 def drive_operator(rabi_mhz: float, phase_rad: float) -> np.ndarray:
@@ -189,13 +199,14 @@ def drive_operator(rabi_mhz: float, phase_rad: float) -> np.ndarray:
     return rabi_mhz * (PSEUDO_SX * math.cos(phase_rad) + PSEUDO_SY * math.sin(phase_rad))
 
 
-def pulse_propagator(h: Hamiltonian, rabi_mhz: float, phase_rad: float, t_us: float) -> np.ndarray:
-    """Propagator of a resonant rectangular pulse: exp(-i 2 pi (H + drive) t)."""
+def _generator(h: Hamiltonian, rabi_mhz: float, seg) -> np.ndarray:
+    """The Hamiltonian a segment evolves under: H for a delay, H plus the
+    resonant drive for a pulse, which acts on the 4-dim subspace only."""
+    if isinstance(seg, Delay):
+        return h.matrix
     if h.dim != 4:
         raise DimensionMismatch("pulse propagation requires the 4-dim subspace Hamiltonian")
-    if t_us < 0:
-        raise ValueError("pulse duration must be non-negative")
-    return _propagators(_eig(h.matrix + drive_operator(rabi_mhz, phase_rad)), [t_us])[0]
+    return h.matrix + drive_operator(rabi_mhz, seg.phase_rad)
 
 
 def sequence_propagator(h: Hamiltonian, seq: PulseSequence) -> np.ndarray:
@@ -203,10 +214,7 @@ def sequence_propagator(h: Hamiltonian, seq: PulseSequence) -> np.ndarray:
     checked for unitarity."""
     u = np.eye(h.dim, dtype=complex)
     for seg in seq.segments:
-        if isinstance(seg, Delay):
-            u = free_propagator(h, seg.us) @ u
-        else:
-            u = pulse_propagator(h, seq.rabi_mhz, seg.phase_rad, seg.us) @ u
+        u = _propagators(_eig(_generator(h, seq.rabi_mhz, seg)), [seg.us])[0] @ u
     error = np.linalg.norm(u.conj().T @ u - np.eye(h.dim))
     if not error <= _INVARIANT_TOL:
         raise InvariantViolation(f"sequence propagator is not unitary: |U^dag U - I| = {error:.3g}")
@@ -225,13 +233,6 @@ def _evolve(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
             f"trace error {trace_error:.3g}, Hermiticity error {herm_error:.3g}"
         )
     return rhos
-
-
-def evolve(rho: DensityState, u: np.ndarray) -> DensityState:
-    """Unitary conjugation rho -> U rho U^dag."""
-    if u.shape != (rho.dim, rho.dim):
-        raise DimensionMismatch(f"propagator shape {u.shape} does not match state dim {rho.dim}")
-    return DensityState(u @ rho.matrix @ u.conj().T)
 
 
 def _bloch(rhos: np.ndarray, subsystem: str) -> np.ndarray:
@@ -267,23 +268,28 @@ def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: fl
 
     Returns a (T, 7) array whose rows are (time_us, e_x, e_y, e_z, c_x, c_y,
     c_z): the electron and carbon Bloch components at each sample time.  The
-    default step resolves the fastest nuclear precession comfortably.
+    default step resolves the fastest nuclear precession comfortably.  More
+    than `_MAX_TRAJECTORY_SAMPLES` samples raise ValueError before any is built.
     """
     if dt_us <= 0:
         raise ValueError("dt must be positive")
+    # whole steps per segment, capped so that a huge ratio stays a small int
+    n_steps = [math.floor(min(seg.us / dt_us + 1e-12, _MAX_TRAJECTORY_SAMPLES)) for seg in seq.segments]
+    # the initial state, the steps, and each segment's end when no step hits it
+    n_samples = 1 + sum(n + (n == 0 or dt_us * n < seg.us) for n, seg in zip(n_steps, seq.segments))
+    if n_samples > _MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(
+            f"trajectory would hold {n_samples} samples, more than {_MAX_TRAJECTORY_SAMPLES}; "
+            f"raise dt_us or shorten the sequence"
+        )
     times, states = [np.zeros(1)], [rho0.matrix[None]]
     state, t0 = rho0.matrix, 0.0
-    for seg in seq.segments:
-        if isinstance(seg, Delay):
-            gen = h.matrix
-        else:
-            gen = h.matrix + drive_operator(seq.rabi_mhz, seg.phase_rad)
-        n_steps = int(math.floor(seg.us / dt_us + 1e-12))
-        rel_times = [dt_us * k for k in range(1, n_steps + 1)]
+    for seg, n in zip(seq.segments, n_steps):
+        rel_times = [dt_us * k for k in range(1, n + 1)]
         if not rel_times or rel_times[-1] < seg.us:
             rel_times.append(seg.us)
         # the samples, then the segment end the next segment starts from
-        rhos = _evolve(_propagators(_eig(gen), rel_times + [seg.us]), state)
+        rhos = _evolve(_propagators(_eig(_generator(h, seq.rabi_mhz, seg)), rel_times + [seg.us]), state)
         times.append(t0 + np.array(rel_times))
         states.append(rhos[:-1])
         state, t0 = rhos[-1], t0 + seg.us

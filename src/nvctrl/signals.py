@@ -75,11 +75,6 @@ class Spectrum:
     def to_csv(self, path) -> None:
         write_csv(path, ("freq_mhz", "amplitude"), (self.freq_mhz, self.amplitude))
 
-    @classmethod
-    def from_csv(cls, path, metadata: dict | None = None) -> "Spectrum":
-        cols = read_csv(path, ("freq_mhz", "amplitude"))
-        return cls(cols[0], cols[1], metadata or {})
-
 
 def write_csv(path, header, columns) -> None:
     """Write columns of floats with a header row; repr() keeps full precision."""

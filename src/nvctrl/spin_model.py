@@ -17,9 +17,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,9 +53,6 @@ PSEUDO_SY = np.kron(SY2, E2)
 PSEUDO_SZ = np.kron(SZ2, E2)
 CARBON_IX = np.kron(E2, SX2)
 CARBON_IZ = np.kron(E2, SZ2)
-
-BASIS_LABELS_4 = ("|0,up>", "|0,down>", "|-1,up>", "|-1,down>")
-BASIS_LABELS_4_PLUS = ("|0,up>", "|0,down>", "|+1,up>", "|+1,down>")
 
 
 @dataclass(frozen=True)
@@ -105,66 +101,26 @@ class SystemParams:
         """14N Larmor frequency (MHz)."""
         return GAMMA_N14_MHZ_PER_MT * self.b_mt if self.nu_n_override is None else self.nu_n_override
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown SystemParams keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemParams":
-        return cls.from_dict(json.loads(text))
-
-    def with_updates(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian operator in a declared basis, stored as H/2pi in MHz."""
+    """Square Hermitian operator, stored as H/2pi in MHz."""
 
-    dim: int
     matrix: np.ndarray
-    basis_labels: tuple[str, ...]
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if len(self.basis_labels) != self.dim:
-            raise ValueError("basis_labels length must equal dim")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix shape {m.shape} is not square")
         scale = max(np.linalg.norm(m), 1.0)
         if np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
             raise ValueError("matrix is not Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
-
-@dataclass(frozen=True, eq=False)
-class EigenStructure:
-    """Quantization-axis angles, nuclear transition frequencies, eigenvectors.
-
-    Angles in degrees; theta_zero is identically zero because the nuclear
-    axis in the m_S = 0 manifold is the z-axis.  The eigvecs dict holds the
-    2-component nuclear eigenstates phi_plus/psi_plus/phi_minus/psi_minus.
-    """
-
-    theta_plus: float
-    theta_minus: float
-    nu_c: float
-    nu_minus: float
-    nu_plus: float
-    eigvecs: dict
-    theta_zero: float = 0.0
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def nuclear_frequencies(params: SystemParams) -> tuple[float, float, float]:
@@ -199,33 +155,6 @@ def quantization_angles(params: SystemParams) -> tuple[float, float]:
     return theta_plus, theta_minus
 
 
-def rotation_y(theta_rad: float) -> np.ndarray:
-    """Spin-1/2 rotation exp(-i theta I_y) about the y-axis."""
-    c, s = math.cos(theta_rad / 2.0), math.sin(theta_rad / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def eigenstructure(params: SystemParams) -> EigenStructure:
-    """Angles, transition frequencies and nuclear eigenstates in one record."""
-    theta_plus, theta_minus = quantization_angles(params)
-    nu_c, nu_minus, nu_plus = nuclear_frequencies(params)
-    up = np.array([1.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0], dtype=complex)
-    vecs = {}
-    for tag, theta in (("plus", theta_plus), ("minus", theta_minus)):
-        ry = rotation_y(math.radians(theta))
-        vecs[f"phi_{tag}"] = ry @ up
-        vecs[f"psi_{tag}"] = ry @ down
-    return EigenStructure(
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
-        nu_c=nu_c,
-        nu_minus=nu_minus,
-        nu_plus=nu_plus,
-        eigvecs=vecs,
-    )
-
-
 def build_hamiltonian_full(params: SystemParams) -> Hamiltonian:
     """Static Hamiltonian of the full electron (S=1) x 14N (I=1) x 13C (I=1/2)
     system, 18-dimensional, H/2pi in MHz.
@@ -249,13 +178,7 @@ def build_hamiltonian_full(params: SystemParams) -> Hamiltonian:
         + params.a_zz * sz_e @ iz_c
         + params.a_zx * sz_e @ ix_c
     )
-    labels = tuple(
-        f"|{ms},{mn},{c}>"
-        for ms in ("+1", "0", "-1")
-        for mn in ("+1", "0", "-1")
-        for c in ("up", "down")
-    )
-    return Hamiltonian(18, h, labels)
+    return Hamiltonian(h)
 
 
 def build_hamiltonian_ec(params: SystemParams) -> Hamiltonian:
@@ -274,8 +197,7 @@ def build_hamiltonian_ec(params: SystemParams) -> Hamiltonian:
         + params.a_zz * sz_e @ iz_c
         + params.a_zx * sz_e @ ix_c
     )
-    labels = tuple(f"|{ms},{c}>" for ms in ("+1", "0", "-1") for c in ("up", "down"))
-    return Hamiltonian(6, h, labels)
+    return Hamiltonian(h)
 
 
 def build_hamiltonian_subspace(params: SystemParams) -> Hamiltonian:
@@ -292,7 +214,7 @@ def build_hamiltonian_subspace(params: SystemParams) -> Hamiltonian:
         + params.a_zx * PSEUDO_SZ @ CARBON_IX
         - (params.a_zx / 2.0) * CARBON_IX
     )
-    return Hamiltonian(4, h, BASIS_LABELS_4)
+    return Hamiltonian(h)
 
 
 def build_hamiltonian_subspace_plus(params: SystemParams) -> Hamiltonian:
@@ -308,7 +230,7 @@ def build_hamiltonian_subspace_plus(params: SystemParams) -> Hamiltonian:
         - params.a_zx * PSEUDO_SZ @ CARBON_IX
         + (params.a_zx / 2.0) * CARBON_IX
     )
-    return Hamiltonian(4, h, BASIS_LABELS_4_PLUS)
+    return Hamiltonian(h)
 
 
 def nuclear_block_hamiltonians(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,21 +244,6 @@ def nuclear_block_hamiltonians(params: SystemParams) -> tuple[np.ndarray, np.nda
     h_zero = -nu_c * SZ2
     h_minus = (-nu_c - params.a_zz) * SZ2 - params.a_zx * SX2
     return h_plus, h_zero, h_minus
-
-
-def diagonalizing_transform(params: SystemParams) -> np.ndarray:
-    """Unitary over (m_S = +1, 0, -1) x 13C that rotates each manifold's
-    nuclear axis onto z: block-diagonal R_y(theta_plus), identity, R_y(theta_minus).
-
-    Conjugating the electron-13C Hamiltonian as U^dag H U leaves each electron
-    block diagonal in the 13C index.
-    """
-    theta_plus, theta_minus = quantization_angles(params)
-    u = np.zeros((6, 6), dtype=complex)
-    u[0:2, 0:2] = rotation_y(math.radians(theta_plus))
-    u[2:4, 2:4] = E2
-    u[4:6, 4:6] = rotation_y(math.radians(theta_minus))
-    return u
 
 
 def esr_lines(params: SystemParams, branch: int) -> list[tuple[float, float]]:

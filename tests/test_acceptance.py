@@ -6,6 +6,7 @@ the session-scoped seeded optimizations from conftest (best of 8 restarts).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_criterion_2_angle_closure(paper):
     start = time.monotonic()
     _, theta_minus = nc.quantization_angles(paper)
     assert theta_minus == pytest.approx(86.0, abs=1.0)
-    _, theta_strong = nc.quantization_angles(paper.with_updates(nu_c_override=0.3))
+    _, theta_strong = nc.quantization_angles(replace(paper, nu_c_override=0.3))
     assert theta_strong == pytest.approx(36.6, abs=0.1)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

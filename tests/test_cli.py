@@ -186,7 +186,7 @@ def test_bloch_command(tmp_path):
     from nvctrl.fidelity import rho0_state
 
     u = nc.sequence_propagator(h, seq)
-    expect = nc.bloch_vector(nc.evolve(rho0_state(), u), "carbon")
+    expect = nc.bloch_vector(nc.DensityState(u @ rho0_state().matrix @ u.conj().T), "carbon")
     assert final["carbon"]["z"] == pytest.approx(expect[2], abs=1e-9)
 
 
@@ -382,6 +382,15 @@ MALFORMED = {
     "optimize-robust-key-misspelt": [
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.47, "hi_mhz": 0.53, "n_sample": 5}}',
     ],
+    # 10^6 + 1 samples, one over the trajectory bound, and 10^22 samples; the
+    # count is checked before any sample is built, so both fail fast
+    "bloch-samples-fine-step": ["bloch", "--set", "bloch.sequence={long_delay}", "--set", "bloch.dt_us=1e-4"],
+    "bloch-samples-huge-delay": ["bloch", "--set", "bloch.sequence={huge_delay}"],
+    "polarize-alpha-overflow": ["polarize", "--set", "polarize.alpha=1e308"],
+    "sequence-us-bool": ["bloch", "--set", "bloch.sequence={us_bool}"],
+    "sequence-rabi-bool": ["polarize", "--set", "polarize.sequence={rabi_bool}"],
+    "sequence-delay-with-phase": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={delay_phase}"],
+    "sequence-phase-overflow": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={overflow_pulse}"],
 }
 
 
@@ -392,6 +401,12 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "no_phase": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1.0}]}),
         "sequence": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1.0, "phase_rad": 0.0}]}),
         "nan_delay": '{"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": NaN}]}',
+        "long_delay": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": 100.0}]}),
+        "huge_delay": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": 1e20}]}),
+        "us_bool": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": True, "phase_rad": 0.0}]}),
+        "rabi_bool": json.dumps({"rabi_mhz": True, "segments": [{"kind": "delay", "us": 1.0}]}),
+        "delay_phase": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "delay", "us": 1, "phase_rad": 3}]}),
+        "overflow_pulse": json.dumps({"rabi_mhz": 0.5, "segments": [{"kind": "pulse", "us": 1e308, "phase_rad": 0.0}]}),
         "fid_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\n3.0,0.5\n",
         "bad_header_csv": "time,value\n0.0,0.5\n1.0,0.75\n",
         "empty_csv": "",
@@ -454,6 +469,86 @@ def test_fuzzed_config_value_keeps_exit_contract(tmp_path, case, value):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run([command, *base, "--set", f"{key}={value}", "--out", out])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or not out.exists()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+VALID_SEQUENCE = {
+    "rabi_mhz": 0.5,
+    "segments": [{"kind": "delay", "us": 0.2}, {"kind": "pulse", "us": 1.0, "phase_rad": 0.5}],
+}
+SEQUENCE_COMMANDS = {
+    "bloch": ["bloch", "--set", "bloch.sequence={path}"],
+    "fid": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={path}"],
+    "polarize": ["polarize", "--set", "polarize.sequence={path}"],
+}
+# where a mutation lands: the document, a top-level key, a segment, or a
+# segment's field (including a field the segment's kind does not have)
+SEQUENCE_PATHS = [(), ("rabi_mhz",), ("segments",), ("extra",)] + [
+    ("segments", i, *key) for i in (0, 1, 2) for key in ((), ("kind",), ("us",), ("phase_rad",))
+]
+SEQUENCE_VALUES = (None, True, False, 0, -1, 0.5, 10**400, 1e308, -1e308, math.nan, math.inf,
+                   "bogus", "delay", "pulse", [], {}, {"kind": "delay", "us": 1e20})
+
+
+def _mutated(doc, path, action, value):
+    """`doc` with the entry at `path` deleted or set to `value`; a path that
+    runs through a non-container or a missing entry leaves `doc` as it is."""
+    if not path:
+        return {} if action == "delete" else value
+    node = doc
+    for key in path[:-1]:
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        else:
+            return doc
+    key = path[-1]
+    if isinstance(node, dict):
+        if action == "delete":
+            node.pop(key, None)
+        else:
+            node[key] = value
+    elif isinstance(node, list) and isinstance(key, int):
+        if action == "delete":
+            del node[key:key + 1]
+        elif key < len(node):
+            node[key] = value
+        else:
+            node.append(value)
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(sorted(SEQUENCE_COMMANDS)),
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(SEQUENCE_PATHS),
+            st.sampled_from(("set", "delete")),
+            st.sampled_from(SEQUENCE_VALUES),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_fuzzed_sequence_file_keeps_exit_contract(tmp_path, command, mutations):
+    """A valid sequence file with a few entries set to odd JSON values or
+    deleted: every command that reads one exits 0, 2 or 3, prints no
+    traceback, and writes nothing when it fails."""
+    doc = json.loads(json.dumps(VALID_SEQUENCE))
+    for path, action, value in mutations:
+        doc = _mutated(doc, path, action, json.loads(json.dumps(value)))
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([a.format(path=path) for a in SEQUENCE_COMMANDS[command]] + ["--out", out])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or not out.exists()

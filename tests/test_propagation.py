@@ -8,63 +8,72 @@ from hypothesis import strategies as st
 import nvctrl as nc
 from nvctrl import propagation
 from nvctrl.errors import DimensionMismatch, InvariantViolation
-from nvctrl.propagation import Delay, Pulse, _eig, _propagators
-from nvctrl.spin_model import BASIS_LABELS_4, TWO_PI
+from nvctrl.propagation import Delay, Pulse, _eig, _evolve, _propagators
+from nvctrl.spin_model import TWO_PI
 from tests_support import random_hamiltonian, random_sequence, trotter_sequence
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
 def zero_hamiltonian():
-    return nc.Hamiltonian(4, np.zeros((4, 4), dtype=complex), BASIS_LABELS_4)
+    return nc.Hamiltonian(np.zeros((4, 4), dtype=complex))
+
+
+def one_segment(h, seg, rabi_mhz=0.5):
+    """Propagator of a single delay or pulse."""
+    return nc.sequence_propagator(h, nc.PulseSequence(rabi_mhz, (seg,)))
 
 
 def test_free_propagator_zero_time_is_identity(h_sub):
-    assert np.allclose(nc.free_propagator(h_sub, 0.0), np.eye(4), atol=1e-14)
+    assert np.allclose(one_segment(h_sub, Delay(0.0)), np.eye(4), atol=1e-14)
 
 
 def test_free_propagator_diagonal_hamiltonian():
     diag = np.array([0.3, -0.1, 0.7, 0.0])
-    h = nc.Hamiltonian(4, np.diag(diag).astype(complex), BASIS_LABELS_4)
+    h = nc.Hamiltonian(np.diag(diag).astype(complex))
     tau = 1.7
     expected = np.diag(np.exp(-1j * TWO_PI * diag * tau))
-    assert np.allclose(nc.free_propagator(h, tau), expected, atol=1e-14)
+    assert np.allclose(one_segment(h, Delay(tau)), expected, atol=1e-14)
 
 
 def test_free_propagator_matches_fine_step_oracle(paper, h_sub):
     tau = 1.0 / (2.0 * abs(paper.a_zz))
-    u = nc.free_propagator(h_sub, tau)
     seq = nc.PulseSequence(0.5, (Delay(tau),))
+    u = nc.sequence_propagator(h_sub, seq)
     assert np.linalg.norm(u - trotter_sequence(h_sub, seq)) < 1e-8
 
 
-def test_free_propagator_rejects_negative_time(h_sub):
+def test_free_propagator_rejects_negative_time():
     with pytest.raises(ValueError):
-        nc.free_propagator(h_sub, -0.1)
+        nc.PulseSequence(0.5, (Delay(-0.1),))
 
 
 def test_pulse_propagator_bare_pi_rotation():
-    u = nc.pulse_propagator(zero_hamiltonian(), 0.5, 0.0, 1.0)
+    u = one_segment(zero_hamiltonian(), Pulse(1.0, 0.0))
     # flip angle 2*pi*0.5*1 = pi about x on the electron pseudo-spin
     expected = np.kron(np.array([[0.0, -1j], [-1j, 0.0]]), np.eye(2))
     assert np.allclose(u, expected, atol=1e-12)
 
 
 def test_pulse_propagator_zero_time(h_sub):
-    assert np.allclose(nc.pulse_propagator(h_sub, 0.5, 1.0, 0.0), np.eye(4), atol=1e-14)
+    assert np.allclose(one_segment(h_sub, Pulse(0.0, 1.0)), np.eye(4), atol=1e-14)
 
 
 def test_pulse_propagator_matches_fine_step_oracle(h_sub):
-    u = nc.pulse_propagator(h_sub, 0.5, math.pi / 2.0, 0.3)
     seq = nc.PulseSequence(0.5, (Pulse(0.3, math.pi / 2.0),))
+    u = nc.sequence_propagator(h_sub, seq)
     assert np.linalg.norm(u - trotter_sequence(h_sub, seq)) < 1e-8
 
 
 def test_pulse_propagator_dimension_mismatch(paper):
+    """The drive acts on the 4-dim subspace: a pulse under the 6-dim
+    electron-carbon Hamiltonian is refused, while a delay propagates."""
     from nvctrl.spin_model import build_hamiltonian_ec
 
+    h6 = build_hamiltonian_ec(paper)
     with pytest.raises(DimensionMismatch):
-        nc.pulse_propagator(build_hamiltonian_ec(paper), 0.5, 0.0, 1.0)
+        one_segment(h6, Pulse(1.0, 0.0))
+    assert one_segment(h6, Delay(1.0)).shape == (6, 6)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
@@ -88,8 +97,10 @@ def test_sequence_propagator_empty_is_identity(h_sub):
 
 
 def test_sequence_propagator_single_delay(h_sub):
+    from scipy.linalg import expm
+
     seq = nc.PulseSequence(0.5, (Delay(2.3),))
-    assert np.allclose(nc.sequence_propagator(h_sub, seq), nc.free_propagator(h_sub, 2.3))
+    assert np.allclose(nc.sequence_propagator(h_sub, seq), expm(-1j * TWO_PI * h_sub.matrix * 2.3))
 
 
 def test_sequence_drive_only_inverse():
@@ -138,26 +149,21 @@ def test_sequence_matches_trotter_oracle_bulk():
 
 def test_evolve_identity(paper):
     rho = nc.DensityState(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
-    out = nc.evolve(rho, np.eye(4, dtype=complex))
-    assert np.allclose(out.matrix, rho.matrix)
+    out = _evolve(np.eye(4, dtype=complex)[None], rho.matrix)
+    assert out.shape == (1, 4, 4)
+    assert np.allclose(out[0], rho.matrix)
 
 
 def test_evolve_preserves_purity_and_spectrum(h_sub):
     rng = np.random.default_rng(3)
     ket = rng.normal(size=4) + 1j * rng.normal(size=4)
-    rho = nc.DensityState.pure(ket)
-    u = nc.free_propagator(h_sub, 1.2)
-    out = nc.evolve(rho, u)
+    ket /= np.linalg.norm(ket)
+    rho = nc.DensityState(np.outer(ket, ket.conj()))
+    out = nc.DensityState(_evolve(one_segment(h_sub, Delay(1.2))[None], rho.matrix)[0])
     assert out.purity() == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(
         np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
     )
-
-
-def test_evolve_dimension_mismatch():
-    rho = nc.DensityState(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
-    with pytest.raises(DimensionMismatch):
-        nc.evolve(rho, np.eye(6, dtype=complex))
 
 
 def test_evolve_optimized_coherence_transfer(paper, robust_results):
@@ -167,7 +173,7 @@ def test_evolve_optimized_coherence_transfer(paper, robust_results):
 
     seq = robust_results["u_c"].best_sequence
     u = nc.sequence_propagator(nc.build_hamiltonian_subspace(paper), seq)
-    rho = nc.evolve(rho0_state(), u)
+    rho = nc.DensityState(u @ rho0_state().matrix @ u.conj().T)
     assert nc.state_fidelity(rho, rho_c_state(paper)) >= 0.95
 
 
@@ -224,7 +230,7 @@ def test_trajectory_endpoint_matches_sequence_propagator(h_sub):
     assert np.all(np.linalg.norm(rows[:, 1:4], axis=1) <= 1.0 + 1e-9)
     assert np.all(np.linalg.norm(rows[:, 4:7], axis=1) <= 1.0 + 1e-9)
     u = nc.sequence_propagator(h_sub, seq)
-    final = nc.evolve(rho0_state(), u)
+    final = nc.DensityState(u @ rho0_state().matrix @ u.conj().T)
     assert rows[-1, 1:4] == pytest.approx(nc.bloch_vector(final, "electron"), abs=1e-10)
     assert rows[-1, 4:7] == pytest.approx(nc.bloch_vector(final, "carbon"), abs=1e-10)
 
@@ -236,7 +242,8 @@ def test_trajectory_endpoint_matches_trotter_oracle(h_sub):
     for _ in range(5):
         seq = random_sequence(rng, n_segments=4, max_us=1.5)
         end = nc.trajectory(h_sub, seq, rho0_state(), dt_us=0.1)[-1]
-        final = nc.evolve(rho0_state(), trotter_sequence(h_sub, seq))
+        u = trotter_sequence(h_sub, seq)
+        final = nc.DensityState(u @ rho0_state().matrix @ u.conj().T)
         assert end[0] == pytest.approx(seq.total_duration_us, abs=1e-9)
         assert end[1:4] == pytest.approx(nc.bloch_vector(final, "electron"), abs=1e-9)
         assert end[4:7] == pytest.approx(nc.bloch_vector(final, "carbon"), abs=1e-9)
@@ -249,7 +256,7 @@ def test_trajectory_carbon_precession_frequency(paper, h_sub):
 
     ket = np.zeros(4, dtype=complex)
     ket[:2] = s0_ket()
-    rho = nc.DensityState.pure(ket)
+    rho = nc.DensityState(np.outer(ket, ket.conj()))
     dt = 0.25
     n = 256
     seq = nc.PulseSequence(0.5, (Delay(n * dt),))
@@ -264,15 +271,29 @@ def test_energy_conserved_during_free_evolution(h_sub):
     from nvctrl.fidelity import rho_c_state
 
     rho = rho_c_state(nc.SystemParams())
-    samples = nc.trajectory(h_sub, nc.PulseSequence(0.5, (Delay(5.0),)), rho, dt_us=0.5)
-    # rebuild the states to check Tr(H rho) directly
-    energies = []
-    state = rho
-    for tau in np.arange(0.0, 5.0 + 1e-9, 0.5):
-        u = nc.free_propagator(h_sub, tau)
-        evolved = nc.evolve(state, u)
-        energies.append(np.trace(h_sub.matrix @ evolved.matrix).real)
+    taus = np.arange(0.0, 5.0 + 1e-9, 0.5)
+    states = _evolve(np.stack([one_segment(h_sub, Delay(tau)) for tau in taus]), rho.matrix)
+    energies = np.einsum("ij,tji->t", h_sub.matrix, states).real
     assert np.ptp(energies) < 1e-10
+
+
+def test_trajectory_sample_bound(monkeypatch, h_sub):
+    """The sample count is fixed before any state is built: exactly the
+    bound passes, one more sample raises, and so do segments whose step
+    count would not fit in memory."""
+    from nvctrl.fidelity import rho0_state
+
+    monkeypatch.setattr(propagation, "_MAX_TRAJECTORY_SAMPLES", 11)
+    rows = nc.trajectory(h_sub, nc.PulseSequence(0.5, (Delay(1.0),)), rho0_state(), dt_us=0.1)
+    assert rows.shape == (11, 7)
+    for seq, dt in (
+        (nc.PulseSequence(0.5, (Delay(1.05),)), 0.1),
+        (nc.PulseSequence(0.5, (Delay(0.5), Pulse(0.55, 0.0))), 0.1),
+        (nc.PulseSequence(0.5, (Delay(1e20),)), 0.01),
+        (nc.PulseSequence(0.5, (Pulse(1e300, 0.0),)), 1e-300),
+    ):
+        with pytest.raises(ValueError, match="samples"):
+            nc.trajectory(h_sub, seq, rho0_state(), dt_us=dt)
 
 
 def test_density_state_validation():

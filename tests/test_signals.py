@@ -28,9 +28,9 @@ def test_spectrum_csv_round_trip(tmp_path):
     spec = nc.Spectrum(np.array([0.0, 0.1, 0.2]), np.array([1.0, 2.0, 0.5]), {"window": "hann"})
     path = tmp_path / "spec.csv"
     spec.to_csv(path)
-    restored = nc.Spectrum.from_csv(path)
-    assert np.array_equal(restored.freq_mhz, spec.freq_mhz)
-    assert np.array_equal(restored.amplitude, spec.amplitude)
+    freq, amplitude = read_csv(path, ("freq_mhz", "amplitude"))
+    assert np.array_equal(freq, spec.freq_mhz)
+    assert np.array_equal(amplitude, spec.amplitude)
 
 
 def test_csv_header_check(tmp_path):

@@ -8,7 +8,6 @@ from scipy.linalg import block_diag, expm
 import nvctrl as nc
 from nvctrl.propagation import Delay, Pulse, drive_operator
 from nvctrl.spin_model import (
-    BASIS_LABELS_4,
     TWO_PI,
     build_hamiltonian_subspace_plus,
     nuclear_block_hamiltonians,
@@ -17,7 +16,7 @@ from nvctrl.spin_model import (
 
 def random_hamiltonian(rng, scale=0.5):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return nc.Hamiltonian(4, scale * (a + a.conj().T) / 2.0, BASIS_LABELS_4)
+    return nc.Hamiltonian(scale * (a + a.conj().T) / 2.0)
 
 
 def random_sequence(rng, n_segments=4, rabi=0.5, max_us=2.0):
