@@ -372,18 +372,28 @@ def cmd_polarize(config, args):
     return files, "\n".join(lines)
 
 
-def _fit_data(config, args, kind: str, **recorded) -> np.ndarray:
-    """The first two columns of the --data CSV; records the fit in the config."""
-    p = Path(args.data)
+_FIT_RATIOS = ("b0", "b1", "bm1", "f")
+
+
+def _fit_block(config, keys) -> dict:
+    """The `fit` block, holding exactly `keys` (each set in the config or by its option)."""
+    block = _block(config, "fit", keys)
+    missing = [f"fit.{key}" for key in keys if key not in block]
+    if missing:
+        raise UsageError(f"fit needs {', '.join(missing)} (in the config or by its option)")
+    return block
+
+
+def _fit_data(block) -> np.ndarray:
+    """The first two columns of the fit.data CSV."""
+    p = Path(block["data"])
     if not p.exists():
         raise FileMissing(f"data file not found: {p}")
-    cols = signals.read_csv(p)
-    config.setdefault("fit", {})[kind] = {"data": str(p), **recorded}
-    return np.column_stack(cols[:2])
+    return np.column_stack(signals.read_csv(p)[:2])
 
 
 def cmd_fit_polarization(config, args):
-    model = experiments.fit_polarization(_fit_data(config, args, "polarization"))
+    model = experiments.fit_polarization(_fit_data(_fit_block(config, ("data",))))
     payload = {
         "c0": model.c0,
         "c1": model.c1,
@@ -398,16 +408,17 @@ def cmd_fit_polarization(config, args):
 
 
 def cmd_fit_sinusoid(config, args):
-    nu = _positive(args.nu, "--nu")
-    a, b, c = experiments.fit_fid_amplitude(_fit_data(config, args, "sinusoid", nu_mhz=nu), nu)
+    block = _fit_block(config, ("data", "nu_mhz"))
+    nu = _positive(block["nu_mhz"], "fit.nu_mhz")
+    a, b, c = experiments.fit_fid_amplitude(_fit_data(block), nu)
     return {"fit_sinusoid.json": {"a": a, "b": b, "c": c, "nu_mhz": nu}}, (
         f"a = {a:.5f}, b = {b:.5f}, c = {c:.5f} rad at {nu} MHz"
     )
 
 
 def cmd_fit_fidelities(config, args):
-    ratios = {name: _positive(getattr(args, name), f"--{name}") for name in ("b0", "b1", "bm1", "f")}
-    config.setdefault("fit", {})["fidelities"] = ratios
+    block = _fit_block(config, _FIT_RATIOS)
+    ratios = {name: _positive(block[name], f"fit.{name}") for name in _FIT_RATIOS}
     est = experiments.estimate_experimental_fidelities(**ratios)
     payload = {
         "f_180": est.f_180,
@@ -487,14 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     add(sub, "polarize", cmd_polarize)
 
     fit = sub.add_parser("fit").add_subparsers(dest="fit_kind", required=True)
+    # each fit option is an alias of the config key named by its dest
     fp = add(fit, "polarization", cmd_fit_polarization)
-    fp.add_argument("--data", required=True, help="CSV with d_l_us,p columns")
+    fp.add_argument("--data", dest="fit.data", help="fit.data: CSV with d_l_us,p columns")
     fs = add(fit, "sinusoid", cmd_fit_sinusoid)
-    fs.add_argument("--data", required=True, help="CSV with tau_us,signal columns")
-    fs.add_argument("--nu", type=float, required=True, help="fixed frequency (MHz)")
+    fs.add_argument("--data", dest="fit.data", help="fit.data: CSV with tau_us,signal columns")
+    fs.add_argument("--nu", dest="fit.nu_mhz", type=float, help="fit.nu_mhz: fixed frequency (MHz)")
     ff = add(fit, "fidelities", cmd_fit_fidelities)
-    for name in ("--b0", "--b1", "--bm1", "--f"):
-        ff.add_argument(name, type=float, required=True)
+    for name in _FIT_RATIOS:
+        ff.add_argument(f"--{name}", dest=f"fit.{name}", type=float, help=f"fit.{name}")
 
     tables = add(sub, "tables", cmd_tables)
     tables.add_argument("--which", choices=("I", "II", "III", "all"), help="which table batch")
@@ -505,6 +517,9 @@ def _run(args) -> None:
     """Compute first, write last: nothing is written unless the command succeeds."""
     try:
         config = load_config(args.config, args.set, args.seed)
+        for key, value in vars(args).items():
+            if "." in key and value is not None:
+                _apply_override(config, key, value)
         files, message = args.func(config, args)
     except _BAD_INPUT as exc:
         raise UsageError(f"bad {args.command} input: {exc!r}") from exc

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
 from .errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
@@ -322,19 +322,19 @@ def polarization_curve(model: PolarizationModel, d_grid) -> np.ndarray:
 def polarization_curve_max(
     model: PolarizationModel, d_lo: float = 0.0, d_hi: float = 50.0
 ) -> tuple[float, float]:
-    """Maximizer and maximum of the polarization curve on [d_lo, d_hi]."""
-    grid = np.linspace(d_lo, d_hi, 2048)
-    values = polarization_curve(model, grid)
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda d: -polarization_curve(model, d), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    d_star = float(res.x)
-    candidates = [(float(polarization_curve(model, d)), float(d)) for d in (d_lo, d_hi, d_star)]
-    p_star, d_best = max(candidates)
+    """Maximizer and maximum of the polarization curve on [d_lo, d_hi].
+
+    p'(d) = a c1 exp(-a d) - 2 gamma c2 exp(-2 gamma d), with a = alpha + beta,
+    vanishes at most once, at d* = ln(2 gamma c2 / (a c1)) / (2 gamma - a), so
+    the maximum lies at d* (when it is inside the range) or at an end.
+    """
+    rise, fall = model.pump_rate * model.c1, 2.0 * model.gamma * model.c2
+    candidates = [d_lo, d_hi]
+    if rise != 0 and fall != 0 and (rise > 0) == (fall > 0) and model.pump_rate != 2.0 * model.gamma:
+        d_star = (math.log(abs(fall)) - math.log(abs(rise))) / (2.0 * model.gamma - model.pump_rate)
+        if d_lo < d_star < d_hi:
+            candidates.append(d_star)
+    p_star, d_best = max((float(polarization_curve(model, d)), float(d)) for d in candidates)
     return d_best, p_star
 
 

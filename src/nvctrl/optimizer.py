@@ -3,9 +3,9 @@
 The genome packs the free parameters of an n-pulse sequence as flat blocks
 [tau_1..tau_n | t_1..t_n | phi_1..phi_n] (free flip angles) or
 [tau_1..tau_n | phi_1..phi_n] (switched mode, every flip angle fixed at 180
-degrees).  Fitness evaluation is vectorized over the population; all random
-draws happen on one per-restart generator in a fixed schedule, so results are
-bitwise reproducible for a given seed.
+degrees).  The restarts run in lockstep, with fitness evaluated for all their
+populations at once; each restart draws from its own generator in a fixed
+schedule, so results are bitwise reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -309,58 +310,79 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return tuple(a[2]) < tuple(b[2])
 
 
-def _run_restart(kernel, problem, ga, rng):
+def _leaders(fit, dur, pop) -> np.ndarray:
+    """Index of each row's best entry by `_better`, the first on a full tie."""
+    lead = fit.argmax(axis=1)
+    ties = fit == fit[np.arange(len(fit)), lead][:, None]
+    tied = ties.sum(axis=1) > 1
+    if tied.any():
+        keep = ties[tied]
+        for key in (dur[tied], *np.moveaxis(pop[tied], 2, 0)):
+            keep &= key == np.where(keep, key, np.inf).min(axis=1, keepdims=True)
+        lead[tied] = keep.argmax(axis=1)
+    return lead
+
+
+def _run_restarts(kernel, problem, ga, rngs):
+    """One GA run per generator, all in lockstep: one kernel call per
+    generation.  A child bitwise equal to its first parent inherits that
+    parent's fitness and duration.  Returns [(best, history)] per restart."""
     lo, hi = genome_bounds(problem)
     length = lo.size
-    n = problem.n_pulses
-    phase_cols = slice(length - n, length)
+    n_dur = length - problem.n_pulses
     sigma = ga.mutation_sigma * (hi - lo)
-
-    pop = rng.uniform(lo, hi, size=(ga.population, length))
-    fit, dur = kernel.objective(pop)
-
-    best = None
+    n_child = ga.population - ga.elite_count
+    rows = np.arange(len(rngs))[:, None]
+    best = (np.full(len(rngs), -np.inf), np.zeros(len(rngs)), np.zeros((len(rngs), length)))
     history = []
 
     def consider_generation():
-        nonlocal best
-        i = int(np.argmax(fit))
-        cand = (float(fit[i]), float(dur[i]), pop[i].copy())
-        # argmax takes the first maximum; resolve exact ties explicitly
-        for j in np.nonzero(fit == fit[i])[0]:
-            alt = (float(fit[j]), float(dur[j]), pop[j].copy())
-            if _better(alt, cand):
-                cand = alt
-        if best is None or _better(cand, best):
-            best = cand
-        history.append(best[0])
+        # the best so far sits in column 0, so it survives a full tie
+        lead = _leaders(*(np.concatenate([b[:, None], a], axis=1) for b, a in zip(best, (fit, dur, pop))))
+        moved = lead > 0
+        for b, a in zip(best, (fit, dur, pop)):
+            b[moved] = a[moved, lead[moved] - 1]
+        history.append(best[0].copy())
 
+    pop = np.stack([rng.uniform(lo, hi, size=(ga.population, length)) for rng in rngs])
+    fit, dur = (a.reshape(len(rngs), -1) for a in kernel.objective(pop.reshape(-1, length)))
     consider_generation()
-    n_child = ga.population - ga.elite_count
     for _ in range(ga.generations):
-        order = np.argsort(-fit, kind="stable")
-        elite_idx = order[: ga.elite_count]
-        p1 = _tournament(rng, fit, ga.tournament_size, n_child)
-        p2 = _tournament(rng, fit, ga.tournament_size, n_child)
-        do_cx = rng.random(n_child) < ga.crossover_rate
-        mix = rng.random((n_child, length)) < 0.5
-        children = np.where(do_cx[:, None] & mix, pop[p2], pop[p1])
-        mut = rng.random((n_child, length)) < ga.mutation_rate
-        noise = rng.normal(0.0, 1.0, size=(n_child, length)) * sigma
-        children = children + np.where(mut, noise, 0.0)
-        children[:, : length - n] = np.clip(children[:, : length - n], lo[: length - n], hi[: length - n])
-        children[:, phase_cols] = np.mod(children[:, phase_cols], hi[phase_cols])
-        child_fit, child_dur = kernel.objective(children)
-        pop = np.concatenate([pop[elite_idx], children], axis=0)
-        fit = np.concatenate([fit[elite_idx], child_fit])
-        dur = np.concatenate([dur[elite_idx], child_dur])
+        elite = np.argsort(-fit, axis=1, kind="stable")[:, : ga.elite_count]
+        draws = [
+            (
+                rng.integers(0, ga.population, size=(n_child, ga.tournament_size)),
+                rng.integers(0, ga.population, size=(n_child, ga.tournament_size)),
+                rng.random(n_child) < ga.crossover_rate,
+                rng.random((n_child, length)) < 0.5,
+                rng.random((n_child, length)) < ga.mutation_rate,
+                rng.normal(0.0, 1.0, size=(n_child, length)) * sigma,
+            )
+            for rng in rngs
+        ]
+        entrants1, entrants2, do_cx, mix, mut, noise = map(np.stack, zip(*draws))
+        p1, p2 = _tournament(fit, entrants1), _tournament(fit, entrants2)
+        first = pop[rows, p1]
+        children = np.where(do_cx[:, :, None] & mix, pop[rows, p2], first) + np.where(mut, noise, 0.0)
+        children[..., :n_dur] = np.clip(children[..., :n_dur], lo[:n_dur], hi[:n_dur])
+        children[..., n_dur:] = np.mod(children[..., n_dur:], hi[n_dur:])
+        child_fit, child_dur = fit[rows, p1], dur[rows, p1]
+        fresh = np.any(children.view(np.int64) != first.view(np.int64), axis=2)
+        if fresh.any():
+            child_fit[fresh], child_dur[fresh] = kernel.objective(children[fresh])
+        pop = np.concatenate([pop[rows, elite], children], axis=1)
+        fit = np.concatenate([fit[rows, elite], child_fit], axis=1)
+        dur = np.concatenate([dur[rows, elite], child_dur], axis=1)
         consider_generation()
-    if ga.polish_evals > 0:
-        cand = _polish(kernel, best[2], ga.polish_evals)
-        if _better(cand, best):
-            best = cand
-        history.append(best[0])
-    return best, history
+    results = []
+    for fit_r, dur_r, genome, hist in zip(*best, np.array(history).T.tolist()):
+        cand = (float(fit_r), float(dur_r), genome)
+        if ga.polish_evals > 0:
+            polished = _polish(kernel, genome, ga.polish_evals)
+            cand = polished if _better(polished, cand) else cand
+            hist.append(cand[0])
+        results.append((cand, hist))
+    return results
 
 
 def _polish(kernel, genome, budget) -> _Candidate:
@@ -401,9 +423,11 @@ def _polish(kernel, genome, budget) -> _Candidate:
     return (float(fit[0]), float(dur[0]), x)
 
 
-def _tournament(rng, fit, size, count):
-    idx = rng.integers(0, fit.size, size=(count, size))
-    return idx[np.arange(count), np.argmax(fit[idx], axis=1)]
+def _tournament(fit, entrants):
+    """Each (R, C, T) tournament's fittest entrant, the first on a tie."""
+    rows = np.arange(len(fit))[:, None, None]
+    won = np.argmax(fit[rows, entrants], axis=2)
+    return np.take_along_axis(entrants, won[..., None], axis=2)[..., 0]
 
 
 def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
@@ -416,15 +440,10 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
     """
     ga = ga or GaConfig()
     kernel = _FitnessKernel(problem)
-    children = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
-    best = None
-    best_history = None
-    for child_seq in children:
-        rng = np.random.default_rng(child_seq)
-        cand, history = _run_restart(kernel, problem, ga, rng)
-        if best is None or _better(cand, best):
-            best = cand
-            best_history = history
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
+    best, best_history = reduce(
+        lambda a, b: b if _better(b[0], a[0]) else a, _run_restarts(kernel, problem, ga, rngs)
+    )
     seq = decode(problem, best[2])
     h = build_hamiltonian_subspace(problem.params)
     fid = sequence_fidelity(seq, problem.target, h)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import nvctrl as nc
 from nvctrl import propagation
 from nvctrl.cli import main
-from nvctrl.signals import read_csv
+from nvctrl.signals import read_csv, write_csv
 
 TINY_GA = [
     "--set", "optimize.ga.population=12",
@@ -271,8 +271,6 @@ def test_fit_polarization_command(tmp_path):
     model = nc.paper_polarization_model()
     d = np.concatenate([np.linspace(0.0, 6.0, 60), np.linspace(6.5, 120.0, 140)])
     p = nc.polarization_curve(model, d)
-    from nvctrl.signals import write_csv
-
     data_path = tmp_path / "pol.csv"
     write_csv(data_path, ("d_l_us", "p"), (d, p))
     out = tmp_path / "fitp"
@@ -298,6 +296,24 @@ def test_manifest_reproduces_outputs_bitwise(tmp_path):
     assert run(["optimize", "--config", out1 / "manifest.json", "--out", out2]) == 0
     for name in ("manifest.json", "sequence.json", "result.json", "history.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the fit commands read their inputs from config keys, which their options alias
+    tau = np.linspace(0.0, 40.0, 120)
+    nc.FidTrace(tau, 0.25 + 0.13 * np.sin(2 * math.pi * 0.158 * tau + 0.4)).to_csv(tmp_path / "fid.csv")
+    d = np.linspace(0.0, 120.0, 200)
+    pol = nc.polarization_curve(nc.paper_polarization_model(), d)
+    write_csv(tmp_path / "pol.csv", ("d_l_us", "p"), (d, pol))
+    for argv in (
+        ["fit", "polarization", "--data", tmp_path / "pol.csv"],
+        ["fit", "sinusoid", "--data", tmp_path / "fid.csv", "--nu", 0.158],
+        ["fit", "fidelities", "--b0", 0.13, "--b1", 0.11, "--bm1", 0.20, "--f", 0.7],
+    ):
+        out1, out2 = tmp_path / f"{argv[1]}-1", tmp_path / f"{argv[1]}-2"
+        assert run(argv + ["--out", out1]) == 0
+        assert run(argv[:2] + ["--config", out1 / "manifest.json", "--out", out2]) == 0
+        files = sorted(p.name for p in out1.iterdir())
+        assert files == sorted(p.name for p in out2.iterdir()) and len(files) == 2
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_config_file_loading(tmp_path):
@@ -373,6 +389,9 @@ MALFORMED = {
     "fit-fidelities-b0-nan": [
         "fit", "fidelities", "--b0", "nan", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
     ],
+    "fit-sinusoid-no-nu": ["fit", "sinusoid", "--data", "{fid_csv}"],
+    "fit-fidelities-missing-ratios": ["fit", "fidelities", "--b0", "0.13"],
+    "fit-polarization-key-misspelt": ["fit", "polarization", "--data", "{fid_csv}", "--set", "fit.dta=x"],
     "polarize-gamma-overflow": ["polarize", "--set", "polarize.gamma=1e308"],
     "polarize-rates-overflow": ["polarize", "--set", "polarize.alpha=1e308", "--set", "polarize.beta=1e308"],
     "esr-key-misspelt": ["esr", "--set", "esr.linewdith_mhz=5"],

@@ -270,6 +270,40 @@ def test_polarization_curve_max_matches_grid_oracle():
     assert p_star == pytest.approx(0.7464, abs=1e-3)
 
 
+@pytest.mark.parametrize("d_max", [50.0, 1e6, 3e6, 1e308])
+def test_polarization_curve_max_finds_the_peak_at_any_range(d_max):
+    """The maximum near 2.4 us is found however far the range reaches; a
+    grid over [0, d_max] steps past it from d_max = 3e6 us on."""
+    model = nc.paper_polarization_model()
+    d_star, p_star = nc.polarization_curve_max(model, 0.0, d_max)
+    grid = np.linspace(0.0, 10.0, 100001)
+    peak = nc.polarization_curve(model, grid).max()
+    assert d_star == pytest.approx(2.4253, abs=1e-3)
+    assert peak <= p_star <= peak + 1e-9
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        (0.31, 0.51, 0.50, 1.10, 0.41, 0.022),  # interior maximum
+        (0.31, 0.51, 0.50, 0.02, 0.0, 0.5),  # stationary point is a minimum
+        (0.31, 0.51, -0.50, 1.10, 0.41, 0.022),  # no stationary point
+        (0.31, 0.0, 0.50, 1.10, 0.41, 0.022),  # one term only
+        (0.31, 0.51, 0.50, 0.5, 0.0, 0.25),  # equal rates
+    ],
+)
+@pytest.mark.parametrize("d_range", [(0.0, 50.0), (0.0, 1.0), (5.0, 50.0)])
+def test_polarization_curve_max_matches_a_dense_grid(coefficients, d_range):
+    model = nc.PolarizationModel(*coefficients)
+    d_star, p_star = nc.polarization_curve_max(model, *d_range)
+    grid = np.linspace(*d_range, 200001)
+    values = nc.polarization_curve(model, grid)
+    assert d_range[0] <= d_star <= d_range[1]
+    assert p_star == pytest.approx(nc.polarization_curve(model, [d_star])[0], abs=1e-15)
+    assert values.max() <= p_star + 1e-15
+    assert p_star <= values.max() + 1e-9
+
+
 # synthetic sampling design: dense over the fast pump, extended to resolve the
 # slow depolarization rate
 FIT_DESIGN = np.concatenate([np.linspace(0.0, 6.0, 60), np.linspace(6.5, 120.0, 140)])

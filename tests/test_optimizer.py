@@ -233,17 +233,18 @@ def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, case):
     ids=["u_p", "u_90", "u_c_dagger", "robust_u_c"],
 )
 def test_fitness_is_independent_of_batch_position(paper, case):
-    """Each genome's fitness alone equals, bitwise, its fitness at its place in
-    a GA-sized batch and in the same batch reversed."""
+    """Each genome's fitness and duration alone equal, bitwise, those at its
+    place in a batch of one restart's children (98), of eight restarts' in
+    lockstep (784), of a ragged lockstep batch left by skipped copies (577),
+    and in the full batch reversed."""
     problem = _kernel_problem(paper, *case)
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)
-    genomes = np.random.default_rng(41).uniform(lo, hi, size=(98, lo.size))
-    batch, _ = kernel.objective(genomes)
-    reversed_batch, _ = kernel.objective(genomes[::-1])
-    alone = np.array([kernel.objective(g[None, :])[0][0] for g in genomes])
-    assert np.all(alone == batch)
-    assert np.all(alone == reversed_batch[::-1])
+    genomes = np.random.default_rng(41).uniform(lo, hi, size=(784, lo.size))
+    alone = np.array([np.concatenate(kernel.objective(g[None, :])) for g in genomes]).T
+    for picked in (slice(0, 98), slice(None), slice(101, 678), slice(None, None, -1)):
+        assert genomes[picked].shape[0] in (98, 784, 577)
+        assert np.all(np.array(kernel.objective(genomes[picked])) == alone[:, picked])
 
 
 @pytest.mark.parametrize("target", ["u_c", "u_c_dagger", "u_p"])
@@ -255,6 +256,105 @@ def test_rank_factor_reproduces_initial_state(paper, target):
     a = _rank_factor(rho)
     assert a.shape == (4, 2)
     assert np.abs(a @ a.conj().T - rho).max() <= 1e-15
+
+
+LOCKSTEP_GA = nc.GaConfig(population=16, generations=25, restarts=8, seed=20260809, polish_evals=20)
+
+
+@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
+def test_lockstep_restarts_match_each_restart_alone(request, problem_name):
+    """Eight restarts in lockstep give each restart bitwise the best candidate
+    and history it gets when run alone from the same child seed."""
+    from nvctrl.optimizer import _run_restarts
+
+    problem = request.getfixturevalue(problem_name)
+    kernel = _FitnessKernel(problem)
+    seeds = np.random.SeedSequence(LOCKSTEP_GA.seed).spawn(LOCKSTEP_GA.restarts)
+    together = _run_restarts(kernel, problem, LOCKSTEP_GA, [np.random.default_rng(s) for s in seeds])
+    assert len(together) == 8
+    for seed, (best, history) in zip(seeds, together):
+        ((alone, alone_history),) = _run_restarts(kernel, problem, LOCKSTEP_GA, [np.random.default_rng(seed)])
+        assert (best[0], best[1]) == (alone[0], alone[1])
+        assert best[2].tobytes() == alone[2].tobytes()
+        assert history == alone_history
+        assert len(history) == LOCKSTEP_GA.generations + 2
+
+
+def test_leaders_pick_what_better_picks():
+    """The vectorized pick agrees with a left-to-right `_better` scan on rows
+    full of exact fitness ties, equal-fitness entries of other durations and
+    duplicated genomes (including -0.0 against 0.0)."""
+    from nvctrl.optimizer import _better, _leaders
+
+    rng = np.random.default_rng(3)
+    rows, size, length = 400, 9, 3
+    fit = rng.choice([0.25, 0.5, 0.75], size=(rows, size))
+    dur = rng.choice([1.0, 2.0, 3.0], size=(rows, size))
+    pool = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [0.0, 0.5, 9.0], [1.0, 0.0, 0.0]])
+    pop = pool[rng.integers(0, len(pool), size=(rows, size))]
+    lead = _leaders(fit, dur, pop)
+    for r in range(rows):
+        want = 0
+        for j in range(1, size):
+            if _better((fit[r, j], dur[r, j], pop[r, j]), (fit[r, want], dur[r, want], pop[r, want])):
+                want = j
+        assert lead[r] == want
+    top = fit == fit.max(axis=1, keepdims=True)
+    # the rows exercise every tie-break level
+    assert np.any(top.sum(axis=1) > 1)
+    assert np.any([len(set(dur[r][top[r]])) > 1 for r in range(rows)])
+    assert np.any(lead != np.argmax(fit, axis=1))
+
+
+@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
+def test_skipped_children_are_copies_with_exact_fitness(request, monkeypatch, problem_name):
+    """Every child the kernel does not evaluate is a bitwise copy of a genome
+    of its restart's previous generation, and the fitness and duration it
+    inherits equal the kernel's on it; copies do occur.  Each restart's best
+    and history are what a `_better` scan over all its generations gives."""
+    from nvctrl import optimizer
+
+    problem = request.getfixturevalue(problem_name)
+    kernel = _FitnessKernel(problem)
+    evaluated, generations = {}, []
+    real_objective, real_leaders = kernel.objective, optimizer._leaders
+
+    def recording_objective(genomes):
+        # the children of generation k are evaluated after k generations were seen
+        evaluated.setdefault(len(generations), set()).update(g.tobytes() for g in np.atleast_2d(genomes))
+        return real_objective(genomes)
+
+    def recording_leaders(fit, dur, pop):
+        # column 0 holds each restart's best so far; the rest is the generation
+        generations.append((fit[:, 1:], dur[:, 1:], pop[:, 1:]))
+        return real_leaders(fit, dur, pop)
+
+    kernel.objective = recording_objective
+    monkeypatch.setattr(optimizer, "_leaders", recording_leaders)
+    ga = nc.GaConfig(population=16, generations=30, restarts=3, seed=5, polish_evals=0)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
+    results = optimizer._run_restarts(kernel, problem, ga, rngs)
+    assert len(generations) == ga.generations + 1
+    skipped = 0
+    for k, ((_, _, before), (fit, dur, pop)) in enumerate(zip(generations, generations[1:]), start=1):
+        for r in range(ga.restarts):
+            previous = {g.tobytes() for g in before[r]}
+            for g, f, d in zip(pop[r, ga.elite_count :], fit[r, ga.elite_count :], dur[r, ga.elite_count :]):
+                want_fit, want_dur = real_objective(g[None, :])
+                assert (f, d) == (want_fit[0], want_dur[0])
+                if g.tobytes() not in evaluated.get(k, ()):
+                    skipped += 1
+                    assert g.tobytes() in previous
+    assert skipped > 0
+    for r, (best, history) in enumerate(results):
+        want, want_history = None, []
+        for fit, dur, pop in generations:
+            for cand in zip(fit[r], dur[r], pop[r]):
+                if want is None or optimizer._better(cand, want):
+                    want = cand
+            want_history.append(want[0])
+        assert (best[0], best[1], best[2].tobytes()) == (want[0], want[1], want[2].tobytes())
+        assert history == want_history
 
 
 @pytest.fixture
