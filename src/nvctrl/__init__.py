@@ -49,7 +49,6 @@ from .fidelity import (
     state_fidelity,
 )
 from .optimizer import (
-    Bounds,
     ControlProblem,
     GaConfig,
     MODE_FREE,

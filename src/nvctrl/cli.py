@@ -24,11 +24,9 @@ import numpy as np
 from . import experiments, optimizer, signals, spin_model
 from .errors import FileMissing, NvctrlError, UnknownTarget
 from .fidelity import RobustnessRange, build_target, rho0_state, rho_p_state
-from .optimizer import ControlProblem, GaConfig
+from .optimizer import DEFAULT_SEED, ControlProblem, GaConfig
 from .propagation import PulseSequence, trajectory
 from .spin_model import SystemParams
-
-DEFAULT_SEED = 20260809
 
 _FID_PROTOCOLS = (
     "uc",
@@ -167,16 +165,11 @@ def cmd_esr(config, args):
     return files, f"wrote {len(lines)} ESR lines (branch {branch:+d}) and spectrum"
 
 
-_GA_INT_KEYS = ("population", "generations", "elite_count", "tournament_size", "restarts", "polish_evals")
-_GA_FLOAT_KEYS = ("crossover_rate", "mutation_rate", "mutation_sigma")
-_GA_KEYS = ("seed", *_GA_INT_KEYS, *_GA_FLOAT_KEYS)
+_GA_KEYS = tuple(f.name for f in fields(GaConfig))
 
 
 def _ga_from_config(block: dict, seed: int) -> GaConfig:
-    kwargs = {"seed": int(block.get("seed", seed))}
-    kwargs.update({key: int(block[key]) for key in _GA_INT_KEYS if key in block})
-    kwargs.update({key: float(block[key]) for key in _GA_FLOAT_KEYS if key in block})
-    return GaConfig(**kwargs)
+    return GaConfig(**{key: int(value) for key, value in {"seed": seed, **block}.items()})
 
 
 def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
@@ -196,10 +189,6 @@ def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
         robust = RobustnessRange(
             float(r["lo_mhz"]), float(r["hi_mhz"]), int(r.get("n_samples", 5))
         )
-    bounds = None
-    if "bounds" in block:
-        b = _block(block, "bounds", ("t_max_us", "tau_max_us"))
-        bounds = optimizer.Bounds(float(b["t_max_us"]), float(b["tau_max_us"]))
     return ControlProblem(
         params=params,
         target=target,
@@ -207,7 +196,6 @@ def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
         rabi_mhz=rabi,
         mode=mode,
         robustness=robust,
-        bounds=bounds,
         duration_penalty=float(block.get("duration_penalty", 0.0)),
     )
 
@@ -215,7 +203,7 @@ def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
 def cmd_optimize(config, args):
     params = _params_from_config(config)
     block = _block(config, "optimize", (
-        "target", "rabi_mhz", "mode", "robust", "bounds", "n_pulses", "duration_penalty", "ga",
+        "target", "rabi_mhz", "mode", "robust", "n_pulses", "duration_penalty", "ga",
     ))
     problem = _problem_from_config(params, block)
     ga = _ga_from_config(_block(block, "ga", _GA_KEYS), config["seed"])
@@ -263,8 +251,6 @@ def cmd_fid(config, args):
         seq = _load_sequence(block.get("sequence"), "excitation")
         seq_ut = _load_sequence(block.get("sequence_readout"), "readout")
         polarization = float(block.get("polarization", 1.0))
-        if not -1.0 <= polarization <= 1.0:
-            raise UsageError(f"fid.polarization must lie in [-1, 1], got {polarization!r}")
         trace = experiments.fid_u90(
             params, subspace, seq, seq_ut, tau, initial_polarization=polarization
         )
@@ -515,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> None:
     """Compute first, write last: nothing is written unless the command succeeds."""
+    command = f"fit {args.fit_kind}" if args.command == "fit" else args.command
     try:
         config = load_config(args.config, args.set, args.seed)
         for key, value in vars(args).items():
@@ -522,10 +509,10 @@ def _run(args) -> None:
                 _apply_override(config, key, value)
         files, message = args.func(config, args)
     except _BAD_INPUT as exc:
-        raise UsageError(f"bad {args.command} input: {exc!r}") from exc
+        raise UsageError(f"bad {command} input: {exc!r}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    signals.write_json(out / "manifest.json", {"command": args.command, "config": config})
+    signals.write_json(out / "manifest.json", {"command": command, "config": config})
     for name, content in files.items():
         if callable(content):
             content(out / name)

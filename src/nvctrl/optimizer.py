@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -34,22 +35,14 @@ from .spin_model import PSEUDO_SX, SystemParams, TWO_PI, build_hamiltonian_subsp
 MODE_FREE = "free_angles"
 MODE_SWITCHED = "switched_180"
 
+DEFAULT_SEED = 20260809
+# the search box: delays in [0, TAU_MAX_US], pulses in [0, t_max_us] (two
+# Rabi periods), phases in [0, 2pi]
+TAU_MAX_US = 10.0
+
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
 # eigenvalues of rho_initial at or below this are round-off, not rank
 _RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Per-segment search box: pulse durations in [0, t_max], delays in
-    [0, tau_max] (microseconds)."""
-
-    t_max_us: float
-    tau_max_us: float = 10.0
-
-    def __post_init__(self):
-        if not (0 < self.t_max_us < math.inf and 0 < self.tau_max_us < math.inf):
-            raise ValueError("bounds must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,6 @@ class ControlProblem:
     rabi_mhz: float = 0.5
     mode: str = MODE_FREE
     robustness: RobustnessRange | None = None
-    bounds: Bounds | None = None
     duration_penalty: float = 0.0
 
     def __post_init__(self):
@@ -78,10 +70,9 @@ class ControlProblem:
             raise ValueError("duration penalty must be non-negative and finite")
 
     @property
-    def effective_bounds(self) -> Bounds:
-        if self.bounds is not None:
-            return self.bounds
-        return Bounds(t_max_us=2.0 / self.rabi_mhz, tau_max_us=10.0)
+    def t_max_us(self) -> float:
+        """Longest pulse in free-angle mode: two Rabi periods."""
+        return 2.0 / self.rabi_mhz
 
     @property
     def switched_pulse_us(self) -> float:
@@ -91,7 +82,8 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """GA hyperparameters; mutation sigma is a fraction of each bound width.
+    """GA budget and seed.  The operator settings are fixed class constants;
+    mutation sigma is a fraction of each bound width.
 
     polish_evals is the evaluation budget of a deterministic L-BFGS-B
     refinement applied to each restart's best genome; one evaluation is one
@@ -101,26 +93,21 @@ class GaConfig:
     closes that gap without touching the evolutionary stage.
     """
 
+    crossover_rate: ClassVar[float] = 0.8
+    mutation_rate: ClassVar[float] = 0.15
+    mutation_sigma: ClassVar[float] = 0.05
+    elite_count: ClassVar[int] = 2
+    tournament_size: ClassVar[int] = 3
+
     population: int = 100
     generations: int = 300
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.15
-    mutation_sigma: float = 0.05
-    elite_count: int = 2
-    tournament_size: int = 3
-    seed: int = 12345
+    seed: int = DEFAULT_SEED
     restarts: int = 8
     polish_evals: int = 4000
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be at least 2")
-        if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):
-            raise ValueError("rates must lie in [0, 1]")
-        if not 0 <= self.elite_count < self.population:
-            raise ValueError("elite_count must be smaller than the population")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be at least 1")
+        if self.population <= self.elite_count:
+            raise ValueError(f"population must exceed the {self.elite_count} elites")
         if self.generations < 1 or self.restarts < 1:
             raise ValueError("generations and restarts must be at least 1")
         if self.polish_evals < 0:
@@ -163,11 +150,10 @@ def genome_length(problem: ControlProblem) -> int:
 def genome_bounds(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper box for the genome vector (phases use [0, 2pi])."""
     n = problem.n_pulses
-    b = problem.effective_bounds
     if problem.mode == MODE_FREE:
-        hi = np.concatenate([np.full(n, b.tau_max_us), np.full(n, b.t_max_us), np.full(n, TWO_PI)])
+        hi = np.concatenate([np.full(n, TAU_MAX_US), np.full(n, problem.t_max_us), np.full(n, TWO_PI)])
     else:
-        hi = np.concatenate([np.full(n, b.tau_max_us), np.full(n, TWO_PI)])
+        hi = np.concatenate([np.full(n, TAU_MAX_US), np.full(n, TWO_PI)])
     return np.zeros_like(hi), hi
 
 
@@ -179,10 +165,9 @@ def _split(problem: ControlProblem, genomes) -> tuple[np.ndarray, np.ndarray, np
     """
     g = np.atleast_2d(np.asarray(genomes, dtype=float))
     n = problem.n_pulses
-    b = problem.effective_bounds
-    taus = np.clip(g[:, :n], 0.0, b.tau_max_us)
+    taus = np.clip(g[:, :n], 0.0, TAU_MAX_US)
     if problem.mode == MODE_FREE:
-        ts = np.clip(g[:, n : 2 * n], 0.0, b.t_max_us)
+        ts = np.clip(g[:, n : 2 * n], 0.0, problem.t_max_us)
         phis = g[:, 2 * n :]
     else:
         ts = np.full_like(taus, problem.switched_pulse_us)
@@ -230,7 +215,6 @@ class _FitnessKernel:
     def __init__(self, problem: ControlProblem):
         self.problem = problem
         self.n = problem.n_pulses
-        self.tau_max = problem.effective_bounds.tau_max_us
         h = build_hamiltonian_subspace(problem.params).matrix
         blocks = [np.linalg.eigh(h[s, s]) for s in (slice(0, 2), slice(2, 4))]
         self._w_free = np.concatenate([w for w, _ in blocks])
@@ -287,7 +271,7 @@ class _FitnessKernel:
             acc += self._fidelities(diagonals, ts, s)
         fid = acc / len(self.omegas)
         dur = taus.sum(axis=1) + ts.sum(axis=1)
-        fit = fid - self.problem.duration_penalty * dur / self.tau_max
+        fit = fid - self.problem.duration_penalty * dur / TAU_MAX_US
         return fit, dur
 
 
@@ -492,7 +476,7 @@ def reproduce_tables(
     which: str,
     params: SystemParams | None = None,
     ga: GaConfig | None = None,
-    base_seed: int = 20260809,
+    base_seed: int = DEFAULT_SEED,
 ) -> list[dict]:
     """Run the benchmark batch `which` in ("I", "II", "III") and return rows.
 

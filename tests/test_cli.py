@@ -287,33 +287,41 @@ def test_fit_missing_data_file(tmp_path):
 
 
 def test_manifest_reproduces_outputs_bitwise(tmp_path):
-    out1 = tmp_path / "run1"
-    args = ["optimize", "--seed", "5",
-            "--set", "optimize.target=u_90",
-            "--set", "optimize.n_pulses=2"] + TINY_GA
-    assert run(args + ["--out", out1]) == 0
-    out2 = tmp_path / "run2"
-    assert run(["optimize", "--config", out1 / "manifest.json", "--out", out2]) == 0
-    for name in ("manifest.json", "sequence.json", "result.json", "history.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    # the fit commands read their inputs from config keys, which their options alias
+    """Every command re-runs from its own manifest, which names the command
+    (with the fit kind), and writes the same files bitwise."""
+    seq_path = tmp_path / "seq.json"
+    nc.PulseSequence(0.5, (nc.Delay(0.2), nc.Pulse(1.0, 0.5))).save(seq_path)
     tau = np.linspace(0.0, 40.0, 120)
     nc.FidTrace(tau, 0.25 + 0.13 * np.sin(2 * math.pi * 0.158 * tau + 0.4)).to_csv(tmp_path / "fid.csv")
     d = np.linspace(0.0, 120.0, 200)
     pol = nc.polarization_curve(nc.paper_polarization_model(), d)
     write_csv(tmp_path / "pol.csv", ("d_l_us", "p"), (d, pol))
-    for argv in (
-        ["fit", "polarization", "--data", tmp_path / "pol.csv"],
-        ["fit", "sinusoid", "--data", tmp_path / "fid.csv", "--nu", 0.158],
-        ["fit", "fidelities", "--b0", 0.13, "--b1", 0.11, "--bm1", 0.20, "--f", 0.7],
-    ):
-        out1, out2 = tmp_path / f"{argv[1]}-1", tmp_path / f"{argv[1]}-2"
-        assert run(argv + ["--out", out1]) == 0
-        assert run(argv[:2] + ["--config", out1 / "manifest.json", "--out", out2]) == 0
+    cases = [
+        (["optimize"], ["--seed", "5", "--set", "optimize.target=u_90", "--set", "optimize.n_pulses=2",
+                        *TINY_GA]),
+        (["angles"], ["--set", "params.nu_c_override=0.3"]),
+        (["esr"], ["--set", "esr.branch=1", "--set", "esr.n_points=101"]),
+        (["fid"], ["--set", "fid.protocol=uc", "--set", f"fid.sequence={seq_path}", "--set", "fid.record_us=20"]),
+        (["spectrum"], ["--set", f"spectrum.fid_csv={tmp_path / 'fid.csv'}", "--set", "spectrum.zerofill_factor=2"]),
+        (["bloch"], ["--set", f"bloch.sequence={seq_path}", "--set", "bloch.dt_us=0.05"]),
+        (["polarize"], ["--set", f"polarize.sequence={seq_path}", "--set", "polarize.n_points=51"]),
+        (["tables"], ["--which", "III", "--seed", "3", "--set", "tables.ga.population=6",
+                      "--set", "tables.ga.generations=3", "--set", "tables.ga.restarts=1",
+                      "--set", "tables.ga.polish_evals=5"]),
+        # the fit commands read their inputs from config keys, which their options alias
+        (["fit", "polarization"], ["--data", tmp_path / "pol.csv"]),
+        (["fit", "sinusoid"], ["--data", tmp_path / "fid.csv", "--nu", 0.158]),
+        (["fit", "fidelities"], ["--b0", 0.13, "--b1", 0.11, "--bm1", 0.20, "--f", 0.7]),
+    ]
+    for command, options in cases:
+        out1, out2 = tmp_path / f"{'-'.join(command)}-1", tmp_path / f"{'-'.join(command)}-2"
+        assert run(command + options + ["--out", out1]) == 0
+        assert json.loads((out1 / "manifest.json").read_text())["command"] == " ".join(command)
+        assert run(command + ["--config", out1 / "manifest.json", "--out", out2]) == 0
         files = sorted(p.name for p in out1.iterdir())
-        assert files == sorted(p.name for p in out2.iterdir()) and len(files) == 2
+        assert files == sorted(p.name for p in out2.iterdir()) and len(files) >= 2
         for name in files:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
 def test_config_file_loading(tmp_path):
@@ -398,6 +406,15 @@ MALFORMED = {
     "fid-key-misspelt": ["fid", "--set", "fid.dt=0.5"],
     "bloch-key-misspelt": ["bloch", "--set", "bloch.sequence={sequence}", "--set", "bloch.dt=0.05"],
     "optimize-ga-key-misspelt": ["optimize", *TINY_GA, "--set", "optimize.ga.populaton=12"],
+    # the GA operator settings and the search box are fixed, not config keys
+    **{
+        f"optimize-ga-{key}": ["optimize", *TINY_GA, "--set", f"optimize.ga.{key}={value}"]
+        for key, value in (("crossover_rate", 0.5), ("mutation_rate", 0.2), ("mutation_sigma", 0.1),
+                           ("elite_count", 1), ("tournament_size", 2))
+    },
+    "tables-ga-elite-count": ["tables", "--which", "III", "--set", "tables.ga.population=6",
+                              "--set", "tables.ga.generations=1", "--set", "tables.ga.restarts=1",
+                              "--set", "tables.ga.polish_evals=0", "--set", "tables.ga.elite_count=1"],
     "optimize-robust-key-misspelt": [
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.47, "hi_mhz": 0.53, "n_sample": 5}}',
     ],

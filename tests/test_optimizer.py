@@ -33,8 +33,6 @@ def test_problem_inputs_reject_non_finite_values(paper, value):
     for build in (
         lambda: nc.ControlProblem(paper, target, rabi_mhz=value),
         lambda: nc.ControlProblem(paper, target, duration_penalty=value),
-        lambda: nc.Bounds(value, 10.0),
-        lambda: nc.Bounds(2.0, value),
         lambda: nc.RobustnessRange(value, 0.52),
         lambda: nc.RobustnessRange(0.48, value),
         lambda: nc.PolarizationModel(value, 0.51, 0.50, 1.10, 0.41, 0.022),
@@ -70,7 +68,7 @@ def test_decode_clamps_and_wraps(up_problem):
     g[0] = -5.0  # delay gene below zero
     g[6] = -math.pi  # phase gene wraps
     seq = nc.decode(up_problem, g)
-    assert seq.pulses()[0].us == up_problem.effective_bounds.t_max_us
+    assert seq.pulses()[0].us == up_problem.t_max_us
     assert seq.delays()[0].us == 0.0
     assert seq.pulses()[0].phase_rad == pytest.approx(math.pi)
 
