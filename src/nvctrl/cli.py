@@ -13,30 +13,25 @@ Exit codes: 0 success, 2 usage error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import experiments, optimizer, signals, spin_model
 from .errors import FileMissing, NvctrlError, UnknownTarget
+from .experiments import DEFAULT_UC_PRIME_RECORD_US, DEFAULT_UC_RECORD_US
 from .fidelity import RobustnessRange, build_target, rho0_state, rho_p_state
 from .optimizer import DEFAULT_SEED, ControlProblem, GaConfig
 from .propagation import PulseSequence, trajectory
 from .spin_model import SystemParams
 
-_FID_PROTOCOLS = (
-    "uc",
-    "uc_prime",
-    "u90_ms0",
-    "u90_ms-1",
-    "u90_ms+1",
-    "analytic_uc",
-    "analytic_uc_prime",
-)
+_FID_PROTOCOLS = ("uc", "uc_prime", "u90_ms0", "u90_ms-1", "u90_ms+1", "analytic_uc", "analytic_uc_prime")
 
 # raised by bad configuration input while a command builds its inputs (exit 2)
 _BAD_INPUT = (TypeError, ValueError, KeyError, OverflowError)
@@ -46,18 +41,74 @@ class UsageError(NvctrlError):
     """Bad command-line or configuration input (exit status 2)."""
 
 
-def _positive(value, what: str) -> float:
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise UsageError(f"{what} must be a positive finite number, got {value!r}")
-    return number
+_POLARIZATION_MODEL = asdict(experiments.paper_polarization_model())
+_GA = {**{f.name: f.default for f in fields(GaConfig)}, "seed": int | None}
+_FIT_RATIOS = ("b0", "b1", "bm1", "f")
+
+# Every config block a command reads, by dotted path (a fit command's keys
+# by the command: they live in the `fit` block), as {key: default}.  A
+# default's type is the key's type; a bare type marks a key that must be
+# given, and `type | None` a key whose default is None.  A sub-block is a
+# `dict` key of its parent with an entry of its own.
+_BLOCKS = {
+    "params": {f.name: float | None if f.default is None else f.default for f in fields(SystemParams)},
+    "esr": {"branch": -1, "linewidth_mhz": 0.02, "f_min_mhz": -0.35, "f_max_mhz": 0.35, "n_points": 2001},
+    "optimize": {
+        "target": "u_p", "rabi_mhz": 0.5, "mode": "free", "robust": dict | None, "n_pulses": 3,
+        "duration_penalty": 0.0, "ga": {},
+    },
+    # in RobustnessRange's argument order
+    "optimize.robust": {"lo_mhz": float, "hi_mhz": float, "n_samples": 5},
+    "optimize.ga": _GA,
+    "fid": {
+        "protocol": "analytic_uc", "record_us": float | None, "dt_us": experiments.DEFAULT_STEP_US,
+        "sequence": str | None, "sequence_dagger": str | None, "sequence_readout": str | None,
+        "polarization": 1.0,
+    },
+    "spectrum": {
+        "fid_csv": str, "window": "hann", "zerofill_factor": 4, "exp_rate": float | None, "n_peaks": 3,
+    },
+    "bloch": {"sequence": str, "initial": "rho0", "dt_us": 0.01},
+    "polarize": {**_POLARIZATION_MODEL, "d_max_us": 50.0, "n_points": 501, "sequence": str | None},
+    "tables": {"which": "I", "ga": {}},
+    "tables.ga": _GA,
+    "fit polarization": {"data": str},
+    "fit sinusoid": {"data": str, "nu_mhz": float},
+    "fit fidelities": dict.fromkeys(_FIT_RATIOS, float),
+}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
 
 
-def _at_least(value, minimum: int, what: str) -> int:
-    number = int(value)
-    if number < minimum:
+def _kind(decl) -> type:
+    """The type of a key declared by `decl`."""
+    optional = get_args(decl)  # (type, NoneType) for `type | None`
+    return optional[0] if optional else decl if isinstance(decl, type) else type(decl)
+
+
+def _checked(key: str, value, decl):
+    """`value` if JSON gave it with the type `decl` declares: an integer
+    passes as a float, and null only for a `type | None` key."""
+    kind = _kind(decl)
+    if value is None and get_args(decl):
+        return None
+    if kind is float and type(value) is int:
+        with contextlib.suppress(OverflowError):
+            value = float(value)
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    raise UsageError(f"{key} must be {_KINDS[kind]}, got {json.dumps(value)}")
+
+
+def _positive(value: float, what: str) -> float:
+    if not value > 0:
+        raise UsageError(f"{what} must be positive, got {value!r}")
+    return value
+
+
+def _at_least(value: int, minimum: int, what: str) -> int:
+    if value < minimum:
         raise UsageError(f"{what} must be at least {minimum}, got {value!r}")
-    return number
+    return value
 
 
 def _parse_set_value(text: str):
@@ -95,25 +146,33 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         _apply_override(config, key, _parse_set_value(value))
-    if seed is not None:
-        config["seed"] = seed
-    config.setdefault("seed", DEFAULT_SEED)
+    config["seed"] = _checked("seed", config.get("seed", DEFAULT_SEED) if seed is None else seed, int)
     return config
 
 
-def _block(config: dict, name: str, keys) -> dict:
-    """The config block `name`, holding only the keys the command reads."""
-    block = config.get(name, {})
-    if not isinstance(block, dict):
-        raise UsageError(f"config block {name!r} must be an object, got {block!r}")
-    unknown = sorted(set(block) - set(keys))
+def _block(config: dict, name: str) -> dict:
+    """The config block `_BLOCKS[name]` with every declared key checked or
+    filled in; any other key is a usage error."""
+    spec, path = _BLOCKS[name], name.split()[0]
+    block = config
+    for part in path.split("."):
+        block = block.get(part, {})
+        if not isinstance(block, dict):
+            raise UsageError(f"config block {path!r} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(spec))
     if unknown:
-        raise UsageError(f"unknown keys {unknown} in config block {name!r}; expected some of {sorted(keys)}")
-    return block
+        raise UsageError(f"unknown keys {unknown} in config block {path!r}; expected some of {sorted(spec)}")
+    # an absent key takes its declared default, or null when it has none
+    return {
+        key: _checked(f"{path}.{key}", block.get(key, decl if type(decl) in _KINDS else None), decl)
+        for key, decl in spec.items()
+    }
 
 
-def _params_from_config(config: dict) -> SystemParams:
-    return SystemParams(**_block(config, "params", [f.name for f in fields(SystemParams)]))
+def _ga(config: dict, name: str) -> GaConfig:
+    """The GA budget in block `name`; its seed defaults to the top-level seed."""
+    ga = _block(config, name)
+    return GaConfig(**{**ga, "seed": config["seed"] if ga["seed"] is None else ga["seed"]})
 
 
 def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:
@@ -126,7 +185,7 @@ def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:
 
 
 def cmd_angles(config, args):
-    params = _params_from_config(config)
+    params = SystemParams(**_block(config, "params"))
     theta_plus, theta_minus = spin_model.quantization_angles(params)
     nu_c, nu_minus, nu_plus = spin_model.nuclear_frequencies(params)
     payload = {
@@ -144,15 +203,14 @@ def cmd_angles(config, args):
 
 
 def cmd_esr(config, args):
-    params = _params_from_config(config)
-    block = _block(config, "esr", ("branch", "linewidth_mhz", "f_min_mhz", "f_max_mhz", "n_points"))
-    branch = int(block.get("branch", -1))
-    linewidth = _positive(block.get("linewidth_mhz", 0.02), "esr.linewidth_mhz")
-    f_lo = float(block.get("f_min_mhz", -0.35))
-    f_hi = float(block.get("f_max_mhz", 0.35))
+    params = SystemParams(**_block(config, "params"))
+    block = _block(config, "esr")
+    branch = block["branch"]
+    linewidth = _positive(block["linewidth_mhz"], "esr.linewidth_mhz")
+    f_lo, f_hi = block["f_min_mhz"], block["f_max_mhz"]
     if not (math.isfinite(f_hi - f_lo) and f_lo < f_hi):
         raise UsageError(f"esr.f_min_mhz < esr.f_max_mhz must bound a finite window, got {f_lo!r}, {f_hi!r}")
-    n = _at_least(block.get("n_points", 2001), 2, "esr.n_points")
+    n = _at_least(block["n_points"], 2, "esr.n_points")
     lines = spin_model.esr_lines(params, branch)
     spec = spin_model.esr_spectrum(lines, linewidth, np.linspace(f_lo, f_hi, n))
     files = {
@@ -165,52 +223,26 @@ def cmd_esr(config, args):
     return files, f"wrote {len(lines)} ESR lines (branch {branch:+d}) and spectrum"
 
 
-_GA_KEYS = tuple(f.name for f in fields(GaConfig))
-
-
-def _ga_from_config(block: dict, seed: int) -> GaConfig:
-    return GaConfig(**{key: int(value) for key, value in {"seed": seed, **block}.items()})
-
-
-def _problem_from_config(params: SystemParams, block: dict) -> ControlProblem:
-    name = block.get("target", "u_p")
-    rabi = float(block.get("rabi_mhz", 0.5))
-    target = build_target(name, params, rabi)
-    mode_text = block.get("mode", "free")
-    if mode_text in ("free", optimizer.MODE_FREE):
-        mode = optimizer.MODE_FREE
-    elif mode_text in ("switched", optimizer.MODE_SWITCHED):
-        mode = optimizer.MODE_SWITCHED
-    else:
-        raise UsageError(f"unknown mode {mode_text!r}")
-    robust = None
-    if block.get("robust"):
-        r = _block(block, "robust", ("lo_mhz", "hi_mhz", "n_samples"))
-        robust = RobustnessRange(
-            float(r["lo_mhz"]), float(r["hi_mhz"]), int(r.get("n_samples", 5))
-        )
-    return ControlProblem(
-        params=params,
-        target=target,
-        n_pulses=int(block.get("n_pulses", 3)),
-        rabi_mhz=rabi,
-        mode=mode,
-        robustness=robust,
-        duration_penalty=float(block.get("duration_penalty", 0.0)),
-    )
-
-
 def cmd_optimize(config, args):
-    params = _params_from_config(config)
-    block = _block(config, "optimize", (
-        "target", "rabi_mhz", "mode", "robust", "n_pulses", "duration_penalty", "ga",
-    ))
-    problem = _problem_from_config(params, block)
-    ga = _ga_from_config(_block(block, "ga", _GA_KEYS), config["seed"])
-    result = optimizer.optimize(problem, ga)
+    params = SystemParams(**_block(config, "params"))
+    block = _block(config, "optimize")
+    modes = {"free": optimizer.MODE_FREE, "switched": optimizer.MODE_SWITCHED}
+    mode = modes.get(block["mode"], block["mode"])
+    if mode not in modes.values():
+        raise UsageError(f"unknown mode {block['mode']!r}")
+    problem = ControlProblem(
+        params=params,
+        target=build_target(block["target"], params, block["rabi_mhz"]),
+        n_pulses=block["n_pulses"],
+        rabi_mhz=block["rabi_mhz"],
+        mode=mode,
+        robustness=RobustnessRange(*_block(config, "optimize.robust").values()) if block["robust"] else None,
+        duration_penalty=block["duration_penalty"],
+    )
+    result = optimizer.optimize(problem, _ga(config, "optimize.ga"))
     files = {
         "sequence.json": result.best_sequence.save,
-        "result.json": result.save,
+        "result.json": result.to_json_dict(),
         "history.csv": lambda path: signals.write_csv(
             path,
             ("generation", "best_fitness"),
@@ -225,35 +257,29 @@ def cmd_optimize(config, args):
 
 
 def cmd_fid(config, args):
-    params = _params_from_config(config)
-    block = _block(config, "fid", (
-        "protocol", "record_us", "dt_us", "sequence", "sequence_dagger", "sequence_readout", "polarization",
-    ))
-    protocol = block.get("protocol", "analytic_uc")
+    params = SystemParams(**_block(config, "params"))
+    block = _block(config, "fid")
+    protocol = block["protocol"]
     if protocol not in _FID_PROTOCOLS:
         raise UsageError(f"unknown fid protocol {protocol!r}; expected one of {_FID_PROTOCOLS}")
-    record = _positive(
-        block.get("record_us", 300.0 if protocol.endswith("uc_prime") else 200.0), "fid.record_us"
-    )
-    step = _positive(block.get("dt_us", 1.0), "fid.dt_us")
+    default_us = DEFAULT_UC_PRIME_RECORD_US if protocol.endswith("uc_prime") else DEFAULT_UC_RECORD_US
+    record = _positive(default_us if block["record_us"] is None else block["record_us"], "fid.record_us")
+    step = _positive(block["dt_us"], "fid.dt_us")
     tau = experiments.default_tau_grid(record, step)
     if protocol == "analytic_uc":
         trace = experiments.analytic_fid("uc", params, tau)
     elif protocol == "analytic_uc_prime":
         trace = experiments.analytic_fid("uc_prime", params, tau)
     elif protocol in ("uc", "uc_prime"):
-        seq = _load_sequence(block.get("sequence"), "preparation")
-        seq_dag = _load_sequence(block.get("sequence_dagger"), "readout")
+        seq = _load_sequence(block["sequence"], "preparation")
+        seq_dag = _load_sequence(block["sequence_dagger"], "readout")
         fn = experiments.fid_uc if protocol == "uc" else experiments.fid_uc_prime
         trace = fn(params, seq, seq_dag, tau)
     else:
         subspace = {"u90_ms0": 0, "u90_ms-1": -1, "u90_ms+1": +1}[protocol]
-        seq = _load_sequence(block.get("sequence"), "excitation")
-        seq_ut = _load_sequence(block.get("sequence_readout"), "readout")
-        polarization = float(block.get("polarization", 1.0))
-        trace = experiments.fid_u90(
-            params, subspace, seq, seq_ut, tau, initial_polarization=polarization
-        )
+        seq = _load_sequence(block["sequence"], "excitation")
+        seq_ut = _load_sequence(block["sequence_readout"], "readout")
+        trace = experiments.fid_u90(params, subspace, seq, seq_ut, tau, block["polarization"])
     files = {
         "fid.csv": trace.to_csv,
         "fid.json": {
@@ -267,21 +293,13 @@ def cmd_fid(config, args):
 
 
 def cmd_spectrum(config, args):
-    block = _block(config, "spectrum", ("fid_csv", "window", "zerofill_factor", "exp_rate", "n_peaks"))
-    source = block.get("fid_csv")
-    if source is None:
-        raise UsageError("spectrum needs spectrum.fid_csv pointing at a FID file")
-    p = Path(source)
+    block = _block(config, "spectrum")
+    p = Path(block["fid_csv"])
     if not p.exists():
         raise FileMissing(f"FID file not found: {p}")
     trace = signals.FidTrace.from_csv(p)
-    spec = experiments.spectrum_from_fid(
-        trace,
-        window=block.get("window", "hann"),
-        zerofill_factor=int(block.get("zerofill_factor", 4)),
-        exp_rate=block.get("exp_rate"),
-    )
-    peaks = signals.top_peaks(spec, _at_least(block.get("n_peaks", 3), 1, "spectrum.n_peaks"))
+    spec = experiments.spectrum_from_fid(trace, block["window"], block["zerofill_factor"], block["exp_rate"])
+    peaks = signals.top_peaks(spec, _at_least(block["n_peaks"], 1, "spectrum.n_peaks"))
     files = {
         "spectrum.csv": spec.to_csv,
         "peaks.json": {
@@ -294,17 +312,15 @@ def cmd_spectrum(config, args):
 
 
 def cmd_bloch(config, args):
-    params = _params_from_config(config)
-    block = _block(config, "bloch", ("sequence", "initial", "dt_us"))
-    seq = _load_sequence(block.get("sequence"), "bloch")
-    if seq is None:
-        raise UsageError("bloch needs bloch.sequence pointing at a sequence file")
-    initial = block.get("initial", "rho0")
+    params = SystemParams(**_block(config, "params"))
+    block = _block(config, "bloch")
+    seq = _load_sequence(block["sequence"], "bloch")
+    initial = block["initial"]
     states = {"rho0": rho0_state, "rho_p": rho_p_state}
     if initial not in states:
         raise UsageError(f"unknown initial state {initial!r}; expected one of {sorted(states)}")
     rho = states[initial]()
-    dt = _positive(block.get("dt_us", 0.01), "bloch.dt_us")
+    dt = _positive(block["dt_us"], "bloch.dt_us")
     h = spin_model.build_hamiltonian_subspace(params)
     rows = trajectory(h, seq, rho, dt_us=dt)
     t, ex, ey, ez, cx, cy, cz = rows[-1].tolist()
@@ -322,24 +338,14 @@ def cmd_bloch(config, args):
 
 
 def cmd_polarize(config, args):
-    params = _params_from_config(config)
-    block = _block(config, "polarize", (
-        "c0", "c1", "c2", "alpha", "beta", "gamma", "d_max_us", "n_points", "sequence",
-    ))
-    defaults = experiments.paper_polarization_model()
-    model = experiments.PolarizationModel(
-        c0=float(block.get("c0", defaults.c0)),
-        c1=float(block.get("c1", defaults.c1)),
-        c2=float(block.get("c2", defaults.c2)),
-        alpha=float(block.get("alpha", defaults.alpha)),
-        beta=float(block.get("beta", defaults.beta)),
-        gamma=float(block.get("gamma", defaults.gamma)),
-    )
-    d_max = _positive(block.get("d_max_us", 50.0), "polarize.d_max_us")
-    n = _at_least(block.get("n_points", 501), 2, "polarize.n_points")
+    params = SystemParams(**_block(config, "params"))
+    block = _block(config, "polarize")
+    model = experiments.PolarizationModel(**{key: block[key] for key in _POLARIZATION_MODEL})
+    d_max = _positive(block["d_max_us"], "polarize.d_max_us")
+    n = _at_least(block["n_points"], 2, "polarize.n_points")
     grid = np.linspace(0.0, d_max, n)
     curve = experiments.polarization_curve(model, grid)
-    seq = _load_sequence(block.get("sequence"), "polarizing")
+    seq = _load_sequence(block["sequence"], "polarizing")
     d_star, p_star = experiments.polarization_curve_max(model, 0.0, d_max)
     payload = {"curve_max": {"d_l_us": d_star, "p": p_star}}
     lines = []
@@ -358,18 +364,6 @@ def cmd_polarize(config, args):
     return files, "\n".join(lines)
 
 
-_FIT_RATIOS = ("b0", "b1", "bm1", "f")
-
-
-def _fit_block(config, keys) -> dict:
-    """The `fit` block, holding exactly `keys` (each set in the config or by its option)."""
-    block = _block(config, "fit", keys)
-    missing = [f"fit.{key}" for key in keys if key not in block]
-    if missing:
-        raise UsageError(f"fit needs {', '.join(missing)} (in the config or by its option)")
-    return block
-
-
 def _fit_data(block) -> np.ndarray:
     """The first two columns of the fit.data CSV."""
     p = Path(block["data"])
@@ -379,7 +373,7 @@ def _fit_data(block) -> np.ndarray:
 
 
 def cmd_fit_polarization(config, args):
-    model = experiments.fit_polarization(_fit_data(_fit_block(config, ("data",))))
+    model = experiments.fit_polarization(_fit_data(_block(config, "fit polarization")))
     payload = {
         "c0": model.c0,
         "c1": model.c1,
@@ -394,7 +388,7 @@ def cmd_fit_polarization(config, args):
 
 
 def cmd_fit_sinusoid(config, args):
-    block = _fit_block(config, ("data", "nu_mhz"))
+    block = _block(config, "fit sinusoid")
     nu = _positive(block["nu_mhz"], "fit.nu_mhz")
     a, b, c = experiments.fit_fid_amplitude(_fit_data(block), nu)
     return {"fit_sinusoid.json": {"a": a, "b": b, "c": c, "nu_mhz": nu}}, (
@@ -403,7 +397,7 @@ def cmd_fit_sinusoid(config, args):
 
 
 def cmd_fit_fidelities(config, args):
-    block = _fit_block(config, _FIT_RATIOS)
+    block = _block(config, "fit fidelities")
     ratios = {name: _positive(block[name], f"fit.{name}") for name in _FIT_RATIOS}
     est = experiments.estimate_experimental_fidelities(**ratios)
     payload = {
@@ -419,13 +413,12 @@ def cmd_fit_fidelities(config, args):
 
 
 def cmd_tables(config, args):
-    params = _params_from_config(config)
-    block = _block(config, "tables", ("which", "ga"))
-    which = args.which or block.get("which", "I")
+    params = SystemParams(**_block(config, "params"))
+    block = _block(config, "tables")
+    which = args.which or block["which"]
     if which not in ("I", "II", "III", "all"):
         raise UsageError(f"unknown table {which!r}; expected I, II, III or all")
-    ga_block = _block(block, "ga", _GA_KEYS)
-    ga = _ga_from_config(ga_block, config["seed"]) if ga_block else None
+    ga = _ga(config, "tables.ga") if block["ga"] else None
     config.setdefault("tables", {})["which"] = which
     files, lines = {}, []
     header = ("table", "target", "mode", "rabi_mhz", "n_pulses", "seed", "fidelity", "duration_us")

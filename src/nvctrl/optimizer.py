@@ -10,11 +10,9 @@ schedule, so results are bitwise reproducible for a given seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -136,11 +134,6 @@ class OptimResult:
             "seed": self.seed,
             "history": [float(x) for x in self.history],
         }
-
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
 
 
 def genome_length(problem: ControlProblem) -> int:

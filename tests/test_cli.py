@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
-from nvctrl import propagation
+from nvctrl import cli, propagation
 from nvctrl.cli import main
 from nvctrl.signals import read_csv, write_csv
 
@@ -427,6 +426,32 @@ MALFORMED = {
     "sequence-rabi-bool": ["polarize", "--set", "polarize.sequence={rabi_bool}"],
     "sequence-delay-with-phase": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={delay_phase}"],
     "sequence-phase-overflow": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={overflow_pulse}"],
+    # a fraction for an integer key and a boolean for a number are rejected, not truncated or taken as 1
+    "optimize-ga-generations-fraction": ["optimize", *TINY_GA, "--set", "optimize.ga.generations=1.9"],
+    "optimize-ga-restarts-bool": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=true"],
+    "optimize-pulses-fraction": ["optimize", *TINY_GA, "--set", "optimize.n_pulses=2.5"],
+    "optimize-robust-samples-fraction": [
+        "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.48, "hi_mhz": 0.52, "n_samples": 2.9}}',
+    ],
+    "seed-fraction": ["optimize", *TINY_GA, "--set", "seed=1.5"],
+    "seed-bool": ["angles", "--set", "seed=true"],
+    "esr-branch-bool": ["esr", "--set", "esr.branch=true"],
+    "esr-points-fraction": ["esr", "--set", "esr.n_points=3.9"],
+    "spectrum-peaks-fraction": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.n_peaks=2.7",
+    ],
+    "spectrum-zerofill-fraction": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.zerofill_factor=2.5",
+    ],
+    "spectrum-exp-rate-bool": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.window=exponential",
+        "--set", "spectrum.exp_rate=true",
+    ],
+    "fid-record-bool": ["fid", "--set", "fid.record_us=true"],
+    "fid-polarization-bool": ["fid", "--set", "fid.protocol=u90_ms0", "--set", "fid.polarization=true"],
+    "params-field-bool": ["angles", "--set", "params.b_mt=true"],
+    "params-override-bool": ["angles", "--set", "params.nu_c_override=true"],
+    "polarize-c0-bool": ["polarize", "--set", "polarize.c0=true"],
 }
 
 
@@ -460,20 +485,11 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# each command that runs no search, with every key of the block it reads and the key's declared type
 FUZZ_KEYS = {
-    "angles": [f"params.{f.name}" for f in dataclasses.fields(nc.SystemParams)],
-    "esr": [f"esr.{k}" for k in ("branch", "linewidth_mhz", "f_min_mhz", "f_max_mhz", "n_points")],
-    "fid": [
-        f"fid.{k}"
-        for k in ("protocol", "record_us", "dt_us", "sequence", "sequence_dagger",
-                  "sequence_readout", "polarization")
-    ],
-    "spectrum": [f"spectrum.{k}" for k in ("fid_csv", "window", "zerofill_factor", "exp_rate", "n_peaks")],
-    "bloch": [f"bloch.{k}" for k in ("sequence", "initial", "dt_us")],
-    "polarize": [
-        f"polarize.{k}"
-        for k in ("c0", "c1", "c2", "alpha", "beta", "gamma", "d_max_us", "n_points", "sequence")
-    ],
+    command: {f"{block}.{key}": cli._kind(decl) for key, decl in cli._BLOCKS[block].items()}
+    for command, block in (("angles", "params"), ("esr", "esr"), ("fid", "fid"), ("spectrum", "spectrum"),
+                           ("bloch", "bloch"), ("polarize", "polarize"))
 }
 # every value is either rejected or too large to allocate (1e308), so no
 # draw builds a big grid
@@ -485,7 +501,7 @@ FUZZ_VALUES = ("NaN", "Infinity", "-Infinity", "-1", "0", "0.5", "1e308",
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     case=st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
-        lambda command: st.tuples(st.just(command), st.sampled_from(FUZZ_KEYS[command]))
+        lambda command: st.tuples(st.just(command), st.sampled_from(sorted(FUZZ_KEYS[command])))
     ),
     value=st.sampled_from(FUZZ_VALUES),
 )
@@ -506,9 +522,50 @@ def test_fuzzed_config_value_keeps_exit_contract(tmp_path, case, value):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run([command, *base, "--set", f"{key}={value}", "--out", out])
     assert code in (0, 2, 3)
+    # no key takes a boolean, and an integer key takes no fraction
+    if value == "true" or (value == "0.5" and FUZZ_KEYS[command][key] is int):
+        assert code == 2
     assert "Traceback" not in err.getvalue()
     assert code == 0 or not out.exists()
     shutil.rmtree(out, ignore_errors=True)
+
+
+# the command that reads each config block, with options that give its
+# other keys valid values; every check fails before a file is read or a
+# search runs
+TINY_TABLES_GA = ["--set", 'tables.ga={"population": 6, "generations": 1, "restarts": 1, "polish_evals": 0}']
+BLOCK_COMMANDS = {
+    "params": ["angles"],
+    "esr": ["esr"],
+    "optimize": ["optimize", *TINY_GA],
+    "optimize.robust": ["optimize", *TINY_GA, "--set", 'optimize.robust={"lo_mhz": 0.48, "hi_mhz": 0.52}'],
+    "optimize.ga": ["optimize", *TINY_GA],
+    "fid": ["fid"],
+    "spectrum": ["spectrum", "--set", "spectrum.fid_csv=fid.csv"],
+    "bloch": ["bloch", "--set", "bloch.sequence=seq.json"],
+    "polarize": ["polarize"],
+    "tables": ["tables", "--which", "III", *TINY_TABLES_GA],
+    "tables.ga": ["tables", "--which", "III", *TINY_TABLES_GA],
+    "fit polarization": ["fit", "polarization"],
+    "fit sinusoid": ["fit", "sinusoid", "--set", "fit.data=fid.csv", "--set", "fit.nu_mhz=0.1"],
+    "fit fidelities": ["fit", "fidelities", *[a for k in cli._FIT_RATIOS for a in ("--set", f"fit.{k}=0.5")]],
+}
+
+
+def test_every_key_rejects_booleans_and_integer_keys_reject_fractions(tmp_path, capsys):
+    """`true` for any key and 0.5 for an integer key exit 2, and the usage
+    error names the full dotted key."""
+    assert BLOCK_COMMANDS.keys() == cli._BLOCKS.keys()
+    for name, spec in cli._BLOCKS.items():
+        for key, decl in spec.items():
+            dotted = f"{name.split()[0]}.{key}"
+            for value in ("true", "0.5") if cli._kind(decl) is int else ("true",):
+                out = tmp_path / "out"
+                code = run([*BLOCK_COMMANDS[name], "--set", f"{dotted}={value}", "--out", out])
+                assert code == 2, (dotted, value)
+                err = capsys.readouterr().err
+                assert err.startswith("usage error:") and dotted in err, (dotted, value, err)
+                assert not out.exists()
 
 
 VALID_SEQUENCE = {

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -476,14 +477,12 @@ def test_optimize_robust_audit(paper, h_sub):
     assert abs(redo - result.robust_fidelity) < 1e-12
 
 
-def test_optim_result_serialization(u90_problem, tmp_path):
+def test_optim_result_serialization(u90_problem):
     result = nc.optimize(u90_problem, SMALL_GA)
-    path = tmp_path / "result.json"
-    result.save(path)
-    import json
-
-    data = json.loads(path.read_text())
+    # the payload survives JSON text unchanged
+    data = json.loads(json.dumps(result.to_json_dict()))
     assert data["seed"] == SMALL_GA.seed
+    assert data["fidelity"] == result.fidelity and data["history"] == list(result.history)
     assert nc.PulseSequence.from_json_dict(data["sequence"]) == result.best_sequence
 
 
