@@ -33,8 +33,9 @@ from .spin_model import SystemParams
 
 _FID_PROTOCOLS = ("uc", "uc_prime", "u90_ms0", "u90_ms-1", "u90_ms+1", "analytic_uc", "analytic_uc_prime")
 
-# raised by bad configuration input while a command builds its inputs (exit 2)
-_BAD_INPUT = (TypeError, ValueError, KeyError, OverflowError)
+# raised by bad configuration input while a command builds its inputs (exit 2);
+# MemoryError is a size too large to allocate
+_BAD_INPUT = (TypeError, ValueError, KeyError, OverflowError, MemoryError)
 
 
 class UsageError(NvctrlError):
@@ -42,7 +43,8 @@ class UsageError(NvctrlError):
 
 
 _POLARIZATION_MODEL = asdict(experiments.paper_polarization_model())
-_GA = {**{f.name: f.default for f in fields(GaConfig)}, "seed": int | None}
+# the GA budget; the seed is the top-level `seed`
+_GA = {f.name: f.default for f in fields(GaConfig) if f.name != "seed"}
 _FIT_RATIOS = ("b0", "b1", "bm1", "f")
 
 # Every config block a command reads, by dotted path (a fit command's keys
@@ -170,9 +172,8 @@ def _block(config: dict, name: str) -> dict:
 
 
 def _ga(config: dict, name: str) -> GaConfig:
-    """The GA budget in block `name`; its seed defaults to the top-level seed."""
-    ga = _block(config, name)
-    return GaConfig(**{**ga, "seed": config["seed"] if ga["seed"] is None else ga["seed"]})
+    """The GA budget in block `name`, seeded by the top-level seed."""
+    return GaConfig(**_block(config, name), seed=config["seed"])
 
 
 def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:
@@ -418,25 +419,12 @@ def cmd_tables(config, args):
     which = args.which or block["which"]
     if which not in ("I", "II", "III", "all"):
         raise UsageError(f"unknown table {which!r}; expected I, II, III or all")
-    ga = _ga(config, "tables.ga") if block["ga"] else None
+    ga = _ga(config, "tables.ga")
     config.setdefault("tables", {})["which"] = which
     files, lines = {}, []
-    header = ("table", "target", "mode", "rabi_mhz", "n_pulses", "seed", "fidelity", "duration_us")
     for name in ["I", "II", "III"] if which == "all" else [which]:
-        rows = optimizer.reproduce_tables(name, params=params, ga=ga, base_seed=config["seed"])
-        text = "\n".join([",".join(header)] + [
-            ",".join([
-                row["table"],
-                row["target"],
-                row["mode"],
-                repr(float(row["rabi_mhz"])),
-                str(row["n_pulses"]),
-                str(row["seed"]),
-                repr(float(row["fidelity"])),
-                repr(float(row["duration_us"])),
-            ])
-            for row in rows
-        ]) + "\n"
+        rows = optimizer.reproduce_tables(name, params=params, ga=ga)
+        text = "".join(",".join(map(str, line)) + "\n" for line in [rows[0], *(row.values() for row in rows)])
         files[f"table_{name}.csv"] = lambda path, text=text: path.write_text(text, encoding="utf-8")
         lines += [
             f"table {name}: {row['target']} rabi {row['rabi_mhz']} n {row['n_pulses']} "

@@ -63,6 +63,8 @@ class RobustnessRange:
     def __post_init__(self):
         if not (math.isfinite(self.omega_lo_mhz) and math.isfinite(self.omega_hi_mhz)):
             raise ValueError("drive amplitude band must be finite")
+        if self.omega_lo_mhz < 0:
+            raise ValueError("drive amplitude band must not be negative")
         if self.omega_lo_mhz > self.omega_hi_mhz:
             raise ValueError("omega_lo must not exceed omega_hi")
         if self.n_samples < 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import ClassVar
 
 import numpy as np
@@ -37,6 +36,9 @@ DEFAULT_SEED = 20260809
 # the search box: delays in [0, TAU_MAX_US], pulses in [0, t_max_us] (two
 # Rabi periods), phases in [0, 2pi]
 TAU_MAX_US = 10.0
+# restarts x population: the genomes one lockstep generation evaluates
+# (125 times the default budget of 8 x 100)
+MAX_GENERATION_GENOMES = 100_000
 
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
 # eigenvalues of rho_initial at or below this are round-off, not rank
@@ -108,6 +110,8 @@ class GaConfig:
             raise ValueError(f"population must exceed the {self.elite_count} elites")
         if self.generations < 1 or self.restarts < 1:
             raise ValueError("generations and restarts must be at least 1")
+        if self.restarts * self.population > MAX_GENERATION_GENOMES:
+            raise ValueError(f"restarts x population must not exceed {MAX_GENERATION_GENOMES}")
         if self.polish_evals < 0:
             raise ValueError("polish_evals must be non-negative")
 
@@ -134,10 +138,6 @@ class OptimResult:
             "seed": self.seed,
             "history": [float(x) for x in self.history],
         }
-
-
-def genome_length(problem: ControlProblem) -> int:
-    return (3 if problem.mode == MODE_FREE else 2) * problem.n_pulses
 
 
 def genome_bounds(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +171,9 @@ def _split(problem: ControlProblem, genomes) -> tuple[np.ndarray, np.ndarray, np
 def decode(problem: ControlProblem, genome) -> PulseSequence:
     """Genome -> sequence; durations clamp to bounds, phases wrap mod 2pi."""
     g = np.asarray(genome, dtype=float)
-    if g.shape != (genome_length(problem),):
-        raise BadGenomeLength(
-            f"expected genome of length {genome_length(problem)}, got shape {g.shape}"
-        )
+    length = genome_bounds(problem)[0].size
+    if g.shape != (length,):
+        raise BadGenomeLength(f"expected genome of length {length}, got shape {g.shape}")
     taus, ts, phis = (a[0] for a in _split(problem, g))
     return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, np.mod(phis, TWO_PI))
 
@@ -268,8 +267,6 @@ class _FitnessKernel:
         return fit, dur
 
 
-_Candidate = tuple  # (fitness, duration, genome)
-
 # Polish: central-difference step (genome units) and L-BFGS-B's stopping
 # tolerances on the relative decrease of the objective and on the projected
 # gradient (in the width-scaled coordinates it works on).
@@ -278,17 +275,9 @@ _FTOL = 1e-13
 _GTOL = 1e-10
 
 
-def _better(a: _Candidate, b: _Candidate) -> bool:
-    """Tie-break: higher fitness, then shorter duration, then lower genome."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return tuple(a[2]) < tuple(b[2])
-
-
 def _leaders(fit, dur, pop) -> np.ndarray:
-    """Index of each row's best entry by `_better`, the first on a full tie."""
+    """Index of each row's best entry: the highest fitness, then the shortest
+    duration, then the genome lowest gene by gene; the first on a full tie."""
     lead = fit.argmax(axis=1)
     ties = fit == fit[np.arange(len(fit)), lead][:, None]
     tied = ties.sum(axis=1) > 1
@@ -303,7 +292,10 @@ def _leaders(fit, dur, pop) -> np.ndarray:
 def _run_restarts(kernel, problem, ga, rngs):
     """One GA run per generator, all in lockstep: one kernel call per
     generation.  A child bitwise equal to its first parent inherits that
-    parent's fitness and duration.  Returns [(best, history)] per restart."""
+    parent's fitness and duration.  With a polish budget, each restart's
+    polished genome is one more generation of one.  Returns each restart's
+    best fitness (R,), duration (R,) and genome (R, L), and the best fitness
+    after each generation (G + 1 or G + 2, R)."""
     lo, hi = genome_bounds(problem)
     length = lo.size
     n_dur = length - problem.n_pulses
@@ -351,18 +343,14 @@ def _run_restarts(kernel, problem, ga, rngs):
         fit = np.concatenate([fit[rows, elite], child_fit], axis=1)
         dur = np.concatenate([dur[rows, elite], child_dur], axis=1)
         consider_generation()
-    results = []
-    for fit_r, dur_r, genome, hist in zip(*best, np.array(history).T.tolist()):
-        cand = (float(fit_r), float(dur_r), genome)
-        if ga.polish_evals > 0:
-            polished = _polish(kernel, genome, ga.polish_evals)
-            cand = polished if _better(polished, cand) else cand
-            hist.append(cand[0])
-        results.append((cand, hist))
-    return results
+    if ga.polish_evals > 0:
+        polished = [_polish(kernel, genome, ga.polish_evals) for genome in best[2]]
+        fit, dur, pop = (np.array(a)[:, None] for a in zip(*polished))
+        consider_generation()
+    return (*best, np.array(history))
 
 
-def _polish(kernel, genome, budget) -> _Candidate:
+def _polish(kernel, genome, budget) -> tuple[float, float, np.ndarray]:
     """Deterministic L-BFGS-B refinement of one genome.
 
     Durations are boxed by `genome_bounds`; phases are left unbounded, since
@@ -418,10 +406,9 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
     ga = ga or GaConfig()
     kernel = _FitnessKernel(problem)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
-    best, best_history = reduce(
-        lambda a, b: b if _better(b[0], a[0]) else a, _run_restarts(kernel, problem, ga, rngs)
-    )
-    seq = decode(problem, best[2])
+    fit, dur, pop, history = _run_restarts(kernel, problem, ga, rngs)
+    win = _leaders(fit[None], dur[None], pop[None])[0]
+    seq = decode(problem, pop[win])
     h = build_hamiltonian_subspace(problem.params)
     fid = sequence_fidelity(seq, problem.target, h)
     robust = None
@@ -432,9 +419,9 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
         fidelity=fid,
         robust_fidelity=robust,
         total_duration_us=seq.total_duration_us,
-        history=tuple(best_history),
+        history=tuple(history[:, win].tolist()),
         seed=ga.seed,
-        best_fitness=best[0],
+        best_fitness=float(fit[win]),
     )
 
 
@@ -469,23 +456,22 @@ def reproduce_tables(
     which: str,
     params: SystemParams | None = None,
     ga: GaConfig | None = None,
-    base_seed: int = DEFAULT_SEED,
 ) -> list[dict]:
     """Run the benchmark batch `which` in ("I", "II", "III") and return rows.
 
     Table III uses the stronger-field system (nu_C = 0.3 MHz) where the
-    m_S = -1 quantization axis tilts to 36.6 degrees; each row records the
-    seed that produced it.
+    m_S = -1 quantization axis tilts to 36.6 degrees.  Row i runs with seed
+    `ga.seed + i` and records it.
     """
     if which not in _TABLE_ROWS:
         raise ValueError("which must be 'I', 'II' or 'III'")
     params = params or SystemParams()
+    ga = ga or GaConfig()
     if which == "III":
         params = replace(params, nu_c_override=0.3)
     rows = []
     for i, (target_name, mode, rabi, n_pulses, penalty) in enumerate(_TABLE_ROWS[which]):
-        seed = base_seed + i
-        cfg = replace(ga or GaConfig(), seed=seed)
+        seed = ga.seed + i
         problem = ControlProblem(
             params=params,
             target=build_target(target_name, params, rabi),
@@ -494,7 +480,7 @@ def reproduce_tables(
             mode=mode,
             duration_penalty=penalty,
         )
-        result = optimize(problem, cfg)
+        result = optimize(problem, replace(ga, seed=seed))
         rows.append(
             {
                 "table": which,

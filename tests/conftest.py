@@ -62,7 +62,7 @@ def u90_result(paper):
 
 @pytest.fixture(scope="session")
 def table3_rows(paper):
-    return nc.reproduce_tables("III", base_seed=SEED)
+    return nc.reproduce_tables("III", ga=nc.GaConfig(seed=SEED))
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,12 @@ TINY_GA = [
     "--set", "optimize.ga.generations=15",
     "--set", "optimize.ga.restarts=2",
 ]
+TINY_TABLES_GA = [
+    "--set", "tables.ga.population=6",
+    "--set", "tables.ga.generations=1",
+    "--set", "tables.ga.restarts=1",
+    "--set", "tables.ga.polish_evals=0",
+]
 
 
 def run(args):
@@ -339,7 +345,7 @@ def test_missing_config_file(tmp_path):
 
 def test_tables_command_structure(tmp_path):
     out = tmp_path / "tables"
-    code = run(["tables", "--which", "III", "--out", out, "--seed", "3",
+    code = run(["tables", "--which", "III", "--out", out, "--seed", "7",
                 "--set", "tables.ga.population=10",
                 "--set", "tables.ga.generations=10",
                 "--set", "tables.ga.restarts=1",
@@ -348,6 +354,8 @@ def test_tables_command_structure(tmp_path):
     text = (out / "table_III.csv").read_text().strip().splitlines()
     assert text[0].startswith("table,target,mode,rabi_mhz,n_pulses,seed")
     assert len(text) == 4  # header + three pulse counts
+    # row i runs with the top-level seed + i
+    assert [line.split(",")[5] for line in text[1:]] == ["7", "8", "9"]
 
 
 MALFORMED = {
@@ -411,9 +419,7 @@ MALFORMED = {
         for key, value in (("crossover_rate", 0.5), ("mutation_rate", 0.2), ("mutation_sigma", 0.1),
                            ("elite_count", 1), ("tournament_size", 2))
     },
-    "tables-ga-elite-count": ["tables", "--which", "III", "--set", "tables.ga.population=6",
-                              "--set", "tables.ga.generations=1", "--set", "tables.ga.restarts=1",
-                              "--set", "tables.ga.polish_evals=0", "--set", "tables.ga.elite_count=1"],
+    "tables-ga-elite-count": ["tables", "--which", "III", *TINY_TABLES_GA, "--set", "tables.ga.elite_count=1"],
     "optimize-robust-key-misspelt": [
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.47, "hi_mhz": 0.53, "n_sample": 5}}',
     ],
@@ -434,6 +440,19 @@ MALFORMED = {
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.48, "hi_mhz": 0.52, "n_samples": 2.9}}',
     ],
     "seed-fraction": ["optimize", *TINY_GA, "--set", "seed=1.5"],
+    # the GA seed is the top-level seed, not a key of a ga block
+    "optimize-ga-seed": ["optimize", *TINY_GA, "--set", "optimize.ga.seed=3"],
+    "tables-ga-seed": ["tables", "--which", "III", *TINY_TABLES_GA, "--set", "tables.ga.seed=3"],
+    # restarts x population above the bound fails before any generator is spawned
+    "optimize-ga-restarts-huge": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=100000000000"],
+    "optimize-robust-negative": [
+        "optimize", *TINY_GA, "--set", "optimize.target=u_90", "--set", "optimize.n_pulses=2",
+        "--set", 'optimize.robust={{"lo_mhz": -0.5, "hi_mhz": 0.52}}',
+    ],
+    # sizes no machine can allocate (10^15 points) fail with MemoryError at once
+    "esr-points-huge": ["esr", "--set", "esr.n_points=1000000000000000"],
+    "polarize-points-huge": ["polarize", "--set", "polarize.n_points=1000000000000000"],
+    "fid-record-huge": ["fid", "--set", "fid.record_us=1e15"],
     "seed-bool": ["angles", "--set", "seed=true"],
     "esr-branch-bool": ["esr", "--set", "esr.branch=true"],
     "esr-points-fraction": ["esr", "--set", "esr.n_points=3.9"],
@@ -533,7 +552,6 @@ def test_fuzzed_config_value_keeps_exit_contract(tmp_path, case, value):
 # the command that reads each config block, with options that give its
 # other keys valid values; every check fails before a file is read or a
 # search runs
-TINY_TABLES_GA = ["--set", 'tables.ga={"population": 6, "generations": 1, "restarts": 1, "polish_evals": 0}']
 BLOCK_COMMANDS = {
     "params": ["angles"],
     "esr": ["esr"],

@@ -147,6 +147,8 @@ def test_robustness_range_samples():
     assert single.samples() == pytest.approx([0.5])
     with pytest.raises(ValueError):
         nc.RobustnessRange(0.6, 0.4)
+    with pytest.raises(ValueError, match="negative"):
+        nc.RobustnessRange(-0.5, 0.52)
 
 
 def test_robust_fidelity_collapsed_range_equals_plain(paper, h_sub):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import nvctrl as nc
 from nvctrl.errors import BadGenomeLength
-from nvctrl.optimizer import _FitnessKernel, genome_bounds, genome_length
+from nvctrl.optimizer import _FitnessKernel, genome_bounds
 from nvctrl.propagation import Delay, Pulse
 
 SMALL_GA = nc.GaConfig(population=16, generations=25, restarts=2, seed=99, polish_evals=200)
@@ -43,8 +43,19 @@ def test_problem_inputs_reject_non_finite_values(paper, value):
             build()
 
 
+def test_ga_config_bounds_genomes_per_generation():
+    """restarts x population is capped, so a huge restart count fails before
+    one generator per restart is spawned."""
+    from nvctrl.optimizer import MAX_GENERATION_GENOMES
+
+    nc.GaConfig(population=100, restarts=MAX_GENERATION_GENOMES // 100)
+    for restarts in (MAX_GENERATION_GENOMES // 100 + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match="restarts x population"):
+            nc.GaConfig(population=100, restarts=restarts)
+
+
 def test_genome_layout_lengths(u90_problem, up_problem, paper):
-    assert genome_length(u90_problem) == 6
+    assert genome_bounds(u90_problem)[0].size == 6
     switched = nc.ControlProblem(
         params=paper,
         target=nc.build_target("u_p", paper, 0.5),
@@ -52,8 +63,8 @@ def test_genome_layout_lengths(u90_problem, up_problem, paper):
         rabi_mhz=0.5,
         mode=nc.MODE_SWITCHED,
     )
-    assert genome_length(switched) == 6
-    assert genome_length(up_problem) == 9
+    assert genome_bounds(switched)[0].size == 6
+    assert genome_bounds(up_problem)[0].size == 9
 
 
 def test_decode_zero_genome_is_identity(up_problem, h_sub):
@@ -269,21 +280,28 @@ def test_lockstep_restarts_match_each_restart_alone(request, problem_name):
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
     seeds = np.random.SeedSequence(LOCKSTEP_GA.seed).spawn(LOCKSTEP_GA.restarts)
-    together = _run_restarts(kernel, problem, LOCKSTEP_GA, [np.random.default_rng(s) for s in seeds])
-    assert len(together) == 8
-    for seed, (best, history) in zip(seeds, together):
-        ((alone, alone_history),) = _run_restarts(kernel, problem, LOCKSTEP_GA, [np.random.default_rng(seed)])
-        assert (best[0], best[1]) == (alone[0], alone[1])
-        assert best[2].tobytes() == alone[2].tobytes()
-        assert history == alone_history
-        assert len(history) == LOCKSTEP_GA.generations + 2
+    rngs = [np.random.default_rng(s) for s in seeds]
+    fit, dur, pop, history = _run_restarts(kernel, problem, LOCKSTEP_GA, rngs)
+    assert fit.shape == dur.shape == (8,) and pop.shape == (8, genome_bounds(problem)[0].size)
+    assert history.shape == (LOCKSTEP_GA.generations + 2, 8)
+    for r, seed in enumerate(seeds):
+        alone = _run_restarts(kernel, problem, LOCKSTEP_GA, [np.random.default_rng(seed)])
+        assert (fit[r], dur[r]) == (alone[0][0], alone[1][0])
+        assert pop[r].tobytes() == alone[2][0].tobytes()
+        assert history[:, r].tobytes() == alone[3][:, 0].tobytes()
+
+
+def _oracle_leader(fit, dur, pop) -> int:
+    """Plain-Python winner rule: highest fitness, then shortest duration,
+    then lowest genome as a tuple; the first on a full tie."""
+    return min(range(len(fit)), key=lambda j: (-fit[j], dur[j], tuple(pop[j])))
 
 
 def test_leaders_pick_what_better_picks():
-    """The vectorized pick agrees with a left-to-right `_better` scan on rows
-    full of exact fitness ties, equal-fitness entries of other durations and
+    """The vectorized pick agrees with a plain-Python oracle on rows full of
+    exact fitness ties, equal-fitness entries of other durations and
     duplicated genomes (including -0.0 against 0.0)."""
-    from nvctrl.optimizer import _better, _leaders
+    from nvctrl.optimizer import _leaders
 
     rng = np.random.default_rng(3)
     rows, size, length = 400, 9, 3
@@ -293,11 +311,7 @@ def test_leaders_pick_what_better_picks():
     pop = pool[rng.integers(0, len(pool), size=(rows, size))]
     lead = _leaders(fit, dur, pop)
     for r in range(rows):
-        want = 0
-        for j in range(1, size):
-            if _better((fit[r, j], dur[r, j], pop[r, j]), (fit[r, want], dur[r, want], pop[r, want])):
-                want = j
-        assert lead[r] == want
+        assert lead[r] == _oracle_leader(fit[r], dur[r], pop[r])
     top = fit == fit.max(axis=1, keepdims=True)
     # the rows exercise every tie-break level
     assert np.any(top.sum(axis=1) > 1)
@@ -310,7 +324,7 @@ def test_skipped_children_are_copies_with_exact_fitness(request, monkeypatch, pr
     """Every child the kernel does not evaluate is a bitwise copy of a genome
     of its restart's previous generation, and the fitness and duration it
     inherits equal the kernel's on it; copies do occur.  Each restart's best
-    and history are what a `_better` scan over all its generations gives."""
+    and history are what a plain-Python scan over all its generations gives."""
     from nvctrl import optimizer
 
     problem = request.getfixturevalue(problem_name)
@@ -332,7 +346,7 @@ def test_skipped_children_are_copies_with_exact_fitness(request, monkeypatch, pr
     monkeypatch.setattr(optimizer, "_leaders", recording_leaders)
     ga = nc.GaConfig(population=16, generations=30, restarts=3, seed=5, polish_evals=0)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
-    results = optimizer._run_restarts(kernel, problem, ga, rngs)
+    best_fit, best_dur, best_pop, history = optimizer._run_restarts(kernel, problem, ga, rngs)
     assert len(generations) == ga.generations + 1
     skipped = 0
     for k, ((_, _, before), (fit, dur, pop)) in enumerate(zip(generations, generations[1:]), start=1):
@@ -345,15 +359,14 @@ def test_skipped_children_are_copies_with_exact_fitness(request, monkeypatch, pr
                     skipped += 1
                     assert g.tobytes() in previous
     assert skipped > 0
-    for r, (best, history) in enumerate(results):
-        want, want_history = None, []
+    for r in range(ga.restarts):
+        seen, want_history = [], []
         for fit, dur, pop in generations:
-            for cand in zip(fit[r], dur[r], pop[r]):
-                if want is None or optimizer._better(cand, want):
-                    want = cand
-            want_history.append(want[0])
-        assert (best[0], best[1], best[2].tobytes()) == (want[0], want[1], want[2].tobytes())
-        assert history == want_history
+            seen += zip(fit[r], dur[r], pop[r])
+            want_history.append(seen[_oracle_leader(*zip(*seen))][0])
+        want = seen[_oracle_leader(*zip(*seen))]
+        assert (best_fit[r], best_dur[r], best_pop[r].tobytes()) == (want[0], want[1], want[2].tobytes())
+        assert history[:, r].tolist() == want_history
 
 
 @pytest.fixture
@@ -513,7 +526,7 @@ def test_switched_population_transfer_is_poor(up_switched_result, up_free3_resul
 
 
 def test_table_one_rows(paper):
-    rows = nc.reproduce_tables("I", base_seed=20260809)
+    rows = nc.reproduce_tables("I")
     by_key = {(r["target"], r["rabi_mhz"]): r for r in rows}
     assert by_key[("u_p", 0.5)]["fidelity"] >= 0.99
     assert by_key[("u_p", 0.5)]["duration_us"] <= 10.0
@@ -523,7 +536,7 @@ def test_table_one_rows(paper):
 
 
 def test_table_two_rows(paper):
-    rows = nc.reproduce_tables("II", base_seed=20260809)
+    rows = nc.reproduce_tables("II")
     by_key = {(r["target"], r["rabi_mhz"]): r for r in rows}
     assert by_key[("u_p", 0.5)]["fidelity"] <= 0.75
     assert by_key[("u_p", 10.0)]["fidelity"] <= 0.75
