@@ -37,8 +37,11 @@ DEFAULT_SEED = 20260809
 # Rabi periods), phases in [0, 2pi]
 TAU_MAX_US = 10.0
 # restarts x population: the genomes one lockstep generation evaluates
-# (125 times the default budget of 8 x 100)
+# (62.5 times the default budget of 16 x 100)
 MAX_GENERATION_GENOMES = 100_000
+# genomes per kernel pass (the children of 8 restarts): a wider lockstep
+# generation runs in slices of this size, so its work arrays stay small
+_CHUNK = 784
 
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
 # eigenvalues of rho_initial at or below this are round-off, not rank
@@ -68,6 +71,9 @@ class ControlProblem:
             raise ValueError("indirect control requires a nonzero hyperfine coupling")
         if not 0 <= self.duration_penalty < math.inf:
             raise ValueError("duration penalty must be non-negative and finite")
+        longest = self.n_pulses * (TAU_MAX_US + self.t_max_us)
+        if not math.isfinite(self.duration_penalty * longest / TAU_MAX_US):
+            raise ValueError("duration penalty overflows on the longest sequence")
 
     @property
     def t_max_us(self) -> float:
@@ -100,9 +106,9 @@ class GaConfig:
     tournament_size: ClassVar[int] = 3
 
     population: int = 100
-    generations: int = 300
+    generations: int = 60
     seed: int = DEFAULT_SEED
-    restarts: int = 8
+    restarts: int = 16
     polish_evals: int = 4000
 
     def __post_init__(self):
@@ -250,7 +256,12 @@ class _FitnessKernel:
 
     def objective(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitness (mean fidelity minus optional duration penalty) and total
-        durations for a batch of genomes."""
+        durations for a batch of genomes, at most `_CHUNK` per pass."""
+        g = np.atleast_2d(np.asarray(genomes, dtype=float))
+        parts = [self._chunk(g[i : i + _CHUNK]) for i in range(0, max(len(g), 1), _CHUNK)]
+        return tuple(np.concatenate(a) for a in zip(*parts))
+
+    def _chunk(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         taus, ts, phis = _split(self.problem, genomes)
         # diagonal k merges Z_{k-1}, D_f(tau_k) and Z_k^dag (phi_0 = 0); the
         # last one, with no delay and phi_{n+1} = 0, is the final Z_n
@@ -302,6 +313,11 @@ def _run_restarts(kernel, problem, ga, rngs):
     sigma = ga.mutation_sigma * (hi - lo)
     n_child = ga.population - ga.elite_count
     rows = np.arange(len(rngs))[:, None]
+    # each generation's draws, one row per restart: two tournaments' entrants,
+    # the uniforms of crossover, mix and mutation, and the mutation normals
+    entrants = np.empty((2, len(rngs), n_child, ga.tournament_size), dtype=np.int64)
+    uniforms = np.empty((len(rngs), n_child * (1 + 2 * length)))
+    normals = np.empty((len(rngs), n_child, length))
     best = (np.full(len(rngs), -np.inf), np.zeros(len(rngs)), np.zeros((len(rngs), length)))
     history = []
 
@@ -318,19 +334,16 @@ def _run_restarts(kernel, problem, ga, rngs):
     consider_generation()
     for _ in range(ga.generations):
         elite = np.argsort(-fit, axis=1, kind="stable")[:, : ga.elite_count]
-        draws = [
-            (
-                rng.integers(0, ga.population, size=(n_child, ga.tournament_size)),
-                rng.integers(0, ga.population, size=(n_child, ga.tournament_size)),
-                rng.random(n_child) < ga.crossover_rate,
-                rng.random((n_child, length)) < 0.5,
-                rng.random((n_child, length)) < ga.mutation_rate,
-                rng.normal(0.0, 1.0, size=(n_child, length)) * sigma,
-            )
-            for rng in rngs
-        ]
-        entrants1, entrants2, do_cx, mix, mut, noise = map(np.stack, zip(*draws))
-        p1, p2 = _tournament(fit, entrants1), _tournament(fit, entrants2)
+        for r, rng in enumerate(rngs):
+            for e in entrants:
+                e[r] = rng.integers(0, ga.population, size=(n_child, ga.tournament_size))
+            rng.random(out=uniforms[r])
+            rng.standard_normal(out=normals[r])
+        do_cx = uniforms[:, :n_child] < ga.crossover_rate
+        genes = uniforms[:, n_child:].reshape(len(rngs), 2, n_child, length)
+        mix, mut = genes[:, 0] < 0.5, genes[:, 1] < ga.mutation_rate
+        noise = normals * sigma
+        p1, p2 = (_tournament(fit, e) for e in entrants)
         first = pop[rows, p1]
         children = np.where(do_cx[:, :, None] & mix, pop[rows, p2], first) + np.where(mut, noise, 0.0)
         children[..., :n_dur] = np.clip(children[..., :n_dur], lo[:n_dur], hi[:n_dur])

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run as `pytest tests/test_acceptance.py -v -s`.  The stochastic criteria use
-the session-scoped seeded optimizations from conftest (best of 8 restarts).
+the session-scoped seeded optimizations from conftest (the default budget,
+best of 16 restarts).
 """
 
 import math

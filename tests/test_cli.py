@@ -443,6 +443,8 @@ MALFORMED = {
     # the GA seed is the top-level seed, not a key of a ga block
     "optimize-ga-seed": ["optimize", *TINY_GA, "--set", "optimize.ga.seed=3"],
     "tables-ga-seed": ["tables", "--which", "III", *TINY_TABLES_GA, "--set", "tables.ga.seed=3"],
+    # a finite penalty whose term overflows on the longest sequence
+    "optimize-penalty-overflow": ["optimize", *TINY_GA, "--set", "optimize.duration_penalty=1e308"],
     # restarts x population above the bound fails before any generator is spawned
     "optimize-ga-restarts-huge": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=100000000000"],
     "optimize-robust-negative": [

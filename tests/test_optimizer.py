@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import nvctrl as nc
 from nvctrl.errors import BadGenomeLength
-from nvctrl.optimizer import _FitnessKernel, genome_bounds
+from nvctrl.optimizer import _CHUNK, _FitnessKernel, genome_bounds
 from nvctrl.propagation import Delay, Pulse
 
 SMALL_GA = nc.GaConfig(population=16, generations=25, restarts=2, seed=99, polish_evals=200)
@@ -246,14 +246,17 @@ def test_fitness_is_independent_of_batch_position(paper, case):
     """Each genome's fitness and duration alone equal, bitwise, those at its
     place in a batch of one restart's children (98), of eight restarts' in
     lockstep (784), of a ragged lockstep batch left by skipped copies (577),
-    and in the full batch reversed."""
+    of two kernel chunks and one genome (2 _CHUNK + 1), of 32 restarts'
+    children in lockstep (32 x 98), and in that batch reversed."""
     problem = _kernel_problem(paper, *case)
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)
-    genomes = np.random.default_rng(41).uniform(lo, hi, size=(784, lo.size))
+    genomes = np.random.default_rng(41).uniform(lo, hi, size=(32 * 98, lo.size))
     alone = np.array([np.concatenate(kernel.objective(g[None, :])) for g in genomes]).T
-    for picked in (slice(0, 98), slice(None), slice(101, 678), slice(None, None, -1)):
-        assert genomes[picked].shape[0] in (98, 784, 577)
+    sizes = (98, 784, 577, 2 * _CHUNK + 1, 32 * 98, 32 * 98)
+    picks = (slice(0, 98), slice(0, 784), slice(101, 678), slice(5, 6 + 2 * _CHUNK), slice(None), slice(None, None, -1))
+    for picked, size in zip(picks, sizes):
+        assert genomes[picked].shape[0] == size
         assert np.all(np.array(kernel.objective(genomes[picked])) == alone[:, picked])
 
 
@@ -444,18 +447,34 @@ def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, b
     assert batches == [2 * lo.size + 1] * res.nfev + [1]
 
 
-@pytest.mark.parametrize(
-    ("fixture", "best_fitness"),
-    [
-        ("up_free3_result", 0.992422261809),
-        ("u90_result", 0.974224874778),
-        ("up_short_result", 0.922904421954),
-        ("up_switched_result", 0.590934808507),
-    ],
-)
+FIXTURE_PINS = {
+    "up_free3_result": 0.998379797362,
+    "u90_result": 0.974224874778,
+    "up_short_result": 0.922953765243,
+    "up_switched_result": 0.590934808507,
+}
+
+
+@pytest.mark.parametrize(("fixture", "best_fitness"), FIXTURE_PINS.items())
 def test_fixture_best_fitness_is_pinned(request, fixture, best_fitness):
     """The polished optima of the shared GA fixtures at the acceptance seed."""
     assert request.getfixturevalue(fixture).best_fitness == pytest.approx(best_fitness, abs=1e-9)
+
+
+def test_best_known_covers_every_job_and_bounds_the_pins():
+    """tools/best_known.json has a value for each of the sweep's 21 jobs, and
+    no pinned fixture optimum lies above its job's best known value."""
+    import importlib.util
+    from pathlib import Path
+
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("search_sweep", tools / "search_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    best = json.loads((tools / "best_known.json").read_text())
+    assert list(best) == list(sweep.jobs()) and len(best) == 21
+    for fixture, pinned in FIXTURE_PINS.items():
+        assert pinned <= best[fixture.removesuffix("_result")] + 1e-12
 
 
 def test_optimize_deterministic_for_a_seed(u90_problem):
