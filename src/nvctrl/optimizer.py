@@ -40,7 +40,10 @@ TAU_MAX_US = 10.0
 # (62.5 times the default budget of 16 x 100)
 MAX_GENERATION_GENOMES = 100_000
 # genomes per kernel pass (the children of 8 restarts): a wider lockstep
-# generation runs in slices of this size, so its work arrays stay small
+# generation runs in slices of this size, so its work arrays stay small.
+# Against one pass per generation (BENCH_chunk.json): peak RSS 241 -> 164 MB
+# at 1000 x 100 genomes; at the default 16 x 100, the synth benchmark's
+# peak RSS 87.96 -> 86.92 MB and wall_s 0.903 -> 0.872 s
 _CHUNK = 784
 
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
@@ -65,13 +68,18 @@ class ControlProblem:
             raise ValueError("need at least one pulse")
         if not 0 < self.rabi_mhz < math.inf:
             raise ValueError("Rabi frequency must be positive and finite")
+        if not math.isfinite(self.t_max_us):
+            raise ValueError("Rabi frequency too small: its pulse bound 2 / rabi_mhz overflows")
         if self.mode not in (MODE_FREE, MODE_SWITCHED):
             raise ValueError(f"mode must be {MODE_FREE!r} or {MODE_SWITCHED!r}")
         if abs(self.params.a_zx) + abs(self.params.a_zz) == 0:
             raise ValueError("indirect control requires a nonzero hyperfine coupling")
         if not 0 <= self.duration_penalty < math.inf:
             raise ValueError("duration penalty must be non-negative and finite")
-        longest = self.n_pulses * (TAU_MAX_US + self.t_max_us)
+        # the penalty term of the longest sequence in the search box, as
+        # _FitnessKernel computes it
+        taus, ts, _ = _split(self, genome_bounds(self)[1])
+        longest = float(taus.sum(axis=1)[0] + ts.sum(axis=1)[0])
         if not math.isfinite(self.duration_penalty * longest / TAU_MAX_US):
             raise ValueError("duration penalty overflows on the longest sequence")
 
@@ -465,16 +473,16 @@ _TABLE_ROWS = {
 }
 
 
-def reproduce_tables(
+def table_runs(
     which: str,
     params: SystemParams | None = None,
     ga: GaConfig | None = None,
-) -> list[dict]:
-    """Run the benchmark batch `which` in ("I", "II", "III") and return rows.
+) -> list[tuple[ControlProblem, GaConfig]]:
+    """The problems of benchmark batch `which` in ("I", "II", "III"), each
+    with the GA config its row runs with: row i runs with seed `ga.seed + i`.
 
     Table III uses the stronger-field system (nu_C = 0.3 MHz) where the
-    m_S = -1 quantization axis tilts to 36.6 degrees.  Row i runs with seed
-    `ga.seed + i` and records it.
+    m_S = -1 quantization axis tilts to 36.6 degrees.
     """
     if which not in _TABLE_ROWS:
         raise ValueError("which must be 'I', 'II' or 'III'")
@@ -482,26 +490,40 @@ def reproduce_tables(
     ga = ga or GaConfig()
     if which == "III":
         params = replace(params, nu_c_override=0.3)
-    rows = []
-    for i, (target_name, mode, rabi, n_pulses, penalty) in enumerate(_TABLE_ROWS[which]):
-        seed = ga.seed + i
-        problem = ControlProblem(
-            params=params,
-            target=build_target(target_name, params, rabi),
-            n_pulses=n_pulses,
-            rabi_mhz=rabi,
-            mode=mode,
-            duration_penalty=penalty,
+    return [
+        (
+            ControlProblem(
+                params=params,
+                target=build_target(target_name, params, rabi),
+                n_pulses=n_pulses,
+                rabi_mhz=rabi,
+                mode=mode,
+                duration_penalty=penalty,
+            ),
+            replace(ga, seed=ga.seed + i),
         )
-        result = optimize(problem, replace(ga, seed=seed))
+        for i, (target_name, mode, rabi, n_pulses, penalty) in enumerate(_TABLE_ROWS[which])
+    ]
+
+
+def reproduce_tables(
+    which: str,
+    params: SystemParams | None = None,
+    ga: GaConfig | None = None,
+) -> list[dict]:
+    """Run the benchmark batch `which` (see `table_runs`) and return rows,
+    each recording the seed it ran with."""
+    rows = []
+    for problem, row_ga in table_runs(which, params, ga):
+        result = optimize(problem, row_ga)
         rows.append(
             {
                 "table": which,
-                "target": target_name,
-                "mode": mode,
-                "rabi_mhz": rabi,
-                "n_pulses": n_pulses,
-                "seed": seed,
+                "target": problem.target.name,
+                "mode": problem.mode,
+                "rabi_mhz": problem.rabi_mhz,
+                "n_pulses": problem.n_pulses,
+                "seed": row_ga.seed,
                 "fidelity": result.fidelity,
                 "duration_us": result.total_duration_us,
             }

@@ -43,6 +43,23 @@ def test_problem_inputs_reject_non_finite_values(paper, value):
             build()
 
 
+def test_duration_penalty_bound_follows_the_mode(paper):
+    """The overflow check takes the longest sequence of the problem's mode: a
+    penalty that overflows with free-angle pulses (up to two Rabi periods)
+    passes with the shorter fixed switched pulse, where its fitness stays
+    finite.  A Rabi frequency whose pulse bound overflows fails as such, not
+    as a penalty overflow."""
+    target = nc.build_target("u_p", paper, 0.5)
+    with pytest.raises(ValueError, match="penalty overflows"):
+        nc.ControlProblem(paper, target, duration_penalty=5e306)
+    switched = nc.ControlProblem(paper, target, mode=nc.MODE_SWITCHED, duration_penalty=5e306)
+    fit, _ = _FitnessKernel(switched).objective(np.vstack(genome_bounds(switched)))
+    assert np.isfinite(fit).all()
+    for penalty in (0.0, 0.1):
+        with pytest.raises(ValueError, match="Rabi frequency too small"):
+            nc.ControlProblem(paper, target, rabi_mhz=5e-324, duration_penalty=penalty)
+
+
 def test_ga_config_bounds_genomes_per_generation():
     """restarts x population is capped, so a huge restart count fails before
     one generator per restart is spawned."""
@@ -462,17 +479,15 @@ def test_fixture_best_fitness_is_pinned(request, fixture, best_fitness):
 
 
 def test_best_known_covers_every_job_and_bounds_the_pins():
-    """tools/best_known.json has a value for each of the sweep's 21 jobs, and
-    no pinned fixture optimum lies above its job's best known value."""
-    import importlib.util
+    """tools/best_known.json has a value for each of the 21 GA jobs of
+    ga_jobs.py, and no pinned fixture optimum lies above its job's best
+    known value."""
     from pathlib import Path
 
-    tools = Path(__file__).resolve().parents[1] / "tools"
-    spec = importlib.util.spec_from_file_location("search_sweep", tools / "search_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    best = json.loads((tools / "best_known.json").read_text())
-    assert list(best) == list(sweep.jobs()) and len(best) == 21
+    from ga_jobs import jobs
+
+    best = json.loads((Path(__file__).resolve().parents[1] / "tools" / "best_known.json").read_text())
+    assert list(best) == list(jobs(nc.GaConfig())) and len(best) == 21
     for fixture, pinned in FIXTURE_PINS.items():
         assert pinned <= best[fixture.removesuffix("_result")] + 1e-12
 

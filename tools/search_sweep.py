@@ -2,98 +2,61 @@
 """Hit-rate sweep of the GA budget over the tier-1 GA jobs.
 
     python3 tools/search_sweep.py --designs 8x300 16x60 32x30 64x15 \\
-        --seeds 1-10 --tier1 --tag budget --workers 2
+        --seeds 1-10 --tier1 --tag budget
 
 Each design is RESTARTSxGENERATIONS or RESTARTSxGENERATIONSxPOPULATION
 (population 100 by default).  The jobs are the 21 GA searches the tier-1
-tests run: the 13 rows of the benchmark tables (row i runs with GA seed
-seed + i, as `reproduce_tables` does), the 4 robust jobs and the 4 fixture
-jobs of tests/conftest.py.  Every (design, job, seed) run records its best
-fitness, fidelity, duration, wall time, the genomes the GA evaluated in the
-fitness kernel and the polish evaluations.  The counts come from wrapping
-`_FitnessKernel.objective` and the polish's `minimize` in this process.
+tests run, as tests/ga_jobs.py defines them: the 13 rows of the benchmark
+tables (row i runs with GA seed seed + i), the 4 robust jobs and the 4
+fixture jobs.  Every (design, job, seed) run records its best fitness,
+fidelity, duration, wall time, the genomes the GA evaluated in the fitness
+kernel and the polish evaluations.  The counts come from wrapping
+`_FitnessKernel.objective` and the polish's `minimize`.  The runs go one
+after another in this process, as a command-line search runs, so no run's
+wall time shares the cores with another run.  BLAS runs on one thread, as
+in perfbench: the package's matrices are 4x4 to 18x18.
+With `--repeats N` every run is made N times, in N full passes, to show
+the spread of the wall times; the results of a run must not change.
 
 tools/best_known.json holds the best fitness known for each job; a run that
 beats it raises the value in that file.  A run hits when its best fitness is
 within 1e-6 of its job's best known.  With `--tier1` every design also runs
 at the tests' seed 20260809; those runs are reported apart and never count
-as hits.  When the design `--baseline` is among those run, the summary names
-the design with the most hits among those whose summed mean time over the
-jobs is at most 0.7 of the baseline's, the cheaper one on a tie.
+as hits.  When the design 8x300 (the budget before the sweep) is among
+those run, the summary names the design with the most hits among those
+whose summed mean time over the jobs is at most 0.7 of 8x300's, the
+cheaper one on a tie, and gives each design's time ratio to 8x300 in every
+pass.
 
-The results go to BENCH_search_<tag>.json (or --out) in the current
-directory.
+The results go to BENCH_search_<tag>.json in the current directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-from functools import cache
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import nvctrl as nc  # noqa: E402
 from nvctrl import optimizer  # noqa: E402
+from ga_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
 
 BEST_KNOWN = ROOT / "tools" / "best_known.json"
+BASELINE = "8x300"
 HIT_TOL = 1e-6
-TIER1_SEED = 20260809
 COST_RATIO = 0.7
-# name -> (target, n_pulses, robustness range) of tests/conftest.py's robust_results
-_ROBUST = {
-    "u_c": (3, (0.47, 0.53, 5)),
-    "u_c_dagger": (3, (0.47, 0.53, 5)),
-    "u_p": (3, (0.47, 0.53, 5)),
-    "u_90": (2, (0.48, 0.52, 5)),
-}
-# fixture -> (target, n_pulses, mode, duration penalty) of tests/conftest.py
-_FIXTURES = {
-    "up_short": ("u_p", 4, nc.MODE_FREE, 0.1),
-    "up_free3": ("u_p", 3, nc.MODE_FREE, 0.0),
-    "up_switched": ("u_p", 3, nc.MODE_SWITCHED, 0.0),
-    "u90": ("u_90", 2, nc.MODE_FREE, 0.0),
-}
-
-
-@cache
-def jobs() -> dict:
-    """Job id -> (ControlProblem, GA seed offset), in a fixed order."""
-    paper = nc.SystemParams()
-    out = {}
-    for which, rows in optimizer._TABLE_ROWS.items():
-        params = replace(paper, nu_c_override=0.3) if which == "III" else paper
-        for i, (target, mode, rabi, n, penalty) in enumerate(rows):
-            problem = nc.ControlProblem(
-                params=params, target=nc.build_target(target, params, rabi), n_pulses=n,
-                rabi_mhz=rabi, mode=mode, duration_penalty=penalty,
-            )
-            out[f"{which}.{i}-{target}-{rabi:g}MHz-n{n}"] = (problem, i)
-    for name, (n, band) in _ROBUST.items():
-        problem = nc.ControlProblem(
-            params=paper, target=nc.build_target(name, paper, 0.5), n_pulses=n,
-            rabi_mhz=0.5, robustness=nc.RobustnessRange(*band),
-        )
-        out[f"robust-{name}"] = (problem, 0)
-    for name, (target, n, mode, penalty) in _FIXTURES.items():
-        problem = nc.ControlProblem(
-            params=paper, target=nc.build_target(target, paper, 0.5), n_pulses=n,
-            rabi_mhz=0.5, mode=mode, duration_penalty=penalty,
-        )
-        out[name] = (problem, 0)
-    return out
+JOB_IDS = list(jobs(nc.GaConfig()))
 
 
 _COUNTS = {"genomes": 0, "polish_evals": 0, "polishing": False}
@@ -144,9 +107,8 @@ def parse_seeds(items: list[str]) -> list[int]:
 
 
 def run_one(task: tuple) -> dict:
-    job, design, seed = task
-    problem, offset = jobs()[job]
-    ga = nc.GaConfig(**design, seed=seed + offset)
+    job, design, seed, repeat = task
+    problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
     _COUNTS.update(genomes=0, polish_evals=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
@@ -157,6 +119,7 @@ def run_one(task: tuple) -> dict:
         **design,
         "seed": seed,
         "ga_seed": ga.seed,
+        "repeat": repeat,
         "best_fitness": result.best_fitness,
         "fidelity": result.fidelity,
         "robust_fidelity": result.robust_fidelity,
@@ -167,10 +130,10 @@ def run_one(task: tuple) -> dict:
     }
 
 
-def raise_best_known(records: list[dict], path: Path) -> dict:
+def raise_best_known(records: list[dict]) -> dict:
     """Raise each job's best known fitness to the best run, write the file
     back when a value moved, and return the values."""
-    best = json.loads(path.read_text()) if path.exists() else {}
+    best = json.loads(BEST_KNOWN.read_text()) if BEST_KNOWN.exists() else {}
     moved = False
     for r in records:
         if r["best_fitness"] > best.get(r["job"], -np.inf):
@@ -179,48 +142,58 @@ def raise_best_known(records: list[dict], path: Path) -> dict:
             best[r["job"]] = r["best_fitness"]
             moved = True
     if moved:
-        order = list(jobs())
-        best = dict(sorted(best.items(), key=lambda kv: order.index(kv[0]) if kv[0] in order else len(order)))
-        path.write_text(json.dumps(best, indent=1) + "\n")
+        order = {job: i for i, job in enumerate(JOB_IDS)}
+        BEST_KNOWN.write_text(json.dumps(dict(sorted(best.items(), key=lambda kv: order[kv[0]])), indent=1) + "\n")
     return best
 
 
-def summarize(records: list[dict], designs: list[str], job_ids: list[str]) -> dict:
+def summarize(records: list[dict], designs: list[str], job_ids: list[str], repeats: int) -> dict:
+    """Hits per design and job over the seeds, and the summed mean wall time
+    over the jobs, over all passes and in each."""
     summary = {}
     for d in designs:
-        per_job = {}
+        per_job, by_repeat = {}, np.zeros(repeats)
         for job in job_ids:
             runs = [r for r in records if r["design"] == d and r["job"] == job and not r["tier1"]]
             if not runs:
                 continue
+            first = [r for r in runs if r["repeat"] == 0]
             per_job[job] = {
-                "hits": sum(r["hit"] for r in runs),
-                "seeds": len(runs),
+                "hits": sum(r["hit"] for r in first),
+                "seeds": len(first),
                 "mean_wall_s": float(np.mean([r["wall_s"] for r in runs])),
-                "worst_gap": max(r["gap"] for r in runs),
+                "worst_gap": max(r["gap"] for r in first),
             }
+            by_repeat += [np.mean([r["wall_s"] for r in runs if r["repeat"] == k]) for k in range(repeats)]
         summary[d] = {
             "hits": sum(j["hits"] for j in per_job.values()),
             "job_seeds": sum(j["seeds"] for j in per_job.values()),
             "summed_mean_wall_s": sum(j["mean_wall_s"] for j in per_job.values()),
+            "summed_mean_wall_s_by_repeat": by_repeat.tolist(),
             "per_job": per_job,
         }
     return summary
 
 
-def choose(summary: dict, baseline: str) -> dict | None:
+def choose(summary: dict) -> dict | None:
     """The design with the most hits among those at most COST_RATIO of the
     baseline's summed mean time; the cheaper one on a tie."""
-    if baseline not in summary:
+    if BASELINE not in summary:
         return None
-    budget = COST_RATIO * summary[baseline]["summed_mean_wall_s"]
+    base = summary[BASELINE]
+    budget = COST_RATIO * base["summed_mean_wall_s"]
     eligible = [d for d, s in summary.items() if s["summed_mean_wall_s"] <= budget]
     ranked = sorted(eligible, key=lambda d: (-summary[d]["hits"], summary[d]["summed_mean_wall_s"]))
     return {
-        "rule": f"most hits among designs with summed mean time <= {COST_RATIO} x {baseline}'s; "
+        "rule": f"most hits among designs with summed mean time <= {COST_RATIO} x {BASELINE}'s; "
                 "the cheaper on a tie",
-        "baseline": baseline,
+        "baseline": BASELINE,
         "budget_s": budget,
+        "time_ratio": {d: s["summed_mean_wall_s"] / base["summed_mean_wall_s"] for d, s in summary.items()},
+        "time_ratio_by_repeat": {
+            d: [t / b for t, b in zip(s["summed_mean_wall_s_by_repeat"], base["summed_mean_wall_s_by_repeat"])]
+            for d, s in summary.items()
+        },
         "ranked": ranked,
         "chosen": ranked[0] if ranked else None,
     }
@@ -242,37 +215,46 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 1-10 42")
     p.add_argument("--tier1", action="store_true", help=f"also run each design at seed {TIER1_SEED}")
     p.add_argument("--jobs", nargs="+", help="job ids to run (default: all 21)")
-    p.add_argument("--baseline", default="8x300")
-    p.add_argument("--tag", default="sweep")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--best-known", type=Path, default=BEST_KNOWN)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--repeats", type=int, default=1, help="passes over every run (default 1)")
+    p.add_argument("--tag", default="sweep", help="the output is BENCH_search_<tag>.json")
     args = p.parse_args(argv)
-    all_jobs = list(jobs())
-    job_ids = args.jobs or all_jobs
-    unknown = sorted(set(job_ids) - set(all_jobs))
+    job_ids = args.jobs or JOB_IDS
+    unknown = sorted(set(job_ids) - set(JOB_IDS))
     if unknown:
-        p.error(f"unknown jobs {unknown}; known: {all_jobs}")
+        p.error(f"unknown jobs {unknown}; known: {JOB_IDS}")
+    if args.repeats < 1:
+        p.error("--repeats must be at least 1")
     seeds = parse_seeds(args.seeds)
-    tasks = [(job, d, s) for s in seeds + [TIER1_SEED] * args.tier1 for d in args.designs for job in job_ids]
+    tasks = [
+        (job, d, s, k)
+        for k in range(args.repeats)
+        for s in seeds + [TIER1_SEED] * args.tier1
+        for d in args.designs
+        for job in job_ids
+    ]
     start = perf_counter()
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=args.workers, mp_context=spawn, initializer=_install_counters) as pool:
-        records = []
-        for r in pool.map(run_one, tasks):
-            r["tier1"] = r["seed"] == TIER1_SEED and args.tier1
-            records.append(r)
-            print(f"{r['design']:>10} {r['job']:<26} seed {r['seed']:>8}  fitness {r['best_fitness']:.9f}"
-                  f"  {r['wall_s']:6.2f} s", file=sys.stderr)
-    best = raise_best_known(records, args.best_known)
+    _install_counters()
+    records = []
+    for task in tasks:
+        r = run_one(task)
+        r["tier1"] = r["seed"] == TIER1_SEED and args.tier1
+        records.append(r)
+        print(f"{r['design']:>10} {r['job']:<26} seed {r['seed']:>8}  fitness {r['best_fitness']:.9f}"
+              f"  {r['wall_s']:6.2f} s", file=sys.stderr)
+    first = {(r["design"], r["job"], r["seed"]): r["best_fitness"] for r in records if r["repeat"] == 0}
+    changed = sorted({key for r in records if r["best_fitness"] != first[key := (r["design"], r["job"], r["seed"])]})
+    if changed:
+        print(f"results changed between passes: {changed}", file=sys.stderr)
+        return 1
+    best = raise_best_known(records)
     for r in records:
         r["gap"] = best[r["job"]] - r["best_fitness"]
         r["hit"] = bool(r["gap"] <= HIT_TOL)
     designs = list(dict.fromkeys(design_name(d) for d in args.designs))
-    summary = summarize(records, designs, job_ids)
+    summary = summarize(records, designs, job_ids, args.repeats)
     tier1 = {
         d: {r["job"]: {k: r[k] for k in ("best_fitness", "fidelity", "robust_fidelity", "duration_us", "gap", "hit")}
-            for r in records if r["design"] == d and r["tier1"]}
+            for r in records if r["design"] == d and r["tier1"] and r["repeat"] == 0}
         for d in designs
     } if args.tier1 else None
     out = {
@@ -280,19 +262,18 @@ def main(argv=None) -> int:
         "command": "python3 tools/search_sweep.py " + " ".join(sys.argv[1:] if argv is None else argv),
         "hit_tolerance": HIT_TOL,
         "seeds": seeds,
+        "repeats": args.repeats,
         "designs": designs,
         "jobs": job_ids,
         "best_known": {job: best[job] for job in job_ids},
         "summary": summary,
-        "choice": choose(summary, args.baseline),
+        "choice": choose(summary),
         "tier1_seed": tier1,
         "sweep_wall_s": perf_counter() - start,
-        "workers": args.workers,
         "environment": environment(),
         "records": records,
     }
-    path = args.out or Path(f"BENCH_search_{args.tag}.json")
-    path.write_text(json.dumps(out, indent=1) + "\n")
+    Path(f"BENCH_search_{args.tag}.json").write_text(json.dumps(out, indent=1) + "\n")
     for d in designs:
         s = summary[d]
         print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s")
