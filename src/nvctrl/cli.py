@@ -24,7 +24,7 @@ from typing import get_args
 import numpy as np
 
 from . import experiments, optimizer, signals, spin_model
-from .errors import FileMissing, NvctrlError, UnknownTarget
+from .errors import FileMissing, NvctrlError, UnknownTarget, WriteFailed
 from .experiments import DEFAULT_UC_PRIME_RECORD_US, DEFAULT_UC_RECORD_US
 from .fidelity import RobustnessRange, build_target, rho0_state, rho_p_state
 from .optimizer import DEFAULT_SEED, ControlProblem, GaConfig
@@ -492,13 +492,19 @@ def _run(args) -> None:
     except _BAD_INPUT as exc:
         raise UsageError(f"bad {command} input: {exc!r}") from exc
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    signals.write_json(out / "manifest.json", {"command": command, "config": config})
-    for name, content in files.items():
-        if callable(content):
-            content(out / name)
-        else:
-            signals.write_json(out / name, content)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out} is not a directory that can be created: {exc!r}") from exc
+    try:
+        signals.write_json(out / "manifest.json", {"command": command, "config": config})
+        for name, content in files.items():
+            if callable(content):
+                content(out / name)
+            else:
+                signals.write_json(out / name, content)
+    except OSError as exc:
+        raise WriteFailed(f"writing into {out} failed: {exc!r}") from exc
     print(message)
 
 

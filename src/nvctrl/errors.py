@@ -45,5 +45,9 @@ class FileMissing(NvctrlError):
     """A required input file does not exist."""
 
 
+class WriteFailed(NvctrlError):
+    """An output file could not be written."""
+
+
 class InvariantViolation(NvctrlError):
     """A computed propagator or state broke unitarity, unit trace or Hermiticity."""

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
@@ -369,6 +368,8 @@ def fit_polarization(data) -> PolarizationModel:
             if best is None or score < best[0]:
                 best = (score, np.array([*coef, rate, gamma]))
     x0 = best[1]
+    from scipy.optimize import least_squares
+
     result = least_squares(
         _polarization_residual,
         x0,

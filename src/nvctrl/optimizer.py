@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import minimize
 
 from .errors import BadGenomeLength, ZeroPurity
 from .fidelity import (
@@ -224,7 +222,8 @@ class _FitnessKernel:
         h = build_hamiltonian_subspace(problem.params).matrix
         blocks = [np.linalg.eigh(h[s, s]) for s in (slice(0, 2), slice(2, 4))]
         self._w_free = np.concatenate([w for w, _ in blocks])
-        vf = block_diag(*(v for _, v in blocks))
+        vf = np.zeros((4, 4), dtype=h.dtype)
+        vf[:2, :2], vf[2:, 2:] = (v for _, v in blocks)
         vf_h = vf.conj().T
         if problem.robustness is not None:
             self.omegas = problem.robustness.samples()
@@ -369,6 +368,14 @@ def _run_restarts(kernel, problem, ga, rngs):
         fit, dur, pop = (np.array(a)[:, None] for a in zip(*polished))
         consider_generation()
     return (*best, np.array(history))
+
+
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call so that only a
+    search pays for loading scipy."""
+    from scipy.optimize import minimize
+
+    return minimize(fun, x0, **kwargs)
 
 
 def _polish(kernel, genome, budget) -> tuple[float, float, np.ndarray]:

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +293,81 @@ def test_fit_missing_data_file(tmp_path):
     assert run(["fit", "polarization", "--out", tmp_path / "x",
                 "--data", "/nonexistent.csv"]) == 3
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "out-below-a-file"])
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n")
+    out = blocker / "sub" if below else blocker
+    assert run(["angles", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_failed_write_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert run(["angles", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+# runs five commands in a fresh interpreter and prints the scipy modules
+# loaded after importing the package and after each command
+IMPORT_PROBE = """
+import json, sys
+if sys.argv[1] == "eager":
+    import scipy.optimize
+import nvctrl, nvctrl.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+root, data = sys.argv[2], sys.argv[3]
+loaded = {"import": scipy_modules()}
+commands = {
+    "angles": ["angles"],
+    "esr": ["esr"],
+    "fid": ["fid"],
+    "spectrum": ["spectrum", "--set", f"spectrum.fid_csv={root}/fid/fid.csv"],
+    "fit": ["fit", "polarization", "--data", data],
+}
+for name, argv in commands.items():
+    assert nvctrl.cli.main(argv + ["--out", f"{root}/{name}"]) == 0
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_scipy_caller_imports_scipy(tmp_path):
+    """Importing the package and running the commands that call no scipy
+    loads no scipy module; `fit polarization` loads scipy.optimize on first
+    use, and every command writes the same bytes as with scipy imported first."""
+    d = np.linspace(0.0, 60.0, 40)
+    data = tmp_path / "pol.csv"
+    write_csv(data, ("d_l_us", "p"), (d, nc.polarization_curve(nc.paper_polarization_model(), d)))
+    env = dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parents[1]))
+    loaded = {}
+    for mode in ("lazy", "eager"):
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, mode, str(tmp_path / mode), str(data)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        loaded[mode] = json.loads(done.stdout.splitlines()[-1])
+    for step in ("import", "angles", "esr", "fid", "spectrum"):
+        assert loaded["lazy"][step] == [], step
+    assert "scipy.optimize" in loaded["lazy"]["fit"]
+    lazy = sorted(p.relative_to(tmp_path / "lazy") for p in (tmp_path / "lazy").rglob("*") if p.is_file())
+    eager = sorted(p.relative_to(tmp_path / "eager") for p in (tmp_path / "eager").rglob("*") if p.is_file())
+    assert lazy == eager and len(lazy) > 10
+    for rel in lazy:
+        lazy_bytes = (tmp_path / "lazy" / rel).read_bytes()
+        eager_bytes = (tmp_path / "eager" / rel).read_bytes()
+        if rel.name == "manifest.json":
+            # the manifests name their own output paths
+            lazy_bytes = lazy_bytes.replace(b"/lazy/", b"/eager/")
+        assert lazy_bytes == eager_bytes, rel
 
 
 def test_manifest_reproduces_outputs_bitwise(tmp_path):

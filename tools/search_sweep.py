@@ -11,9 +11,12 @@ tables (row i runs with GA seed seed + i), the 4 robust jobs and the 4
 fixture jobs.  Every (design, job, seed) run records its best fitness,
 fidelity, duration, wall time, the genomes the GA evaluated in the fitness
 kernel and the polish evaluations.  The counts come from wrapping
-`_FitnessKernel.objective` and the polish's `minimize`.  The runs go one
-after another in this process, as a command-line search runs, so no run's
-wall time shares the cores with another run.  BLAS runs on one thread, as
+`_FitnessKernel.objective` and the polish's `minimize`.  Their sum in
+kernel genomes, `cost_genomes = genomes + polish_evals * (2L + 1)` with L
+the job's genome length (one polish evaluation is one kernel call on
+2L + 1 genomes), is a cost that does not change between re-runs.  The runs
+go one after another in this process, as a command-line search runs, so no
+run's wall time shares the cores with another run.  BLAS runs on one thread, as
 in perfbench: the package's matrices are 4x4 to 18x18.
 With `--repeats N` every run is made N times, in N full passes, to show
 the spread of the wall times; the results of a run must not change.
@@ -26,7 +29,7 @@ as hits.  When the design 8x300 (the budget before the sweep) is among
 those run, the summary names the design with the most hits among those
 whose summed mean time over the jobs is at most 0.7 of 8x300's, the
 cheaper one on a tie, and gives each design's time ratio to 8x300 in every
-pass.
+pass and its ratio of summed `cost_genomes` (over the first pass) to 8x300's.
 
 The results go to BENCH_search_<tag>.json in the current directory.
 """
@@ -46,7 +49,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
+# the polish imports scipy.optimize on first use; import it before any run is timed
+import scipy.optimize  # noqa: E402
 
 import nvctrl as nc  # noqa: E402
 from nvctrl import optimizer  # noqa: E402
@@ -109,6 +113,7 @@ def parse_seeds(items: list[str]) -> list[int]:
 def run_one(task: tuple) -> dict:
     job, design, seed, repeat = task
     problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
+    length = optimizer.genome_bounds(problem)[0].size
     _COUNTS.update(genomes=0, polish_evals=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
@@ -127,6 +132,7 @@ def run_one(task: tuple) -> dict:
         "wall_s": wall,
         "genomes": _COUNTS["genomes"],
         "polish_evals": _COUNTS["polish_evals"],
+        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_evals"] * (2 * length + 1),
     }
 
 
@@ -162,6 +168,7 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
                 "hits": sum(r["hit"] for r in first),
                 "seeds": len(first),
                 "mean_wall_s": float(np.mean([r["wall_s"] for r in runs])),
+                "cost_genomes": sum(r["cost_genomes"] for r in first),
                 "worst_gap": max(r["gap"] for r in first),
             }
             by_repeat += [np.mean([r["wall_s"] for r in runs if r["repeat"] == k]) for k in range(repeats)]
@@ -170,6 +177,7 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
             "job_seeds": sum(j["seeds"] for j in per_job.values()),
             "summed_mean_wall_s": sum(j["mean_wall_s"] for j in per_job.values()),
             "summed_mean_wall_s_by_repeat": by_repeat.tolist(),
+            "cost_genomes": sum(j["cost_genomes"] for j in per_job.values()),
             "per_job": per_job,
         }
     return summary
@@ -190,6 +198,7 @@ def choose(summary: dict) -> dict | None:
         "baseline": BASELINE,
         "budget_s": budget,
         "time_ratio": {d: s["summed_mean_wall_s"] / base["summed_mean_wall_s"] for d, s in summary.items()},
+        "cost_ratio": {d: s["cost_genomes"] / base["cost_genomes"] for d, s in summary.items()},
         "time_ratio_by_repeat": {
             d: [t / b for t, b in zip(s["summed_mean_wall_s_by_repeat"], base["summed_mean_wall_s_by_repeat"])]
             for d, s in summary.items()
@@ -276,7 +285,8 @@ def main(argv=None) -> int:
     Path(f"BENCH_search_{args.tag}.json").write_text(json.dumps(out, indent=1) + "\n")
     for d in designs:
         s = summary[d]
-        print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s")
+        print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s, "
+              f"{s['cost_genomes']} cost genomes")
     if out["choice"]:
         print(f"chosen: {out['choice']['chosen']}")
     return 0
