@@ -13,7 +13,6 @@ from .errors import (
     BadGrid,
     DegenerateAxis,
     DimensionMismatch,
-    FileMissing,
     InvariantViolation,
     NoConvergence,
     NonPositiveInput,

@@ -1,13 +1,15 @@
 """Batch command-line front end.
 
-Every command is a function (config, args) -> (files, message) that writes
-nothing: `main` resolves the configuration (file < --set overrides < --seed),
+Every command is a function config -> (files, message) that writes nothing:
+`main` resolves the configuration (file < --set overrides < command options),
 runs the command, and only when it succeeds creates the output directory and
 writes a manifest echoing the configuration plus the command's files (each a
-JSON payload or a writer taking the path).
-Re-running a command from its own manifest reproduces the outputs bitwise.
+JSON payload or a writer taking the path).  A command reads only its config
+and the files it names, and changes nothing in the config, so re-running a
+command from its own manifest reproduces the outputs bitwise.
 
-Exit codes: 0 success, 2 usage error, 3 runtime error.
+Exit codes: 0 success, 2 usage error, 3 runtime error, which includes any OS
+error reading an input file or writing an output.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import get_args
 import numpy as np
 
 from . import experiments, optimizer, signals, spin_model
-from .errors import FileMissing, NvctrlError, UnknownTarget, WriteFailed
+from .errors import NvctrlError, UnknownTarget
 from .experiments import DEFAULT_UC_PRIME_RECORD_US, DEFAULT_UC_RECORD_US
 from .fidelity import RobustnessRange, build_target, rho0_state, rho_p_state
 from .optimizer import DEFAULT_SEED, ControlProblem, GaConfig
@@ -133,12 +135,9 @@ def _apply_override(config: dict, dotted: str, value) -> None:
 def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     config: dict = {}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise FileMissing(f"config file not found: {p}")
-        loaded = json.loads(p.read_text(encoding="utf-8"))
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
-            raise UsageError(f"config file {p} must hold a JSON object")
+            raise UsageError(f"config file {path} must hold a JSON object")
         # accept a previously written manifest as a config
         if "config" in loaded and "command" in loaded:
             loaded = loaded["config"]
@@ -176,16 +175,11 @@ def _ga(config: dict, name: str) -> GaConfig:
     return GaConfig(**_block(config, name), seed=config["seed"])
 
 
-def _load_sequence(path_text: str | None, what: str) -> PulseSequence | None:
-    if path_text is None:
-        return None
-    p = Path(path_text)
-    if not p.exists():
-        raise FileMissing(f"{what} sequence file not found: {p}")
-    return PulseSequence.load(p)
+def _load_sequence(path: str | None) -> PulseSequence | None:
+    return None if path is None else PulseSequence.load(path)
 
 
-def cmd_angles(config, args):
+def cmd_angles(config):
     params = SystemParams(**_block(config, "params"))
     theta_plus, theta_minus = spin_model.quantization_angles(params)
     nu_c, nu_minus, nu_plus = spin_model.nuclear_frequencies(params)
@@ -203,7 +197,7 @@ def cmd_angles(config, args):
     )
 
 
-def cmd_esr(config, args):
+def cmd_esr(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "esr")
     branch = block["branch"]
@@ -224,7 +218,7 @@ def cmd_esr(config, args):
     return files, f"wrote {len(lines)} ESR lines (branch {branch:+d}) and spectrum"
 
 
-def cmd_optimize(config, args):
+def cmd_optimize(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "optimize")
     modes = {"free": optimizer.MODE_FREE, "switched": optimizer.MODE_SWITCHED}
@@ -257,7 +251,7 @@ def cmd_optimize(config, args):
     )
 
 
-def cmd_fid(config, args):
+def cmd_fid(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "fid")
     protocol = block["protocol"]
@@ -272,14 +266,14 @@ def cmd_fid(config, args):
     elif protocol == "analytic_uc_prime":
         trace = experiments.analytic_fid("uc_prime", params, tau)
     elif protocol in ("uc", "uc_prime"):
-        seq = _load_sequence(block["sequence"], "preparation")
-        seq_dag = _load_sequence(block["sequence_dagger"], "readout")
+        seq = _load_sequence(block["sequence"])
+        seq_dag = _load_sequence(block["sequence_dagger"])
         fn = experiments.fid_uc if protocol == "uc" else experiments.fid_uc_prime
         trace = fn(params, seq, seq_dag, tau)
     else:
         subspace = {"u90_ms0": 0, "u90_ms-1": -1, "u90_ms+1": +1}[protocol]
-        seq = _load_sequence(block["sequence"], "excitation")
-        seq_ut = _load_sequence(block["sequence_readout"], "readout")
+        seq = _load_sequence(block["sequence"])
+        seq_ut = _load_sequence(block["sequence_readout"])
         trace = experiments.fid_u90(params, subspace, seq, seq_ut, tau, block["polarization"])
     files = {
         "fid.csv": trace.to_csv,
@@ -293,12 +287,9 @@ def cmd_fid(config, args):
     return files, f"wrote {tau.size}-point {trace.protocol} trace"
 
 
-def cmd_spectrum(config, args):
+def cmd_spectrum(config):
     block = _block(config, "spectrum")
-    p = Path(block["fid_csv"])
-    if not p.exists():
-        raise FileMissing(f"FID file not found: {p}")
-    trace = signals.FidTrace.from_csv(p)
+    trace = signals.FidTrace.from_csv(block["fid_csv"])
     spec = experiments.spectrum_from_fid(trace, block["window"], block["zerofill_factor"], block["exp_rate"])
     peaks = signals.top_peaks(spec, _at_least(block["n_peaks"], 1, "spectrum.n_peaks"))
     files = {
@@ -312,10 +303,10 @@ def cmd_spectrum(config, args):
     return files, "peaks at " + ", ".join(f"{f:.4f} MHz" for f, _ in peaks)
 
 
-def cmd_bloch(config, args):
+def cmd_bloch(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "bloch")
-    seq = _load_sequence(block["sequence"], "bloch")
+    seq = _load_sequence(block["sequence"])
     initial = block["initial"]
     states = {"rho0": rho0_state, "rho_p": rho_p_state}
     if initial not in states:
@@ -338,7 +329,7 @@ def cmd_bloch(config, args):
     return files, f"final carbon vector ({cx:+.4f}, {cy:+.4f}, {cz:+.4f}) after {t:.2f} us"
 
 
-def cmd_polarize(config, args):
+def cmd_polarize(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "polarize")
     model = experiments.PolarizationModel(**{key: block[key] for key in _POLARIZATION_MODEL})
@@ -346,7 +337,7 @@ def cmd_polarize(config, args):
     n = _at_least(block["n_points"], 2, "polarize.n_points")
     grid = np.linspace(0.0, d_max, n)
     curve = experiments.polarization_curve(model, grid)
-    seq = _load_sequence(block["sequence"], "polarizing")
+    seq = _load_sequence(block["sequence"])
     d_star, p_star = experiments.polarization_curve_max(model, 0.0, d_max)
     payload = {"curve_max": {"d_l_us": d_star, "p": p_star}}
     lines = []
@@ -367,13 +358,10 @@ def cmd_polarize(config, args):
 
 def _fit_data(block) -> np.ndarray:
     """The first two columns of the fit.data CSV."""
-    p = Path(block["data"])
-    if not p.exists():
-        raise FileMissing(f"data file not found: {p}")
-    return np.column_stack(signals.read_csv(p)[:2])
+    return np.column_stack(signals.read_csv(block["data"])[:2])
 
 
-def cmd_fit_polarization(config, args):
+def cmd_fit_polarization(config):
     model = experiments.fit_polarization(_fit_data(_block(config, "fit polarization")))
     payload = {
         "c0": model.c0,
@@ -388,7 +376,7 @@ def cmd_fit_polarization(config, args):
     )
 
 
-def cmd_fit_sinusoid(config, args):
+def cmd_fit_sinusoid(config):
     block = _block(config, "fit sinusoid")
     nu = _positive(block["nu_mhz"], "fit.nu_mhz")
     a, b, c = experiments.fit_fid_amplitude(_fit_data(block), nu)
@@ -397,7 +385,7 @@ def cmd_fit_sinusoid(config, args):
     )
 
 
-def cmd_fit_fidelities(config, args):
+def cmd_fit_fidelities(config):
     block = _block(config, "fit fidelities")
     ratios = {name: _positive(block[name], f"fit.{name}") for name in _FIT_RATIOS}
     est = experiments.estimate_experimental_fidelities(**ratios)
@@ -413,14 +401,13 @@ def cmd_fit_fidelities(config, args):
     )
 
 
-def cmd_tables(config, args):
+def cmd_tables(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "tables")
-    which = args.which or block["which"]
+    which = block["which"]
     if which not in ("I", "II", "III", "all"):
         raise UsageError(f"unknown table {which!r}; expected I, II, III or all")
     ga = _ga(config, "tables.ga")
-    config.setdefault("tables", {})["which"] = which
     files, lines = {}, []
     for name in ["I", "II", "III"] if which == "all" else [which]:
         rows = optimizer.reproduce_tables(name, params=params, ga=ga)
@@ -476,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         ff.add_argument(f"--{name}", dest=f"fit.{name}", type=float, help=f"fit.{name}")
 
     tables = add(sub, "tables", cmd_tables)
-    tables.add_argument("--which", choices=("I", "II", "III", "all"), help="which table batch")
+    tables.add_argument("--which", dest="tables.which", choices=("I", "II", "III", "all"),
+                        help="tables.which: which table batch")
     return parser
 
 
@@ -488,7 +476,7 @@ def _run(args) -> None:
         for key, value in vars(args).items():
             if "." in key and value is not None:
                 _apply_override(config, key, value)
-        files, message = args.func(config, args)
+        files, message = args.func(config)
     except _BAD_INPUT as exc:
         raise UsageError(f"bad {command} input: {exc!r}") from exc
     out = Path(args.out)
@@ -496,15 +484,12 @@ def _run(args) -> None:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"--out {out} is not a directory that can be created: {exc!r}") from exc
-    try:
-        signals.write_json(out / "manifest.json", {"command": command, "config": config})
-        for name, content in files.items():
-            if callable(content):
-                content(out / name)
-            else:
-                signals.write_json(out / name, content)
-    except OSError as exc:
-        raise WriteFailed(f"writing into {out} failed: {exc!r}") from exc
+    signals.write_json(out / "manifest.json", {"command": command, "config": config})
+    for name, content in files.items():
+        if callable(content):
+            content(out / name)
+        else:
+            signals.write_json(out / name, content)
     print(message)
 
 
@@ -515,7 +500,7 @@ def main(argv=None) -> int:
     except (UsageError, UnknownTarget) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except NvctrlError as exc:
+    except (NvctrlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -41,13 +41,5 @@ class NonPositiveInput(NvctrlError):
     """Input that must be positive was zero or negative."""
 
 
-class FileMissing(NvctrlError):
-    """A required input file does not exist."""
-
-
-class WriteFailed(NvctrlError):
-    """An output file could not be written."""
-
-
 class InvariantViolation(NvctrlError):
     """A computed propagator or state broke unitarity, unit trace or Hermiticity."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
-from .propagation import PulseSequence, _eig, _evolve, _propagators, sequence_propagator
+from .propagation import PulseSequence, _evolve, _propagators, sequence_propagator
 from .signals import FidTrace, Spectrum
 from .spin_model import (
     E2,
@@ -79,9 +79,9 @@ def _free_propagators_6(params: SystemParams, times: np.ndarray) -> np.ndarray:
     """Blockwise free evolution of the 6-level space (interaction frame)."""
     h_plus, h_zero, h_minus = nuclear_block_hamiltonians(params)
     out = np.zeros((times.size, 6, 6), dtype=complex)
-    out[:, 0:2, 0:2] = _propagators(_eig(h_plus), times)
-    out[:, 2:4, 2:4] = _propagators(_eig(h_zero), times)
-    out[:, 4:6, 4:6] = _propagators(_eig(h_minus), times)
+    out[:, 0:2, 0:2] = _propagators(h_plus, times)
+    out[:, 2:4, 2:4] = _propagators(h_zero, times)
+    out[:, 4:6, 4:6] = _propagators(h_minus, times)
     return out
 
 

@@ -170,28 +170,22 @@ class DensityState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def _eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w (MHz), eigenvector columns V and V^dag of a Hermitian matrix."""
-    w, v = np.linalg.eigh(matrix)
-    return w, v, v.conj().T
-
-
 def _phases(w, times) -> np.ndarray:
     """Phase angles 2 pi w t (radians) for every t in `times` (microseconds)
     and every eigenvalue w (MHz), shape (T, d)."""
     return TWO_PI * np.outer(times, w)
 
 
-def _propagators(eig, times) -> np.ndarray:
+def _propagators(h: np.ndarray, times) -> np.ndarray:
     """exp(-i 2 pi H t) for every t in `times` (microseconds), shape (T, d, d),
-    from the `_eig` decomposition of H."""
-    w, v, v_h = eig
+    for the Hermitian matrix `h` (MHz)."""
+    w, v = np.linalg.eigh(h)
     with np.errstate(over="ignore"):
         angles = _phases(w, times)
     if not np.isfinite(angles).all():
         raise OverflowError("propagator phase 2 pi w t is beyond float range; a segment is too long")
     phases = np.exp(-1j * angles)
-    return (v[None] * phases[:, None, :]) @ v_h
+    return (v[None] * phases[:, None, :]) @ v.conj().T
 
 
 def drive_operator(rabi_mhz: float, phase_rad: float) -> np.ndarray:
@@ -214,7 +208,7 @@ def sequence_propagator(h: Hamiltonian, seq: PulseSequence) -> np.ndarray:
     checked for unitarity."""
     u = np.eye(h.dim, dtype=complex)
     for seg in seq.segments:
-        u = _propagators(_eig(_generator(h, seq.rabi_mhz, seg)), [seg.us])[0] @ u
+        u = _propagators(_generator(h, seq.rabi_mhz, seg), [seg.us])[0] @ u
     error = np.linalg.norm(u.conj().T @ u - np.eye(h.dim))
     if not error <= _INVARIANT_TOL:
         raise InvariantViolation(f"sequence propagator is not unitary: |U^dag U - I| = {error:.3g}")
@@ -289,7 +283,7 @@ def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: fl
         if not rel_times or rel_times[-1] < seg.us:
             rel_times.append(seg.us)
         # the samples, then the segment end the next segment starts from
-        rhos = _evolve(_propagators(_eig(_generator(h, seq.rabi_mhz, seg)), rel_times + [seg.us]), state)
+        rhos = _evolve(_propagators(_generator(h, seq.rabi_mhz, seg), rel_times + [seg.us]), state)
         times.append(t0 + np.array(rel_times))
         states.append(rhos[:-1])
         state, t0 = rhos[-1], t0 + seg.us

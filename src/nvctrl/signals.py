@@ -94,6 +94,8 @@ def read_csv(path, expected_header=None) -> list[np.ndarray]:
         raise ValueError(f"unexpected CSV header {header!r} in {path}")
     rows = [[float(v) for v in line.split(",")] for line in text[1:]]
     data = np.array(rows, dtype=float)
+    if not np.isfinite(data).all():
+        raise ValueError(f"non-finite value in {path}")
     return [data[:, j] for j in range(data.shape[1])]
 
 

@@ -204,7 +204,7 @@ def test_non_unitary_core_is_runtime_error(tmp_path, monkeypatch, capsys):
     trajectory's trace check and the sequence propagator's unitarity check
     stop the command with exit 3 before anything is written."""
     core = propagation._propagators
-    monkeypatch.setattr(propagation, "_propagators", lambda eig, times: 1.001 * core(eig, times))
+    monkeypatch.setattr(propagation, "_propagators", lambda h, times: 1.001 * core(h, times))
     seq_path = tmp_path / "seq.json"
     nc.PulseSequence(0.5, (nc.Delay(0.2), nc.Pulse(1.0, 0.5))).save(seq_path)
     for argv in (
@@ -422,6 +422,48 @@ def test_missing_config_file(tmp_path):
     assert run(["angles", "--config", "/nonexistent.json", "--out", tmp_path / "x"]) == 3
 
 
+# every input a command reads from a file, by the option or key that names it
+FILE_INPUTS = {
+    "config": ["angles", "--config", "{path}"],
+    "fid.sequence": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={path}"],
+    "fid.sequence_dagger": [
+        "fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={seq}", "--set", "fid.sequence_dagger={path}",
+    ],
+    "fid.sequence_readout": [
+        "fid", "--set", "fid.protocol=u90_ms0", "--set", "fid.sequence={seq}",
+        "--set", "fid.sequence_readout={path}",
+    ],
+    "spectrum.fid_csv": ["spectrum", "--set", "spectrum.fid_csv={path}"],
+    "bloch.sequence": ["bloch", "--set", "bloch.sequence={path}"],
+    "polarize.sequence": ["polarize", "--set", "polarize.sequence={path}"],
+    "fit polarization": ["fit", "polarization", "--data", "{path}"],
+    "fit sinusoid": ["fit", "sinusoid", "--data", "{path}", "--nu", "0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", FILE_INPUTS.values(), ids=FILE_INPUTS.keys())
+def test_unreadable_input_file_keeps_exit_contract(tmp_path, capsys, argv):
+    """A directory or a missing path where a command reads a file exits 3
+    with the OS error, which names the path; an empty file or a path with a
+    NUL byte exits 2.  No case prints a traceback or writes --out.  A file
+    without read permission is not among the cases, because a process
+    running as root reads it anyway."""
+    seq = tmp_path / "seq.json"
+    nc.PulseSequence(0.5, (nc.Delay(0.2), nc.Pulse(1.0, 0.5))).save(seq)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "empty").write_text("")
+    out = tmp_path / "out"
+    for path, want in ((tmp_path / "dir", 3), (tmp_path / "missing", 3), (tmp_path / "empty", 2), ("nul\0", 2)):
+        code = run([a.format(path=path, seq=seq) for a in argv] + ["--out", out])
+        err = capsys.readouterr().err
+        assert code == want, (path, err)
+        if want == 3:
+            assert err.startswith("error:") and str(path) in err, err
+        else:
+            assert err.startswith("usage error:"), err
+        assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
+
+
 def test_tables_command_structure(tmp_path):
     out = tmp_path / "tables"
     code = run(["tables", "--which", "III", "--out", out, "--seed", "7",
@@ -477,6 +519,10 @@ MALFORMED = {
     "fit-sinusoid-nu-zero": ["fit", "sinusoid", "--data", "{fid_csv}", "--nu", "0"],
     "fit-sinusoid-two-rows": ["fit", "sinusoid", "--data", "{two_rows_csv}", "--nu", "0.1"],
     "fit-polarization-one-column": ["fit", "polarization", "--data", "{one_column_csv}"],
+    # a non-finite CSV value is refused where the file is read
+    "fit-sinusoid-nan": ["fit", "sinusoid", "--data", "{nan_csv}", "--nu", "0.1"],
+    "spectrum-fid-inf": ["spectrum", "--set", "spectrum.fid_csv={inf_csv}"],
+    "fit-polarization-nan": ["fit", "polarization", "--data", "{nan_polarization_csv}"],
     "fit-fidelities-b0-negative": [
         "fit", "fidelities", "--b0", "-1", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
     ],
@@ -573,6 +619,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "empty_csv": "",
         "two_rows_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n",
         "one_column_csv": "d_l_us\n" + "".join(f"{d}.0\n" for d in range(8)),
+        "nan_csv": "tau_us,signal\n0.0,0.5\n1.0,nan\n2.0,0.25\n3.0,0.5\n4.0,0.75\n5.0,0.25\n",
+        "inf_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\ninf,0.5\n",
+        "nan_polarization_csv": "d_l_us,p\n" + "".join(f"{d}.0,{'nan' if d == 3 else 0.1 * d}\n" for d in range(8)),
     }
     paths = {}
     for name, text in files.items():
@@ -643,7 +692,7 @@ BLOCK_COMMANDS = {
     "spectrum": ["spectrum", "--set", "spectrum.fid_csv=fid.csv"],
     "bloch": ["bloch", "--set", "bloch.sequence=seq.json"],
     "polarize": ["polarize"],
-    "tables": ["tables", "--which", "III", *TINY_TABLES_GA],
+    "tables": ["tables", "--set", "tables.which=III", *TINY_TABLES_GA],
     "tables.ga": ["tables", "--which", "III", *TINY_TABLES_GA],
     "fit polarization": ["fit", "polarization"],
     "fit sinusoid": ["fit", "sinusoid", "--set", "fit.data=fid.csv", "--set", "fit.nu_mhz=0.1"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import nvctrl as nc
 from nvctrl import propagation
 from nvctrl.errors import DimensionMismatch, InvariantViolation
-from nvctrl.propagation import Delay, Pulse, _eig, _evolve, _propagators
+from nvctrl.propagation import Delay, Pulse, _evolve, _propagators
 from nvctrl.spin_model import TWO_PI
 from tests_support import random_hamiltonian, random_sequence, trotter_sequence
 
@@ -86,7 +86,7 @@ def test_batched_core_matches_scipy_expm(dim):
     for _ in range(10):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (a + a.conj().T) / 2.0
-        batch = _propagators(_eig(h), times)
+        batch = _propagators(h, times)
         assert batch.shape == (times.size, dim, dim)
         for t, u in zip(times, batch):
             assert np.linalg.norm(u - expm(-1j * TWO_PI * h * t)) < 1e-10
@@ -308,7 +308,7 @@ def test_non_unitary_core_fails_the_postcondition(monkeypatch, h_sub):
     """A propagation core whose phase factors have magnitude 1.001 cannot
     pass the unitarity check of sequence_propagator."""
     core = propagation._propagators
-    monkeypatch.setattr(propagation, "_propagators", lambda eig, times: 1.001 * core(eig, times))
+    monkeypatch.setattr(propagation, "_propagators", lambda h, times: 1.001 * core(h, times))
     seq = nc.PulseSequence(0.5, (Delay(0.37), Pulse(0.81, 1.1)))
     with pytest.raises(InvariantViolation):
         nc.sequence_propagator(h_sub, seq)
