@@ -52,6 +52,12 @@ class Target:
             raise ValueError("kind must be 'unitary' or 'state'")
 
 
+# drive-amplitude samples of one band (200 times the default 5): every
+# genome the search evaluates is propagated once per sample, and the fitness
+# kernel keeps one eigendecomposition per sample
+MAX_DRIVE_SAMPLES = 1000
+
+
 @dataclass(frozen=True)
 class RobustnessRange:
     """Band of drive amplitudes (MHz) over which fidelity is averaged."""
@@ -67,8 +73,8 @@ class RobustnessRange:
             raise ValueError("drive amplitude band must not be negative")
         if self.omega_lo_mhz > self.omega_hi_mhz:
             raise ValueError("omega_lo must not exceed omega_hi")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        if not 1 <= self.n_samples <= MAX_DRIVE_SAMPLES:
+            raise ValueError(f"n_samples must be between 1 and {MAX_DRIVE_SAMPLES}")
 
     def samples(self) -> np.ndarray:
         if self.n_samples == 1:

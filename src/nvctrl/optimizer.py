@@ -97,12 +97,12 @@ class GaConfig:
     """GA budget and seed.  The operator settings are fixed class constants;
     mutation sigma is a fraction of each bound width.
 
-    polish_evals is the evaluation budget of a deterministic L-BFGS-B
-    refinement applied to each restart's best genome; one evaluation is one
-    batched kernel call that yields the fitness and its central-difference
-    gradient (2L + 1 genomes for a genome of length L).  The fixed mutation
-    width explores well but cannot settle the third digit, so the polish
-    closes that gap without touching the evolutionary stage.
+    polish_evals is each restart's evaluation budget in a deterministic
+    projected L-BFGS refinement of its best genome; one evaluation is the
+    fitness and its exact gradient, and one kernel call evaluates every
+    restart still polishing, in lockstep.  The fixed mutation width explores
+    well but cannot settle the third digit, so the polish closes that gap
+    without touching the evolutionary stage.
     """
 
     crossover_rate: ClassVar[float] = 0.8
@@ -190,6 +190,12 @@ def decode(problem: ControlProblem, genome) -> PulseSequence:
     return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, np.mod(phis, TWO_PI))
 
 
+def _weigh(w, h) -> np.ndarray:
+    """sum_i w_i h[:, i] over the 4 levels of h (K, 4, B), one term after
+    another: an einsum may reorder this sum for a batch of one genome."""
+    return sum(w[i] * h[:, i] for i in range(4))
+
+
 def _rank_factor(rho: np.ndarray) -> np.ndarray:
     """Columns A with A A^dag = rho, one per eigenvalue above round-off."""
     lam, w = np.linalg.eigh(rho)
@@ -247,28 +253,69 @@ class _FitnessKernel:
             self._score_op = vf_h @ t.rho_target.matrix @ vf
             self._state_norm = norm
 
-    def _fidelities(self, diagonals, ts, sample: int) -> np.ndarray:
+    def _fidelities(self, diagonals, ts, sample: int, gradient: bool):
+        """Fidelity of every genome at one drive sample, and with `gradient`
+        the adjoint sums h = sum_c Lambda * X at each diagonal factor: X the
+        columns just after the factor, Lambda the derivative of the fidelity
+        with respect to them.  A factor exp(-i a) changes the fidelity by
+        sum_i Im(h_i) da_i."""
         w_drive, m, m_h = self._drive[sample]
         drive = np.exp(-1j * _phases(w_drive, ts)).reshape(-1, self.n, 4).transpose(1, 2, 0)
         x = self._columns[:, :, None]
+        # the columns just after each factor, kept for the backward pass
+        states = []
         for k in range(self.n):
             x = diagonals[k][:, None, :] * x
+            states += [x] * gradient
             x = np.einsum("ij,jcb->icb", m_h, x)
             x = drive[k][:, None, :] * x
+            states += [x] * gradient
             x = np.einsum("ij,jcb->icb", m, x)
         x = diagonals[self.n][:, None, :] * x
         if self._state_norm is None:
-            return np.abs(np.einsum("ij,ijb->b", self._score_op, x)) / 4.0
-        return np.einsum("icb,ij,jcb->b", x.conj(), self._score_op, x).real / self._state_norm
+            z = np.einsum("ij,ijb->b", self._score_op, x)
+            fid = np.abs(z) / 4.0
+            if not gradient:
+                return fid
+            # d|z| = Re(conj(z) dz) / |z|; no direction ascends from z = 0
+            phase = np.divide(z.conj(), 4.0 * np.abs(z), out=np.zeros_like(z), where=z != 0)
+            lam = self._score_op[:, :, None] * phase
+        else:
+            fid = np.einsum("icb,ij,jcb->b", x.conj(), self._score_op, x).real / self._state_norm
+            if not gradient:
+                return fid
+            lam = np.einsum("icb,ij->jcb", x.conj(), self._score_op) * (2.0 / self._state_norm)
+        # the backward pass: pull Lambda through each factor in reverse
+        h_free = [np.einsum("icb,icb->ib", lam, x)]
+        h_drive = []
+        lam = diagonals[self.n][:, None, :] * lam
+        for k in reversed(range(self.n)):
+            lam = np.einsum("ji,jcb->icb", m, lam)
+            h_drive.append(np.einsum("icb,icb->ib", lam, states[2 * k + 1]))
+            lam = drive[k][:, None, :] * lam
+            lam = np.einsum("ji,jcb->icb", m_h, lam)
+            h_free.append(np.einsum("icb,icb->ib", lam, states[2 * k]))
+            lam = diagonals[k][:, None, :] * lam
+        return fid, np.array(h_free[::-1]).imag, np.array(h_drive[::-1]).imag
 
     def objective(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitness (mean fidelity minus optional duration penalty) and total
         durations for a batch of genomes, at most `_CHUNK` per pass."""
+        return self._batched(genomes, False)
+
+    def gradient(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fitness and its exact gradient (B, L) for a batch of genomes, from
+        one forward and one backward pass.  A duration beyond its bound has
+        zero derivative, as `_split` clips it there; at the bound it has the
+        derivative from inside the box."""
+        return self._batched(genomes, True)
+
+    def _batched(self, genomes, gradient: bool):
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
-        parts = [self._chunk(g[i : i + _CHUNK]) for i in range(0, max(len(g), 1), _CHUNK)]
+        parts = [self._chunk(g[i : i + _CHUNK], gradient) for i in range(0, max(len(g), 1), _CHUNK)]
         return tuple(np.concatenate(a) for a in zip(*parts))
 
-    def _chunk(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _chunk(self, genomes: np.ndarray, gradient: bool):
         taus, ts, phis = _split(self.problem, genomes)
         # diagonal k merges Z_{k-1}, D_f(tau_k) and Z_k^dag (phi_0 = 0); the
         # last one, with no delay and phi_{n+1} = 0, is the final Z_n
@@ -277,20 +324,46 @@ class _FitnessKernel:
         angles = _phases(self._w_free, np.hstack([taus, zero])).reshape(-1, self.n + 1, 4)
         diagonals = np.exp(-1j * (angles - turns[:, :, None] * _ZDIAG)).transpose(1, 2, 0)
         acc = np.zeros(taus.shape[0])
-        for s in range(len(self.omegas)):
-            acc += self._fidelities(diagonals, ts, s)
+        # the adjoint sums of the free diagonals, shared by the drive samples,
+        # and the pulse-duration derivatives, summed over them
+        h_free, d_ts = 0.0, 0.0
+        for s, (w_drive, _, _) in enumerate(self._drive):
+            if not gradient:
+                acc += self._fidelities(diagonals, ts, s, False)
+                continue
+            fid, h_f, h_d = self._fidelities(diagonals, ts, s, True)
+            acc += fid
+            h_free, d_ts = h_free + h_f, d_ts + _weigh(TWO_PI * w_drive, h_d)
         fid = acc / len(self.omegas)
         dur = taus.sum(axis=1) + ts.sum(axis=1)
         fit = fid - self.problem.duration_penalty * dur / TAU_MAX_US
-        return fit, dur
+        if not gradient:
+            return fit, dur
+        # each diagonal is exp(-i (2pi w_free tau - turn s_z)); a turn is
+        # phi_{k+1} - phi_k, so phi_k moves turns k - 1 and k in opposite ways
+        d_turns = -_weigh(_ZDIAG, h_free)
+        d_ts = [d_ts] if self.problem.mode == MODE_FREE else []
+        grad = np.vstack([_weigh(TWO_PI * self._w_free, h_free[:-1]), *d_ts, d_turns[:-1] - d_turns[1:]]).T
+        grad /= len(self.omegas)
+        lo, hi = genome_bounds(self.problem)
+        dur_genes = genomes[:, : -self.n]
+        inside = (dur_genes >= lo[: -self.n]) & (dur_genes <= hi[: -self.n])
+        slope = self.problem.duration_penalty / TAU_MAX_US
+        grad[:, : -self.n] = np.where(inside, grad[:, : -self.n] - slope, 0.0)
+        return fit, grad
 
 
-# Polish: central-difference step (genome units) and L-BFGS-B's stopping
-# tolerances on the relative decrease of the objective and on the projected
-# gradient (in the width-scaled coordinates it works on).
-_FD_STEP = 1e-6
+# Polish: the stopping tolerances on the relative decrease of the objective
+# and on the projected gradient (in the width-scaled coordinates the polish
+# works on), the L-BFGS memory, the Armijo constant and the most trial steps
+# of one line search.  A row of `minimize` ends converged (0), out of budget
+# (1) or with a failed line search (2), as scipy's L-BFGS-B numbers them.
 _FTOL = 1e-13
 _GTOL = 1e-10
+_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_TRIALS = 20
+_RUNNING = -1
 
 
 def _leaders(fit, dur, pop) -> np.ndarray:
@@ -364,56 +437,134 @@ def _run_restarts(kernel, problem, ga, rngs):
         dur = np.concatenate([dur[rows, elite], child_dur], axis=1)
         consider_generation()
     if ga.polish_evals > 0:
-        polished = [_polish(kernel, genome, ga.polish_evals) for genome in best[2]]
-        fit, dur, pop = (np.array(a)[:, None] for a in zip(*polished))
+        fit, dur, pop = (a[:, None] for a in _polish(kernel, best[2], ga.polish_evals))
         consider_generation()
     return (*best, np.array(history))
 
 
-def minimize(fun, x0, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call so that only a
-    search pays for loading scipy."""
-    from scipy.optimize import minimize
+@dataclass(frozen=True, eq=False)
+class Minimum:
+    """Where `minimize` left each row: x (R, L), status and evals (R,); nfev
+    counts the calls of the objective."""
 
-    return minimize(fun, x0, **kwargs)
+    x: np.ndarray
+    status: np.ndarray
+    evals: np.ndarray
+    nfev: int
 
 
-def _polish(kernel, genome, budget) -> tuple[float, float, np.ndarray]:
-    """Deterministic L-BFGS-B refinement of one genome.
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products over the last axis."""
+    return np.einsum("...l,...l->...", a, b)
 
-    Durations are boxed by `genome_bounds`; phases are left unbounded, since
-    the kernel treats them as periodic.  Each evaluation is one kernel call on
-    the stacked batch [g, g + h I, g - h I], which gives the fitness and its
-    central-difference gradient; `budget` caps the number of such calls (up
-    to one line search past it, as scipy checks the cap between iterations).
-    L-BFGS-B sees the genome divided by the box widths, which evens out the
-    curvature of microsecond delays, short pulses and phases.
+
+def _direction(g, free, s_mem, y_mem) -> np.ndarray:
+    """-H g in the free coordinates, H the L-BFGS inverse Hessian of each
+    row's memory (oldest pair first) restricted to them; a pair of no
+    positive curvature there, or an empty slot, adds nothing."""
+    s_mem, y_mem = s_mem * free[:, None], y_mem * free[:, None]
+    sy, yy = _dot(s_mem, y_mem), _dot(y_mem, y_mem)
+    rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > np.finfo(float).eps * yy)
+    q, a = np.where(free, g, 0.0), np.zeros_like(rho)
+    for j in reversed(range(_MEMORY)):
+        a[:, j] = rho[:, j] * _dot(s_mem[:, j], q)
+        q = q - a[:, j, None] * y_mem[:, j]
+    r = np.divide(sy[:, -1], yy[:, -1], out=np.ones_like(q[:, 0]), where=rho[:, -1] > 0)[:, None] * q
+    for j in range(_MEMORY):
+        r = r + (a[:, j] - rho[:, j] * _dot(y_mem[:, j], r))[:, None] * s_mem[:, j]
+    return -r
+
+
+def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
+    """Projected L-BFGS from every row of x0 (R, L) at once, in the box
+    [lower, upper] (an infinite bound leaves a coordinate free).
+
+    `fun` maps points (B, L) to values (B,) and gradients (B, L); each call
+    takes every row still running, so the rows share their calls, and
+    nothing a row computes depends on the other rows.  Each row holds the
+    coordinates at a bound whose gradient points out of the box and steps
+    along the projected L-BFGS direction of its last `_MEMORY` steps (the
+    steepest descent where that is not downhill, which clears the memory).
+    From a unit step (1 / |d| capped at 1 with an empty memory) it backtracks
+    to the minimum of a quadratic until the Armijo condition holds.  It stops
+    with status 0 when its projected gradient is at most `_GTOL` in every
+    coordinate or a step lowers its value by at most `_FTOL` relative to
+    max(|f|, 1), 1 when it has spent `budget` evaluations (the first one
+    included), 2 when `_MAX_TRIALS` steps fail.  After Byrd, Lu, Nocedal &
+    Zhu, SIAM J. Sci. Comput. 16, 1190 (1995), without the generalized
+    Cauchy point.
+    """
+    x = np.clip(np.array(x0, dtype=float), lower, upper)
+    f, g = fun(x)
+    rows = len(x)
+    nfev, evals, status = 1, np.ones(rows, dtype=np.int64), np.full(rows, _RUNNING)
+    s_mem, y_mem = np.zeros((2, rows, _MEMORY, x.shape[1]))
+    d, alpha, trials = np.zeros_like(x), np.zeros(rows), np.zeros(rows, dtype=np.int64)
+    fresh = np.ones(rows, dtype=bool)
+    while True:
+        # a new direction for each row that has just moved, or started
+        new = np.flatnonzero(fresh & (status == _RUNNING))
+        xn, gn = x[new], g[new]
+        status[new[np.abs(np.clip(xn - gn, lower, upper) - xn).max(axis=1) <= _GTOL]] = 0
+        free = ~(((xn <= lower) & (gn > 0)) | ((xn >= upper) & (gn < 0)))
+        dn = _direction(gn, free, s_mem[new], y_mem[new])
+        uphill = _dot(gn, dn) >= 0
+        s_mem[new[uphill]] = y_mem[new[uphill]] = 0.0
+        dn[uphill] = np.where(free[uphill], -gn[uphill], 0.0)
+        d[new], trials[new], fresh[new] = dn, 0, False
+        alpha[new] = np.where(s_mem[new].any(axis=(1, 2)), 1.0, 1.0 / np.maximum(np.sqrt(_dot(dn, dn)), 1.0))
+        status[(status == _RUNNING) & (evals >= budget)] = 1
+        run = np.flatnonzero(status == _RUNNING)
+        if not run.size:
+            return Minimum(x, status, evals, nfev)
+        trial = np.clip(x[run] + alpha[run, None] * d[run], lower, upper)
+        f_new, g_new = fun(trial)
+        nfev += 1
+        evals[run] += 1
+        step, f_old = trial - x[run], f[run]
+        # the projected step's first-order change, which must be downhill
+        change = _dot(g[run], step)
+        ok = (change <= 0) & (f_new <= f_old + _ARMIJO * change)
+        # an accepted step joins the memory when its curvature is positive
+        took, s, y = run[ok], step[ok], g_new[ok] - g[run[ok]]
+        curved = _dot(s, y) > np.finfo(float).eps * _dot(y, y)
+        for mem, pair in ((s_mem, s), (y_mem, y)):
+            mem[took[curved]] = np.concatenate([mem[took[curved], 1:], pair[curved, None]], axis=1)
+        x[took], f[took], g[took], fresh[took] = trial[ok], f_new[ok], g_new[ok], True
+        scale = np.maximum(np.maximum(np.abs(f_old[ok]), np.abs(f_new[ok])), 1.0)
+        status[took[f_old[ok] - f_new[ok] <= _FTOL * scale]] = 0
+        # a rejected step shrinks to the minimum of the quadratic through the
+        # two values and the first-order change, within [0.1, 0.5] of itself
+        back, lin = run[~ok], change[~ok]
+        curve = 2.0 * (f_new[~ok] - f_old[~ok] - lin)
+        trials[back] += 1
+        alpha[back] *= np.clip(np.divide(-lin, curve, out=np.zeros_like(lin), where=curve > 0), 0.1, 0.5)
+        status[back[trials[back] >= _MAX_TRIALS]] = 2
+
+
+def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic projected L-BFGS refinement of every restart's genome
+    (R, L) in lockstep: one evaluation is the fitness and its exact gradient
+    for all restarts still running, in one kernel call, and `budget` caps
+    each restart's evaluations.  Durations are boxed by `genome_bounds`;
+    phases are left unbounded, since the kernel treats them as periodic.  The
+    search sees each genome divided by the box widths, which evens out the
+    curvature of microsecond delays, short pulses and phases.  Returns the
+    fitness (R,), duration (R,) and genome (R, L) of every restart.
     """
     lo, hi = genome_bounds(kernel.problem)
     width = hi - lo
-    length = lo.size
-    n_dur = length - kernel.n
-    bounds = list(zip(lo[:n_dur] / width[:n_dur], hi[:n_dur] / width[:n_dur]))
-    bounds += [(None, None)] * kernel.n
-    steps = _FD_STEP * np.eye(length)
+    phases = np.arange(lo.size) >= lo.size - kernel.n
+    lower, upper = np.where(phases, -np.inf, lo / width), np.where(phases, np.inf, hi / width)
 
     def negative_fitness(u):
-        g = u * width
-        fit, _ = kernel.objective(np.concatenate([g[None, :], g + steps, g - steps]))
-        grad = (fit[1 : length + 1] - fit[length + 1 :]) / (2.0 * _FD_STEP)
-        return -float(fit[0]), -grad * width
+        fit, grad = kernel.gradient(u * width)
+        return -fit, -grad * width
 
-    res = minimize(
-        negative_fitness,
-        np.asarray(genome, dtype=float) / width,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxfun": int(budget), "ftol": _FTOL, "gtol": _GTOL},
-    )
+    res = minimize(negative_fitness, genomes / width, lower, upper, budget)
     x = res.x * width
-    fit, dur = kernel.objective(x[None, :])
-    return (float(fit[0]), float(dur[0]), x)
+    fit, dur = kernel.objective(x)
+    return fit, dur, x
 
 
 def _tournament(fit, entrants):

@@ -331,6 +331,8 @@ commands = {
     "esr": ["esr"],
     "fid": ["fid"],
     "spectrum": ["spectrum", "--set", f"spectrum.fid_csv={root}/fid/fid.csv"],
+    "optimize": ["optimize", "--set", "optimize.ga.population=6", "--set", "optimize.ga.generations=2",
+                 "--set", "optimize.ga.restarts=2", "--set", "optimize.ga.polish_evals=5"],
     "fit": ["fit", "polarization", "--data", data],
 }
 for name, argv in commands.items():
@@ -341,9 +343,10 @@ print(json.dumps(loaded))
 
 
 def test_only_a_scipy_caller_imports_scipy(tmp_path):
-    """Importing the package and running the commands that call no scipy
-    loads no scipy module; `fit polarization` loads scipy.optimize on first
-    use, and every command writes the same bytes as with scipy imported first."""
+    """Importing the package and running the commands that call no scipy,
+    a polished `optimize` among them, loads no scipy module; `fit
+    polarization` loads scipy.optimize on first use, and every command writes
+    the same bytes as with scipy imported first."""
     d = np.linspace(0.0, 60.0, 40)
     data = tmp_path / "pol.csv"
     write_csv(data, ("d_l_us", "p"), (d, nc.polarization_curve(nc.paper_polarization_model(), d)))
@@ -355,7 +358,7 @@ def test_only_a_scipy_caller_imports_scipy(tmp_path):
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         loaded[mode] = json.loads(done.stdout.splitlines()[-1])
-    for step in ("import", "angles", "esr", "fid", "spectrum"):
+    for step in ("import", "angles", "esr", "fid", "spectrum", "optimize"):
         assert loaded["lazy"][step] == [], step
     assert "scipy.optimize" in loaded["lazy"]["fit"]
     lazy = sorted(p.relative_to(tmp_path / "lazy") for p in (tmp_path / "lazy").rglob("*") if p.is_file())
@@ -572,6 +575,14 @@ MALFORMED = {
     "optimize-penalty-overflow": ["optimize", *TINY_GA, "--set", "optimize.duration_penalty=1e308"],
     # restarts x population above the bound fails before any generator is spawned
     "optimize-ga-restarts-huge": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=100000000000"],
+    # more drive-amplitude samples than MAX_DRIVE_SAMPLES fail before the
+    # kernel builds one eigendecomposition per sample
+    "optimize-robust-samples-huge": [
+        "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.4, "hi_mhz": 0.5, "n_samples": 1000000}}',
+    ],
+    "optimize-robust-samples-above-cap": [
+        "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.4, "hi_mhz": 0.5, "n_samples": 1001}}',
+    ],
     "optimize-robust-negative": [
         "optimize", *TINY_GA, "--set", "optimize.target=u_90", "--set", "optimize.n_pulses=2",
         "--set", 'optimize.robust={{"lo_mhz": -0.5, "hi_mhz": 0.52}}',
@@ -599,6 +610,16 @@ MALFORMED = {
     "params-override-bool": ["angles", "--set", "params.nu_c_override=true"],
     "polarize-c0-bool": ["polarize", "--set", "polarize.c0=true"],
 }
+
+
+def test_drive_sample_cap_is_inclusive():
+    """A band of exactly MAX_DRIVE_SAMPLES samples is accepted; one more is
+    the usage error above."""
+    from nvctrl.fidelity import MAX_DRIVE_SAMPLES
+
+    assert nc.RobustnessRange(0.4, 0.5, MAX_DRIVE_SAMPLES).samples().size == MAX_DRIVE_SAMPLES
+    with pytest.raises(ValueError, match="n_samples"):
+        nc.RobustnessRange(0.4, 0.5, MAX_DRIVE_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())

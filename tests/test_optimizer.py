@@ -391,7 +391,7 @@ def test_skipped_children_are_copies_with_exact_fitness(request, monkeypatch, pr
 
 @pytest.fixture
 def minimize_results(monkeypatch):
-    """Every scipy result the polish receives, in call order."""
+    """Every lockstep result the polish receives, in call order."""
     from nvctrl import optimizer
 
     results = []
@@ -417,23 +417,139 @@ def _ascent_gradient(kernel, genome, h=1e-6):
     return grad
 
 
+GRADIENT_PROBLEMS = {
+    "u_p": ("u_p", 3, None),
+    "u_90": ("u_90", 2, None),
+    "u_c_dagger": ("u_c_dagger", 3, None),
+    "robust_u_c": ("u_c", 3, nc.RobustnessRange(0.47, 0.53, 5)),
+}
+
+
+def _gradient_problem(paper, case):
+    if case == "switched":
+        return nc.ControlProblem(
+            params=paper, target=nc.build_target("u_p", paper, 0.5), n_pulses=3, rabi_mhz=0.5,
+            mode=nc.MODE_SWITCHED,
+        )
+    if case == "penalty":
+        return nc.ControlProblem(
+            params=paper, target=nc.build_target("u_p", paper, 0.5), n_pulses=4, rabi_mhz=0.5,
+            duration_penalty=0.1,
+        )
+    return _kernel_problem(paper, *GRADIENT_PROBLEMS[case])
+
+
+GRADIENT_CASES = [*GRADIENT_PROBLEMS, "switched", "penalty"]
+
+
+@pytest.mark.parametrize("case", GRADIENT_CASES)
+def test_gradient_matches_central_differences(paper, case):
+    """The adjoint gradient agrees with central differences of the kernel
+    fitness at steps 1e-3 to 1e-6, with an error that falls as h^2 until
+    round-off takes over; its fitness is bitwise the objective's."""
+    problem = _gradient_problem(paper, case)
+    kernel = _FitnessKernel(problem)
+    lo, hi = genome_bounds(problem)
+    # keep the durations 1e-3 inside the box, so that no step crosses a bound
+    genomes = np.random.default_rng(29).uniform(lo + 1e-3, hi - 1e-3, size=(3, lo.size))
+    fit, grad = kernel.gradient(genomes)
+    assert fit.tobytes() == kernel.objective(genomes)[0].tobytes()
+    for g, exact in zip(genomes, grad):
+        errors = {h: np.abs(_ascent_gradient(kernel, g, h) - exact).max() for h in (1e-3, 1e-4, 1e-5, 1e-6)}
+        assert errors[1e-3] < 1e-3 and errors[1e-6] < 1e-9
+        assert 50.0 < errors[1e-3] / errors[1e-4] < 200.0
+        for h, error in errors.items():
+            assert error <= 1.5 * errors[1e-3] * (h / 1e-3) ** 2 + 1e-9, (h, error)
+
+
+def test_gradient_at_and_beyond_the_box(paper):
+    """A duration beyond its bound has zero derivative, as the kernel clips it
+    there; a duration at its bound has the one-sided derivative from inside
+    the box; every other coordinate agrees with central differences."""
+    problem = _kernel_problem(paper, "u_90", 3)
+    kernel = _FitnessKernel(problem)
+    t_max = problem.t_max_us
+    # tau_1 at 0, tau_2 below 0, tau_3 at its top; t_1 beyond t_max, t_2 at t_max
+    genome = np.array([0.0, -0.5, 10.0, t_max + 1.0, t_max, 0.7, 1.1, 4.0, 2.5])
+    (fit,), (grad,) = kernel.gradient(genome[None, :])
+    assert grad[1] == 0.0 and grad[3] == 0.0
+    h = 1e-7
+    for i, inward in ((0, h), (2, -h), (4, -h)):
+        step = np.zeros(genome.size)
+        step[i] = inward
+        one_sided = (kernel.objective((genome + step)[None, :])[0][0] - fit) / inward
+        assert abs(one_sided - grad[i]) < 1e-5
+        assert abs(grad[i]) > 1e-3
+    central = _ascent_gradient(kernel, genome)
+    for i in (5, 6, 7, 8):
+        assert abs(central[i] - grad[i]) < 1e-8
+
+
+@pytest.mark.parametrize("case", GRADIENT_CASES)
+def test_gradient_is_independent_of_batch_position(paper, case):
+    """Each genome's fitness and gradient alone equal, bitwise, those at its
+    place in a batch of 98 and in that batch reversed."""
+    problem = _gradient_problem(paper, case)
+    kernel = _FitnessKernel(problem)
+    lo, hi = genome_bounds(problem)
+    genomes = np.random.default_rng(43).uniform(lo, hi, size=(98, lo.size))
+    alone = [np.concatenate(kernel.gradient(g[None, :]), axis=None) for g in genomes]
+    batch, reverse = (np.column_stack(kernel.gradient(b)) for b in (genomes, genomes[::-1]))
+    assert np.array(alone).tobytes() == batch.tobytes() == reverse[::-1].tobytes()
+
+
+def test_minimize_agrees_with_scipy_on_a_boxed_quadratic():
+    """On an ill-conditioned convex quadratic whose unconstrained minimum lies
+    outside the box of its boxed coordinates, every row of one lockstep call
+    converges, inside its budget, to the minimizer scipy's L-BFGS-B finds."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    from nvctrl.optimizer import minimize
+
+    rng = np.random.default_rng(11)
+    length = 7
+    lower = np.array([0.0, 0.0, 0.0, -1.0, -np.inf, -np.inf, -np.inf])
+    upper = np.array([1.0, 1.0, 1.0, 0.5, np.inf, np.inf, np.inf])
+    q = np.linalg.qr(rng.normal(size=(length, length)))[0]
+    a = q @ np.diag(np.geomspace(0.1, 30.0, length)) @ q.T
+    center = np.array([1.6, -0.4, 0.5, 0.9, 0.2, -1.0, 2.0])
+
+    def quadratic(x):
+        g = np.einsum("ij,rj->ri", a, x - center)
+        return 0.5 * np.einsum("ri,ri->r", x - center, g), g
+
+    starts = rng.uniform(0.0, 1.0, size=(6, length))
+    res = minimize(quadratic, starts, lower, upper, 500)
+    assert np.all(res.status == 0) and isinstance(res.nfev, int)
+    assert res.nfev == res.evals.max() < 500
+    want = scipy_minimize(
+        lambda x: (0.5 * (x - center) @ a @ (x - center), a @ (x - center)),
+        starts[0], jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+        options={"ftol": 1e-15, "gtol": 1e-12},
+    )
+    assert want.x[0] == 1.0 and want.x[1] == 0.0
+    assert np.abs(res.x - want.x).max() < 1e-5
+
+
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
 def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, problem_name):
-    """From random in-box genomes the polish never loses fitness, stops inside
-    its budget, and ends where the box-projected gradient vanishes."""
+    """From random in-box genomes, polished in one lockstep call, the polish
+    never loses fitness, every restart converges inside its budget, and each
+    ends where the box-projected gradient vanishes."""
     from nvctrl.optimizer import _polish
 
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)
     starts = np.random.default_rng(31).uniform(lo, hi, size=(4, lo.size))
+    start_fit, _ = kernel.objective(starts)
+    fit, _, xs = _polish(kernel, starts, 4000)
+    (res,) = minimize_results
+    assert np.all(res.status == 0) and res.evals.max() < 4000
+    assert np.all(fit >= start_fit)
     # the polish leaves phases unbounded: the kernel treats them as periodic
     lo[-problem.n_pulses :], hi[-problem.n_pulses :] = -np.inf, np.inf
-    for start in starts:
-        start_fit, _ = kernel.objective(start[None, :])
-        fit, _, x = _polish(kernel, start, 4000)
-        assert fit >= start_fit[0]
-        assert minimize_results[-1].status == 0
+    for x in xs:
         assert np.all(x >= lo) and np.all(x <= hi)
         grad = _ascent_gradient(kernel, x)
         projected = np.clip(x + grad, lo, hi) - x
@@ -442,26 +558,52 @@ def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, pro
 
 @pytest.mark.parametrize("budget", [1, 3, 10])
 def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, budget):
-    """One polish evaluation is one kernel call on 2L + 1 genomes; the budget
-    caps them up to scipy's check between iterations (one line search, at
-    most maxls = 20 evaluations, may run past it)."""
+    """One polish evaluation is one genome's fitness and exact gradient; a
+    lockstep call evaluates every restart still running, and the budget caps
+    each restart's evaluations exactly.  The polished genomes are then
+    evaluated once more, in one call."""
     from nvctrl.optimizer import _polish
 
     kernel = _FitnessKernel(up_problem)
-    batches = []
-    real_objective = kernel.objective
+    gradient_batches, objective_batches = [], []
+    real_gradient, real_objective = kernel.gradient, kernel.objective
+
+    def counting_gradient(genomes):
+        gradient_batches.append(len(genomes))
+        return real_gradient(genomes)
 
     def counting_objective(genomes):
-        batches.append(np.atleast_2d(genomes).shape[0])
+        objective_batches.append(len(genomes))
         return real_objective(genomes)
 
-    kernel.objective = counting_objective
+    kernel.gradient, kernel.objective = counting_gradient, counting_objective
     lo, hi = genome_bounds(up_problem)
-    _polish(kernel, np.random.default_rng(7).uniform(lo, hi), budget)
+    _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
     (res,) = minimize_results
-    assert res.nfev <= budget + 20
-    # every evaluation is one stacked call, then one re-evaluation of the result
-    assert batches == [2 * lo.size + 1] * res.nfev + [1]
+    assert res.evals.max() == budget and np.all(res.status[res.evals == budget] <= 1)
+    assert np.all(res.status[res.evals < budget] == 0)
+    assert len(gradient_batches) == res.nfev == budget
+    assert gradient_batches[0] == 5 and sum(gradient_batches) == res.evals.sum()
+    assert objective_batches == [5]
+
+
+def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
+    """A restart polished alone reaches bitwise the genome, fitness, status
+    and evaluation count it reaches inside a lockstep batch of 16."""
+    from nvctrl.optimizer import _polish
+
+    kernel = _FitnessKernel(up_problem)
+    lo, hi = genome_bounds(up_problem)
+    starts = np.random.default_rng(37).uniform(lo, hi, size=(16, lo.size))
+    fit, dur, xs = _polish(kernel, starts, 4000)
+    lockstep = minimize_results[0]
+    assert len(set(lockstep.evals.tolist())) > 1
+    for r, start in enumerate(starts):
+        alone = _polish(kernel, start[None, :], 4000)
+        res = minimize_results[-1]
+        assert alone[2][0].tobytes() == xs[r].tobytes()
+        assert (alone[0][0], alone[1][0]) == (fit[r], dur[r])
+        assert (res.status[0], res.evals[0]) == (lockstep.status[r], lockstep.evals[r])
 
 
 FIXTURE_PINS = {

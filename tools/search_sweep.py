@@ -10,11 +10,18 @@ tests run, as tests/ga_jobs.py defines them: the 13 rows of the benchmark
 tables (row i runs with GA seed seed + i), the 4 robust jobs and the 4
 fixture jobs.  Every (design, job, seed) run records its best fitness,
 fidelity, duration, wall time, the genomes the GA evaluated in the fitness
-kernel and the polish evaluations.  The counts come from wrapping
-`_FitnessKernel.objective` and the polish's `minimize`.  Their sum in
-kernel genomes, `cost_genomes = genomes + polish_evals * (2L + 1)` with L
-the job's genome length (one polish evaluation is one kernel call on
-2L + 1 genomes), is a cost that does not change between re-runs.  The runs
+kernel, the polish evaluations summed over the restarts and the polish's
+lockstep kernel calls.  The genomes come from wrapping
+`_FitnessKernel.objective`, the polish counts from the result of
+`optimizer.minimize`.  Their sum in kernel genomes,
+`cost_genomes = genomes + polish_evals * GRADIENT_GENOMES`, is a cost that
+does not change between re-runs: one polish evaluation is the fitness and
+exact gradient of one genome, which costs GRADIENT_GENOMES = 2 genomes (the
+ratio of the summed median times of `_FitnessKernel.gradient` and
+`objective` over the 21 jobs, each on 784 random in-box genomes: 1.87 on
+2 cores with one BLAS thread, 2.16 on 16 genomes).  Every sweep measures
+that ratio again and records it as `gradient_cost` beside the
+environment.  The runs
 go one after another in this process, as a command-line search runs, so no
 run's wall time shares the cores with another run.  BLAS runs on one thread, as
 in perfbench: the package's matrices are 4x4 to 18x18.
@@ -37,6 +44,7 @@ The results go to BENCH_search_<tag>.json in the current directory.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -49,8 +57,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np  # noqa: E402
-# the polish imports scipy.optimize on first use; import it before any run is timed
-import scipy.optimize  # noqa: E402
 
 import nvctrl as nc  # noqa: E402
 from nvctrl import optimizer  # noqa: E402
@@ -60,29 +66,26 @@ BEST_KNOWN = ROOT / "tools" / "best_known.json"
 BASELINE = "8x300"
 HIT_TOL = 1e-6
 COST_RATIO = 0.7
+GRADIENT_GENOMES = 2
 JOB_IDS = list(jobs(nc.GaConfig()))
 
 
-_COUNTS = {"genomes": 0, "polish_evals": 0, "polishing": False}
+_COUNTS = {"genomes": 0, "polish_evals": 0, "polish_calls": 0}
 
 
 def _install_counters() -> None:
-    """Count GA genomes and polish evaluations by wrapping the kernel's
-    objective and the polish's `minimize`."""
+    """Count the genomes of the kernel's objective, and read the polish
+    evaluations and lockstep calls off each result of `minimize`."""
     objective, minimize = optimizer._FitnessKernel.objective, optimizer.minimize
 
     def counted_objective(self, genomes):
-        if not _COUNTS["polishing"]:
-            _COUNTS["genomes"] += np.atleast_2d(genomes).shape[0]
+        _COUNTS["genomes"] += np.atleast_2d(genomes).shape[0]
         return objective(self, genomes)
 
     def counted_minimize(*args, **kwargs):
-        _COUNTS["polishing"] = True
-        try:
-            res = minimize(*args, **kwargs)
-        finally:
-            _COUNTS["polishing"] = False
-        _COUNTS["polish_evals"] += res.nfev
+        res = minimize(*args, **kwargs)
+        _COUNTS["polish_evals"] += int(res.evals.sum())
+        _COUNTS["polish_calls"] += res.nfev
         return res
 
     optimizer._FitnessKernel.objective = counted_objective
@@ -113,8 +116,7 @@ def parse_seeds(items: list[str]) -> list[int]:
 def run_one(task: tuple) -> dict:
     job, design, seed, repeat = task
     problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
-    length = optimizer.genome_bounds(problem)[0].size
-    _COUNTS.update(genomes=0, polish_evals=0)
+    _COUNTS.update(genomes=0, polish_evals=0, polish_calls=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
     wall = perf_counter() - start
@@ -132,7 +134,8 @@ def run_one(task: tuple) -> dict:
         "wall_s": wall,
         "genomes": _COUNTS["genomes"],
         "polish_evals": _COUNTS["polish_evals"],
-        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_evals"] * (2 * length + 1),
+        "polish_calls": _COUNTS["polish_calls"],
+        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_evals"] * GRADIENT_GENOMES,
     }
 
 
@@ -208,11 +211,31 @@ def choose(summary: dict) -> dict | None:
     }
 
 
+def gradient_cost(job_ids: list[str], batch: int = optimizer._CHUNK, repeats: int = 15) -> float:
+    """The summed median time of `_FitnessKernel.gradient` over the jobs,
+    divided by that of `objective`, each on `batch` random in-box genomes."""
+    times = np.zeros(2)
+    every = jobs(nc.GaConfig())
+    for problem, _ in (every[job] for job in job_ids):
+        kernel = optimizer._FitnessKernel(problem)
+        lo, hi = optimizer.genome_bounds(problem)
+        genomes = np.random.default_rng(0).uniform(lo, hi, size=(batch, lo.size))
+        runs = []
+        for _ in range(repeats):
+            start = perf_counter()
+            kernel.objective(genomes)
+            middle = perf_counter()
+            kernel.gradient(genomes)
+            runs.append((middle - start, perf_counter() - middle))
+        times += np.median(runs, axis=0)
+    return float(times[1] / times[0])
+
+
 def environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "nproc": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
@@ -242,6 +265,7 @@ def main(argv=None) -> int:
         for job in job_ids
     ]
     start = perf_counter()
+    cost = gradient_cost(job_ids)
     _install_counters()
     records = []
     for task in tasks:
@@ -280,6 +304,7 @@ def main(argv=None) -> int:
         "tier1_seed": tier1,
         "sweep_wall_s": perf_counter() - start,
         "environment": environment(),
+        "gradient_cost": cost,
         "records": records,
     }
     Path(f"BENCH_search_{args.tag}.json").write_text(json.dumps(out, indent=1) + "\n")
