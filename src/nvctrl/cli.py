@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -80,6 +81,8 @@ _BLOCKS = {
     "fit sinusoid": {"data": str, "nu_mhz": float},
     "fit fidelities": dict.fromkeys(_FIT_RATIOS, float),
 }
+# the top-level keys a config may hold
+_ROOTS = {"seed", *(name.split()[0].split(".")[0] for name in _BLOCKS)}
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
 
 
@@ -147,6 +150,9 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         _apply_override(config, key, _parse_set_value(value))
+    unknown = sorted(set(config) - _ROOTS)
+    if unknown:
+        raise UsageError(f"unknown top-level config keys {unknown}; expected some of {sorted(_ROOTS)}")
     config["seed"] = _checked("seed", config.get("seed", DEFAULT_SEED) if seed is None else seed, int)
     return config
 
@@ -493,8 +499,15 @@ def _run(args) -> None:
     print(message)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and then kept: parsing
+    changes nothing in it, and `build_parser` hands callers a fresh one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _run(args)
     except (UsageError, UnknownTarget) as exc:

@@ -77,11 +77,10 @@ class Spectrum:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write columns of floats with a header row; repr() keeps full precision."""
-    cols = [np.asarray(c) for c in columns]
-    lines = [",".join(header)]
-    for i in range(cols[0].size):
-        lines.append(",".join(repr(float(c[i])) for c in cols))
+    """Write columns of floats with a header row; repr() keeps full precision.
+    Columns of different lengths are a ValueError, and nothing is written."""
+    rows = np.column_stack(columns).astype(float, copy=False).tolist()
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -411,6 +411,34 @@ def test_manifest_reproduces_outputs_bitwise(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    """`main` parses with one parser per process; an option or --set given
+    to one call is absent from the next, and a repeated call writes the
+    same bytes.  `build_parser` still returns a new parser each time."""
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser() is not cli._parser()
+    tau = np.linspace(0.0, 40.0, 120)
+    nc.FidTrace(tau, 0.25 + 0.13 * np.sin(2 * math.pi * 0.1 * tau)).to_csv(tmp_path / "fid.csv")
+    fit = ["fit", "sinusoid", "--data", tmp_path / "fid.csv"]
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    assert run(fit + ["--nu", 0.1, "--out", tmp_path / "nu"]) == 0
+    assert run(fit + ["--out", tmp_path / "no-nu"]) == 2
+    assert "fit.nu_mhz" in capsys.readouterr().err and not (tmp_path / "no-nu").exists()
+    assert run(fit + ["--nu", 0.1, "--out", tmp_path / "nu-again"]) == 0
+    assert files(tmp_path / "nu-again") == files(tmp_path / "nu")
+
+    assert run(["esr", "--set", "esr.branch=1", "--out", tmp_path / "branch"]) == 0
+    assert run(["esr", "--out", tmp_path / "plain"]) == 0
+    manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert manifest == {"command": "esr", "config": {"seed": cli.DEFAULT_SEED}}
+    assert run(["esr", "--out", tmp_path / "plain-again"]) == 0
+    assert files(tmp_path / "plain-again") == files(tmp_path / "plain")
+    assert json.loads((tmp_path / "plain" / "esr_lines.json").read_text())["branch"] == -1
+
+
 def test_config_file_loading(tmp_path):
     config = {"params": {"nu_c_override": 0.3}}
     cfg_path = tmp_path / "cfg.json"
@@ -538,6 +566,9 @@ MALFORMED = {
     "polarize-gamma-overflow": ["polarize", "--set", "polarize.gamma=1e308"],
     "polarize-rates-overflow": ["polarize", "--set", "polarize.alpha=1e308", "--set", "polarize.beta=1e308"],
     "esr-key-misspelt": ["esr", "--set", "esr.linewdith_mhz=5"],
+    # a top-level key that names no config block, given by --set or by --config
+    "root-key-misspelt": ["angles", "--set", "paramz.b_gauss=1"],
+    "config-root-key-unknown": ["angles", "--config", "{unknown_root}"],
     "fid-key-misspelt": ["fid", "--set", "fid.dt=0.5"],
     "bloch-key-misspelt": ["bloch", "--set", "bloch.sequence={sequence}", "--set", "bloch.dt=0.05"],
     "optimize-ga-key-misspelt": ["optimize", *TINY_GA, "--set", "optimize.ga.populaton=12"],
@@ -643,6 +674,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "nan_csv": "tau_us,signal\n0.0,0.5\n1.0,nan\n2.0,0.25\n3.0,0.5\n4.0,0.75\n5.0,0.25\n",
         "inf_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\ninf,0.5\n",
         "nan_polarization_csv": "d_l_us,p\n" + "".join(f"{d}.0,{'nan' if d == 3 else 0.1 * d}\n" for d in range(8)),
+        "unknown_root": json.dumps({"params": {"b_mt": 0.05}, "paramz": {"b_gauss": 1}}),
     }
     paths = {}
     for name, text in files.items():

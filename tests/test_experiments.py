@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
+from nvctrl import experiments
 from nvctrl.errors import NoConvergence, NonPositiveInput, NonuniformGrid
 from nvctrl.experiments import default_tau_grid, ideal_reset
 from nvctrl.fidelity import u_t_sequence
@@ -344,6 +347,70 @@ def test_fit_polarization_constant_data_degenerates():
     except NoConvergence:
         return
     assert abs(fit.c1) < 1e-6 and abs(fit.c2) < 1e-6 or abs(fit.c1 - fit.c2) < 1e-6
+
+
+def _grid_start_loop(d, p):
+    """The start point as the fit picked it one grid point at a time."""
+    best = None
+    for rate in np.geomspace(1e-2, 30.0, 25):
+        for gamma in np.geomspace(1e-4, 3.0, 25):
+            design = np.column_stack([np.ones_like(d), -np.exp(-rate * d), np.exp(-2.0 * gamma * d)])
+            coef, *_ = np.linalg.lstsq(design, p, rcond=None)
+            resid = design @ coef - p
+            score = float(resid @ resid)
+            if best is None or score < best[0]:
+                best = (score, np.array([*coef, rate, gamma]))
+    return best[1]
+
+
+def _fit_outcome(data):
+    try:
+        return np.array(dataclasses.astuple(nc.fit_polarization(data))).tobytes()
+    except NoConvergence as exc:
+        return type(exc)
+
+
+def _grid_cases():
+    model = nc.paper_polarization_model()
+    clean = nc.polarization_curve(model, FIT_DESIGN)
+    rng = np.random.default_rng(2024)
+    cases = {"noiseless": (FIT_DESIGN, clean)}
+    for k in range(3):
+        cases[f"noisy-{k}"] = (FIT_DESIGN, clean + rng.normal(0.0, 0.01, FIT_DESIGN.size))
+    short = np.linspace(0.0, 10.0, 12)
+    cases["constant"] = (short, np.full(12, 0.4))
+    # every grid point scores exactly 0
+    cases["zero"] = (short, np.zeros(12))
+    # two distinct durations: every design has rank 2 and every point ties
+    # to rounding, while the QR keeps a spurious third direction
+    cases["two-durations"] = (np.repeat([0.0, 1.0], 3), np.array([0.1, 0.2, 0.3, 0.5, 0.6, 0.4]))
+    # designs above _GRID_COND at the slowest rates, which are always re-scored
+    cases["short-span"] = (np.linspace(0.0, 0.5, 8), np.linspace(0.1, 0.3, 8) ** 2)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_grid_cases()))
+def test_fit_polarization_batched_grid_picks_the_loops_start(monkeypatch, case):
+    """The batched grid gives the per-point loop's start point bit for bit,
+    and so the same fitted model (or the same failure)."""
+    d, p = _grid_cases()[case]
+    assert experiments._grid_start(d, p).tobytes() == _grid_start_loop(d, p).tobytes()
+    data = np.column_stack([d, p])
+    batched = _fit_outcome(data)
+    monkeypatch.setattr(experiments, "_grid_start", _grid_start_loop)
+    assert batched == _fit_outcome(data)
+
+
+def test_fit_polarization_grid_temporaries_stay_small():
+    d = FIT_DESIGN
+    p = nc.polarization_curve(nc.paper_polarization_model(), d)
+    tracemalloc.start()
+    try:
+        experiments._grid_start(d, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fit_polarization_needs_enough_points():

@@ -55,3 +55,22 @@ def test_fwhm_of_lorentzian():
     amp = hwhm**2 / (f**2 + hwhm**2)
     spec = nc.Spectrum(f, amp)
     assert fwhm(spec, 0.0) == pytest.approx(2 * hwhm, rel=0.02)
+
+
+def test_write_csv_formats_each_value_as_repr_of_float(tmp_path):
+    values = np.array([1e-05, -0.0, 2.0, 5e-324, 1e300])
+    path = tmp_path / "x.csv"
+    # an integer column is written as floats too
+    write_csv(path, ("a", "b"), (values, np.arange(5)))
+    lines = [f"{float(x)!r},{float(i)!r}" for i, x in enumerate(values)]
+    assert path.read_text() == "a,b\n" + "\n".join(lines) + "\n"
+    assert lines[:2] == ["1e-05,0.0", "-0.0,1.0"] and lines[3:] == ["5e-324,3.0", "1e+300,4.0"]
+    assert np.array_equal(read_csv(path)[0], values)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+def test_write_csv_rejects_columns_of_different_lengths(tmp_path, lengths):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", "b"), [np.zeros(n) for n in lengths])
+    assert not path.exists()
