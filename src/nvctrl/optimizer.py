@@ -196,6 +196,21 @@ def _weigh(w, h) -> np.ndarray:
     return sum(w[i] * h[:, i] for i in range(4))
 
 
+def _rotate(m, x) -> np.ndarray:
+    """The real 4x4 matrix m applied to the complex (4, c, B) columns x, as
+    one real contraction over their interleaved real and imaginary parts."""
+    return np.einsum("ij,jcb->icb", m, x.view(float)).view(complex)
+
+
+def _cis(a) -> np.ndarray:
+    """exp(-i a) for real angles a, written as cos a - i sin a."""
+    out = np.empty(a.shape, dtype=complex)
+    np.cos(a, out=out.real)
+    np.sin(a, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
 def _rank_factor(rho: np.ndarray) -> np.ndarray:
     """Columns A with A A^dag = rho, one per eigenvalue above round-off."""
     lam, w = np.linalg.eigh(rho)
@@ -216,10 +231,16 @@ class _FitnessKernel:
     columns its target needs, batch last as a (4, c, B) array, through two
     constant 4x4 contractions and two diagonal products per pulse.  Gates
     carry the 4 columns of the identity; states carry the c columns of
-    Vf^dag A, where rho_initial = A A^dag.  Every contraction is an
+    Vf^dag A, where rho_initial = A A^dag.  M is real orthogonal, as the
+    subspace Hamiltonian and the drive are real, and the kernel refuses an M
+    with an imaginary part; it rotates the columns through their float view, the real
+    and imaginary parts interleaved, which gives the bits of the complex
+    contraction at a fraction of its cost.  Every contraction is an
     `np.einsum` without path optimization, which sums each genome in the
     same order at any batch position, so a genome's fitness does not depend
-    on the batch it is evaluated in.
+    on the batch it is evaluated in.  Children copy durations from their
+    parents, so the drive factors are computed once per distinct duration
+    bit pattern in a batch and shared by every genome that has it.
     """
 
     def __init__(self, problem: ControlProblem):
@@ -239,7 +260,11 @@ class _FitnessKernel:
         for w in self.omegas:
             w_drive, vd = np.linalg.eigh(h + w * PSEUDO_SX)
             m = vf_h @ vd
-            self._drive.append((w_drive, m, m.conj().T))
+            if m.imag.any():
+                raise ValueError("the drive basis change Vf^dag Vd is not real")
+            self._drive.append((w_drive, np.ascontiguousarray(m.real)))
+        # the drive eigenvalues of every sample, one block of 4 each
+        self._w_drive = np.concatenate([w for w, _ in self._drive])
         t = problem.target
         if t.kind == "unitary":
             self._columns = np.eye(4, dtype=complex)
@@ -253,24 +278,23 @@ class _FitnessKernel:
             self._score_op = vf_h @ t.rho_target.matrix @ vf
             self._state_norm = norm
 
-    def _fidelities(self, diagonals, ts, sample: int, gradient: bool):
-        """Fidelity of every genome at one drive sample, and with `gradient`
-        the adjoint sums h = sum_c Lambda * X at each diagonal factor: X the
-        columns just after the factor, Lambda the derivative of the fidelity
-        with respect to them.  A factor exp(-i a) changes the fidelity by
+    def _fidelities(self, diagonals, m, drive, gradient: bool):
+        """Fidelity of every genome at one drive sample, of basis change m
+        and drive diagonals (n, 4, B), and with `gradient` the adjoint sums
+        h = sum_c Lambda * X at each diagonal factor: X the columns just
+        after the factor, Lambda the derivative of the fidelity with respect
+        to them.  A factor exp(-i a) changes the fidelity by
         sum_i Im(h_i) da_i."""
-        w_drive, m, m_h = self._drive[sample]
-        drive = np.exp(-1j * _phases(w_drive, ts)).reshape(-1, self.n, 4).transpose(1, 2, 0)
         x = self._columns[:, :, None]
         # the columns just after each factor, kept for the backward pass
         states = []
         for k in range(self.n):
             x = diagonals[k][:, None, :] * x
             states += [x] * gradient
-            x = np.einsum("ij,jcb->icb", m_h, x)
+            x = _rotate(m.T, x)
             x = drive[k][:, None, :] * x
             states += [x] * gradient
-            x = np.einsum("ij,jcb->icb", m, x)
+            x = _rotate(m, x)
         x = diagonals[self.n][:, None, :] * x
         if self._state_norm is None:
             z = np.einsum("ij,ijb->b", self._score_op, x)
@@ -290,10 +314,10 @@ class _FitnessKernel:
         h_drive = []
         lam = diagonals[self.n][:, None, :] * lam
         for k in reversed(range(self.n)):
-            lam = np.einsum("ji,jcb->icb", m, lam)
+            lam = _rotate(m.T, lam)
             h_drive.append(np.einsum("icb,icb->ib", lam, states[2 * k + 1]))
             lam = drive[k][:, None, :] * lam
-            lam = np.einsum("ji,jcb->icb", m_h, lam)
+            lam = _rotate(m, lam)
             h_free.append(np.einsum("icb,icb->ib", lam, states[2 * k]))
             lam = diagonals[k][:, None, :] * lam
         return fid, np.array(h_free[::-1]).imag, np.array(h_drive[::-1]).imag
@@ -322,16 +346,23 @@ class _FitnessKernel:
         zero = np.zeros((taus.shape[0], 1))
         turns = np.diff(np.hstack([zero, phis, zero]), axis=1)
         angles = _phases(self._w_free, np.hstack([taus, zero])).reshape(-1, self.n + 1, 4)
-        diagonals = np.exp(-1j * (angles - turns[:, :, None] * _ZDIAG)).transpose(1, 2, 0)
+        diagonals = _cis(angles - turns[:, :, None] * _ZDIAG).transpose(1, 2, 0)
+        # the drive diagonals of every sample, computed once per distinct
+        # duration (children copy theirs from their parents); the bit patterns
+        # tell -0.0 from +0.0
+        distinct, where = np.unique(ts.reshape(-1).view(np.int64), return_inverse=True)
+        drives = _cis(_phases(self._w_drive, distinct.view(float)))[where]
+        drives = drives.reshape(-1, self.n, len(self._drive), 4)
         acc = np.zeros(taus.shape[0])
         # the adjoint sums of the free diagonals, shared by the drive samples,
         # and the pulse-duration derivatives, summed over them
         h_free, d_ts = 0.0, 0.0
-        for s, (w_drive, _, _) in enumerate(self._drive):
+        for s, (w_drive, m) in enumerate(self._drive):
+            drive = drives[:, :, s].transpose(1, 2, 0)
             if not gradient:
-                acc += self._fidelities(diagonals, ts, s, False)
+                acc += self._fidelities(diagonals, m, drive, False)
                 continue
-            fid, h_f, h_d = self._fidelities(diagonals, ts, s, True)
+            fid, h_f, h_d = self._fidelities(diagonals, m, drive, True)
             acc += fid
             h_free, d_ts = h_free + h_f, d_ts + _weigh(TWO_PI * w_drive, h_d)
         fid = acc / len(self.omegas)

@@ -277,6 +277,73 @@ def test_fitness_is_independent_of_batch_position(paper, case):
         assert np.all(np.array(kernel.objective(genomes[picked])) == alone[:, picked])
 
 
+@pytest.mark.parametrize("method", ["objective", "gradient"])
+@pytest.mark.parametrize("case", ["u_p", "robust_u_c", "switched"])
+def test_copied_durations_are_independent_of_batch_position(paper, case, method):
+    """Rows that copy duration genes from one another, as GA children do,
+    with +0.0 and -0.0 among them: the kernel computes each distinct
+    duration's drive factors once per batch, and each genome's result alone
+    still equals, bitwise, its result in the batch and in that batch
+    reversed.  In switched mode every pulse duration is the same."""
+    problem = _gradient_problem(paper, case)
+    kernel = _FitnessKernel(problem)
+    lo, hi = genome_bounds(problem)
+    n_dur = lo.size - problem.n_pulses
+    rng = np.random.default_rng(47)
+    genomes = rng.uniform(lo, hi, size=(150, lo.size))
+    parents = rng.integers(0, 12, size=len(genomes))
+    genomes[:, :n_dur] = np.where(rng.random((len(genomes), n_dur)) < 0.8, genomes[parents, :n_dur], genomes[:, :n_dur])
+    genomes[::7, :n_dur] = np.where(rng.random((len(genomes[::7]), n_dur)) < 0.5, 0.0, -0.0)
+    _, copies = np.unique(genomes[:, :n_dur].view(np.int64), return_counts=True)
+    assert copies.max() > 10 and np.signbit(genomes[:, :n_dur][genomes[:, :n_dur] == 0]).any()
+    run = getattr(kernel, method)
+    alone = np.array([np.concatenate(run(g[None, :]), axis=None) for g in genomes])
+    batch, reverse = (np.column_stack(run(b)) for b in (genomes, genomes[::-1]))
+    assert alone.tobytes() == batch.tobytes() == reverse[::-1].tobytes()
+
+
+def test_rotate_equals_the_complex_contraction(paper):
+    """The real rotation of interleaved columns equals, bitwise, the complex
+    einsum of the kernel's M (and M^T) as a complex matrix, on columns with
+    exact zeros, -0.0 and identity columns."""
+    from nvctrl.optimizer import _rotate
+
+    kernel = _FitnessKernel(_kernel_problem(paper, "u_c", 3, nc.RobustnessRange(0.47, 0.53, 5)))
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(4, 4, 60)) + 1j * rng.normal(size=(4, 4, 60))
+    x.real[rng.random(x.shape) < 0.2] = 0.0
+    x.imag[rng.random(x.shape) < 0.2] = -0.0
+    x.real[rng.random(x.shape) < 0.2] = -0.0
+    x[:, :, :3] = np.eye(4)[:, :, None]
+    x[:, :, 3] = -np.eye(4)
+    for _, m in kernel._drive:
+        for op in (m, m.T):
+            assert op.dtype == float
+            want = np.einsum("ij,jcb->icb", op.astype(complex), x)
+            assert _rotate(op, x).tobytes() == want.tobytes()
+
+
+def test_cis_equals_complex_exp():
+    """cos a - i sin a equals np.exp(-1j * a) bitwise, signed zeros and
+    subnormals, pi, large angles and a million uniform angles included."""
+    from nvctrl.optimizer import _cis
+
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, np.pi, -np.pi, 1e5, 2.0**60])
+    uniform = np.random.default_rng(59).uniform(-1e4, 1e4, size=10**6)
+    for a in (special, uniform, uniform.reshape(1000, 250, 4)[:, ::2]):
+        assert _cis(a).tobytes() == np.exp(-1j * a).tobytes()
+
+
+def test_kernel_refuses_a_complex_drive_basis(paper, monkeypatch):
+    """A drive whose eigenbasis change M is not real raises, rather than the
+    kernel dropping the imaginary part of M."""
+    from nvctrl import optimizer
+
+    monkeypatch.setattr(optimizer, "PSEUDO_SX", nc.spin_model.PSEUDO_SY)
+    with pytest.raises(ValueError, match="not real"):
+        _FitnessKernel(_kernel_problem(paper, "u_90", 2))
+
+
 @pytest.mark.parametrize("target", ["u_c", "u_c_dagger", "u_p"])
 def test_rank_factor_reproduces_initial_state(paper, target):
     """The kernel carries rank(rho_initial) columns A with A A^dag = rho_initial."""
