@@ -8,19 +8,7 @@ target gates and state transfers, and simulations of the standard readout
 experiments (indirect FID, spectra, nuclear polarization).
 """
 
-from .errors import (
-    BadGenomeLength,
-    BadGrid,
-    DegenerateAxis,
-    DimensionMismatch,
-    InvariantViolation,
-    NoConvergence,
-    NonPositiveInput,
-    NonuniformGrid,
-    NvctrlError,
-    UnknownTarget,
-    ZeroPurity,
-)
+from .errors import InvariantViolation, NoConvergence, NvctrlError
 from .experiments import (
     FidelityEstimates,
     PolarizationModel,

@@ -8,8 +8,9 @@ JSON payload or a writer taking the path).  A command reads only its config
 and the files it names, and changes nothing in the config, so re-running a
 command from its own manifest reproduces the outputs bitwise.
 
-Exit codes: 0 success, 2 usage error, 3 runtime error, which includes any OS
-error reading an input file or writing an output.
+Exit codes: 0 success, 2 usage error (any input the package rejects), 3
+runtime error: an OS error reading an input file or writing an output, a
+broken physical invariant, or a fit that did not converge.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from typing import get_args
 import numpy as np
 
 from . import experiments, optimizer, signals, spin_model
-from .errors import NvctrlError, UnknownTarget
+from .errors import NvctrlError
 from .experiments import DEFAULT_UC_PRIME_RECORD_US, DEFAULT_UC_RECORD_US
 from .fidelity import RobustnessRange, build_target, rho0_state, rho_p_state
 from .optimizer import DEFAULT_SEED, ControlProblem, GaConfig
 from .propagation import PulseSequence, trajectory
 from .spin_model import SystemParams
 
-_FID_PROTOCOLS = ("uc", "uc_prime", "u90_ms0", "u90_ms-1", "u90_ms+1", "analytic_uc", "analytic_uc_prime")
+_FID_PROTOCOLS = ("uc", "uc_prime", *experiments.U90_TAGS.values(), "analytic_uc", "analytic_uc_prime")
 
-# raised by bad configuration input while a command builds its inputs (exit 2);
-# MemoryError is a size too large to allocate
+# raised by bad input while a command builds its inputs (exit 2): the package
+# rejects input with ValueError; MemoryError is a size too large to allocate
 _BAD_INPUT = (TypeError, ValueError, KeyError, OverflowError, MemoryError)
 
 
@@ -104,12 +105,6 @@ def _checked(key: str, value, decl):
     if type(value) is kind and (kind is not float or math.isfinite(value)):
         return value
     raise UsageError(f"{key} must be {_KINDS[kind]}, got {json.dumps(value)}")
-
-
-def _positive(value: float, what: str) -> float:
-    if not value > 0:
-        raise UsageError(f"{what} must be positive, got {value!r}")
-    return value
 
 
 def _at_least(value: int, minimum: int, what: str) -> int:
@@ -207,13 +202,12 @@ def cmd_esr(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "esr")
     branch = block["branch"]
-    linewidth = _positive(block["linewidth_mhz"], "esr.linewidth_mhz")
     f_lo, f_hi = block["f_min_mhz"], block["f_max_mhz"]
     if not (math.isfinite(f_hi - f_lo) and f_lo < f_hi):
         raise UsageError(f"esr.f_min_mhz < esr.f_max_mhz must bound a finite window, got {f_lo!r}, {f_hi!r}")
     n = _at_least(block["n_points"], 2, "esr.n_points")
     lines = spin_model.esr_lines(params, branch)
-    spec = spin_model.esr_spectrum(lines, linewidth, np.linspace(f_lo, f_hi, n))
+    spec = spin_model.esr_spectrum(lines, block["linewidth_mhz"], np.linspace(f_lo, f_hi, n))
     files = {
         "esr_lines.json": {
             "branch": branch,
@@ -264,8 +258,8 @@ def cmd_fid(config):
     if protocol not in _FID_PROTOCOLS:
         raise UsageError(f"unknown fid protocol {protocol!r}; expected one of {_FID_PROTOCOLS}")
     default_us = DEFAULT_UC_PRIME_RECORD_US if protocol.endswith("uc_prime") else DEFAULT_UC_RECORD_US
-    record = _positive(default_us if block["record_us"] is None else block["record_us"], "fid.record_us")
-    step = _positive(block["dt_us"], "fid.dt_us")
+    record = default_us if block["record_us"] is None else block["record_us"]
+    step = block["dt_us"]
     tau = experiments.default_tau_grid(record, step)
     if protocol == "analytic_uc":
         trace = experiments.analytic_fid("uc", params, tau)
@@ -277,7 +271,7 @@ def cmd_fid(config):
         fn = experiments.fid_uc if protocol == "uc" else experiments.fid_uc_prime
         trace = fn(params, seq, seq_dag, tau)
     else:
-        subspace = {"u90_ms0": 0, "u90_ms-1": -1, "u90_ms+1": +1}[protocol]
+        subspace = {tag: s for s, tag in experiments.U90_TAGS.items()}[protocol]
         seq = _load_sequence(block["sequence"])
         seq_ut = _load_sequence(block["sequence_readout"])
         trace = experiments.fid_u90(params, subspace, seq, seq_ut, tau, block["polarization"])
@@ -297,7 +291,7 @@ def cmd_spectrum(config):
     block = _block(config, "spectrum")
     trace = signals.FidTrace.from_csv(block["fid_csv"])
     spec = experiments.spectrum_from_fid(trace, block["window"], block["zerofill_factor"], block["exp_rate"])
-    peaks = signals.top_peaks(spec, _at_least(block["n_peaks"], 1, "spectrum.n_peaks"))
+    peaks = signals.top_peaks(spec, block["n_peaks"])
     files = {
         "spectrum.csv": spec.to_csv,
         "peaks.json": {
@@ -318,9 +312,8 @@ def cmd_bloch(config):
     if initial not in states:
         raise UsageError(f"unknown initial state {initial!r}; expected one of {sorted(states)}")
     rho = states[initial]()
-    dt = _positive(block["dt_us"], "bloch.dt_us")
     h = spin_model.build_hamiltonian_subspace(params)
-    rows = trajectory(h, seq, rho, dt_us=dt)
+    rows = trajectory(h, seq, rho, dt_us=block["dt_us"])
     t, ex, ey, ez, cx, cy, cz = rows[-1].tolist()
     files = {
         "trajectory.csv": lambda path: signals.write_csv(
@@ -339,7 +332,9 @@ def cmd_polarize(config):
     params = SystemParams(**_block(config, "params"))
     block = _block(config, "polarize")
     model = experiments.PolarizationModel(**{key: block[key] for key in _POLARIZATION_MODEL})
-    d_max = _positive(block["d_max_us"], "polarize.d_max_us")
+    d_max = block["d_max_us"]
+    if not d_max > 0:
+        raise UsageError(f"polarize.d_max_us must be positive, got {d_max!r}")
     n = _at_least(block["n_points"], 2, "polarize.n_points")
     grid = np.linspace(0.0, d_max, n)
     curve = experiments.polarization_curve(model, grid)
@@ -384,7 +379,7 @@ def cmd_fit_polarization(config):
 
 def cmd_fit_sinusoid(config):
     block = _block(config, "fit sinusoid")
-    nu = _positive(block["nu_mhz"], "fit.nu_mhz")
+    nu = block["nu_mhz"]
     a, b, c = experiments.fit_fid_amplitude(_fit_data(block), nu)
     return {"fit_sinusoid.json": {"a": a, "b": b, "c": c, "nu_mhz": nu}}, (
         f"a = {a:.5f}, b = {b:.5f}, c = {c:.5f} rad at {nu} MHz"
@@ -393,8 +388,7 @@ def cmd_fit_sinusoid(config):
 
 def cmd_fit_fidelities(config):
     block = _block(config, "fit fidelities")
-    ratios = {name: _positive(block[name], f"fit.{name}") for name in _FIT_RATIOS}
-    est = experiments.estimate_experimental_fidelities(**ratios)
+    est = experiments.estimate_experimental_fidelities(**block)
     payload = {
         "f_180": est.f_180,
         "f_u90": est.f_u90,
@@ -510,7 +504,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _run(args)
-    except (UsageError, UnknownTarget) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NvctrlError, OSError) as exc:

@@ -1,44 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Input the package rejects raises the builtin `ValueError` wherever it is
+checked; these classes are the failures left once the input is accepted.
+"""
 
 
 class NvctrlError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateAxis(NvctrlError):
-    """Nuclear quantization axis undefined (both arctangent arguments zero)."""
-
-
-class BadGrid(NvctrlError):
-    """Frequency or time grid is empty or not strictly increasing."""
-
-
-class DimensionMismatch(NvctrlError):
-    """Operator or state has the wrong dimension for this operation."""
-
-
-class BadGenomeLength(NvctrlError):
-    """Genome vector length does not match the control problem layout."""
-
-
-class UnknownTarget(NvctrlError):
-    """Target name not in the built-in library."""
-
-
-class ZeroPurity(NvctrlError):
-    """State purity too small for a normalized fidelity."""
-
-
-class NonuniformGrid(NvctrlError):
-    """Operation requires uniformly spaced samples."""
-
-
 class NoConvergence(NvctrlError):
     """Iterative fit did not converge."""
-
-
-class NonPositiveInput(NvctrlError):
-    """Input that must be positive was zero or negative."""
 
 
 class InvariantViolation(NvctrlError):

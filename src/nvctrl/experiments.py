@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NoConvergence, NonPositiveInput, NonuniformGrid
+from .errors import NoConvergence
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
 from .propagation import PulseSequence, _evolve, _propagators, sequence_propagator
 from .signals import FidTrace, Spectrum
@@ -50,6 +50,9 @@ _SWAP_01 = np.eye(6, dtype=complex)[[2, 3, 0, 1, 4, 5]]
 
 
 def default_tau_grid(record_us: float, step_us: float = DEFAULT_STEP_US) -> np.ndarray:
+    # checked here: np.arange divides by the step
+    if not step_us > 0:
+        raise ValueError(f"tau step must be positive, got {step_us!r}")
     return np.arange(0.0, record_us, step_us)
 
 
@@ -166,7 +169,7 @@ def fid_uc_prime(
     return _fid_coherence(params, seq_uc, seq_uc_dag, tau, _SWAP_01, "uc_prime_readout")
 
 
-_U90_TAGS = {0: "u90_ms0", -1: "u90_ms-1", +1: "u90_ms+1"}
+U90_TAGS = {0: "u90_ms0", -1: "u90_ms-1", +1: "u90_ms+1"}
 
 
 def fid_u90(
@@ -189,7 +192,7 @@ def fid_u90(
     m_S = 0 population; when None an ideal inverse rotation plus carbon-state
     readout (population of |0,up>) is used.
     """
-    if subspace not in _U90_TAGS:
+    if subspace not in U90_TAGS:
         raise ValueError("subspace must be 0, -1 or +1")
     if not -1.0 <= initial_polarization <= 1.0:
         raise ValueError("initial polarization must lie in [-1, 1]")
@@ -212,7 +215,7 @@ def fid_u90(
         read, observable = _embed_upper(u_t), _MS0
     return _fid(
         params, tau, _carbon_in_ms0(initial_polarization), pre, read @ post, observable,
-        _U90_TAGS[subspace],
+        U90_TAGS[subspace],
     )
 
 
@@ -232,11 +235,11 @@ def spectrum_from_fid(
     """
     tau = fid.tau_us
     if tau.size < 2:
-        raise NonuniformGrid("need at least two samples")
+        raise ValueError("need at least two samples")
     steps = np.diff(tau)
     dt = steps[0]
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise NonuniformGrid("tau grid must be uniformly spaced")
+        raise ValueError("tau grid must be uniformly spaced")
     if zerofill_factor < 1:
         raise ValueError("zerofill_factor must be at least 1")
     y = fid.signal - fid.signal.mean()
@@ -437,12 +440,12 @@ def fit_fid_amplitude(data, nu_mhz: float) -> tuple[float, float, float]:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
         raise ValueError("need at least 5 (tau, P) samples")
     if nu_mhz <= 0:
-        raise NonPositiveInput("frequency must be positive")
+        raise ValueError("frequency must be positive")
     tau, y = arr[:, 0], arr[:, 1]
     phase = TWO_PI * nu_mhz * tau
     design = np.column_stack([np.ones_like(tau), np.sin(phase), np.cos(phase)])
     if np.linalg.matrix_rank(design) < 3:
-        raise NoConvergence("design matrix is rank deficient; cannot separate amplitude and phase")
+        raise ValueError("design matrix is rank deficient; cannot separate amplitude and phase")
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     a, u, v = coef
     b = math.hypot(u, v)
@@ -470,7 +473,7 @@ def estimate_experimental_fidelities(
     """
     for name, value in (("b0", b0), ("b1", b1), ("bm1", bm1), ("f", f)):
         if value <= 0:
-            raise NonPositiveInput(f"{name} must be positive")
+            raise ValueError(f"{name} must be positive")
     f_180 = math.sqrt(b1 / b0)
     f_u90 = math.sqrt(b1 / bm1)
     f_uc = math.sqrt(f) / f_180

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownTarget, ZeroPurity
 from .propagation import DensityState, Delay, Pulse, PulseSequence, sequence_propagator
 from .spin_model import (
     E2,
@@ -173,7 +172,7 @@ def build_target(name: str, params: SystemParams, rabi_mhz: float = 0.5) -> Targ
         h = build_hamiltonian_subspace(params)
         u = sequence_propagator(h, u_t_sequence(params, rabi_mhz))
         return Target(name, "unitary", unitary=u)
-    raise UnknownTarget(f"unknown target {name!r}; expected one of {TARGET_NAMES}")
+    raise ValueError(f"unknown target {name!r}; expected one of {TARGET_NAMES}")
 
 
 def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
@@ -181,7 +180,7 @@ def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
     u = np.asarray(u)
     u_target = np.asarray(u_target)
     if u.shape != (4, 4) or u_target.shape != (4, 4):
-        raise DimensionMismatch("gate fidelity expects 4x4 unitaries")
+        raise ValueError("gate fidelity expects 4x4 unitaries")
     return float(abs(np.trace(u @ u_target.conj().T)) / 4.0)
 
 
@@ -191,10 +190,10 @@ def state_fidelity(rho: DensityState, rho_target: DensityState) -> float:
     Equals 1 exactly when the states are proportional as operators.
     """
     if rho.dim != rho_target.dim:
-        raise DimensionMismatch("states must share a dimension")
+        raise ValueError("states must share a dimension")
     pa, pb = rho.purity(), rho_target.purity()
     if pa < 1e-12 or pb < 1e-12:
-        raise ZeroPurity("state purity too small for a normalized fidelity")
+        raise ValueError("state purity too small for a normalized fidelity")
     overlap = np.trace(rho_target.matrix @ rho.matrix).real
     return float(overlap / math.sqrt(pa * pb))
 

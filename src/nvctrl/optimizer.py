@@ -16,7 +16,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadGenomeLength, ZeroPurity
 from .fidelity import (
     RobustnessRange,
     Target,
@@ -185,7 +184,7 @@ def decode(problem: ControlProblem, genome) -> PulseSequence:
     g = np.asarray(genome, dtype=float)
     length = genome_bounds(problem)[0].size
     if g.shape != (length,):
-        raise BadGenomeLength(f"expected genome of length {length}, got shape {g.shape}")
+        raise ValueError(f"expected genome of length {length}, got shape {g.shape}")
     taus, ts, phis = (a[0] for a in _split(problem, g))
     return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, np.mod(phis, TWO_PI))
 
@@ -273,7 +272,7 @@ class _FitnessKernel:
         else:
             norm = math.sqrt(t.rho_initial.purity() * t.rho_target.purity())
             if norm < 1e-12:
-                raise ZeroPurity("target states have vanishing purity")
+                raise ValueError("target states have vanishing purity")
             self._columns = vf_h @ _rank_factor(t.rho_initial.matrix)
             self._score_op = vf_h @ t.rho_target.matrix @ vf
             self._state_norm = norm

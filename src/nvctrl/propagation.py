@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import InvariantViolation
 from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI
 
 # tolerance of the unitarity, trace and Hermiticity checks
@@ -199,7 +199,7 @@ def _generator(h: Hamiltonian, rabi_mhz: float, seg) -> np.ndarray:
     if isinstance(seg, Delay):
         return h.matrix
     if h.dim != 4:
-        raise DimensionMismatch("pulse propagation requires the 4-dim subspace Hamiltonian")
+        raise ValueError("pulse propagation requires the 4-dim subspace Hamiltonian")
     return h.matrix + drive_operator(rabi_mhz, seg.phase_rad)
 
 
@@ -252,7 +252,7 @@ def bloch_vector(rho: DensityState, subsystem: str) -> np.ndarray:
     i.e. |0> is pseudo-spin up.
     """
     if rho.dim != 4:
-        raise DimensionMismatch("bloch_vector expects a 4-dim state")
+        raise ValueError("bloch_vector expects a 4-dim state")
     return _bloch(rho.matrix, subsystem)[0]
 
 

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadGrid
-
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -27,15 +25,15 @@ class FidTrace:
 
     tau_us: np.ndarray
     signal: np.ndarray
-    protocol: str = "analytic"
+    protocol: str | None = None  # None: not known, as for a trace read from CSV
 
     def __post_init__(self):
         tau = _frozen_array(self.tau_us)
         sig = _frozen_array(self.signal)
         if tau.ndim != 1 or tau.size == 0 or np.any(np.diff(tau) <= 0):
-            raise BadGrid("tau grid must be non-empty and strictly increasing")
+            raise ValueError("tau grid must be non-empty and strictly increasing")
         if sig.shape != tau.shape:
-            raise BadGrid("signal and tau grid must have the same length")
+            raise ValueError("signal and tau grid must have the same length")
         if np.any(sig < -1e-9) or np.any(sig > 1 + 1e-9):
             raise ValueError("signal values must lie in [0, 1]")
         object.__setattr__(self, "tau_us", tau)
@@ -45,7 +43,7 @@ class FidTrace:
         write_csv(path, ("tau_us", "signal"), (self.tau_us, self.signal))
 
     @classmethod
-    def from_csv(cls, path, protocol: str = "analytic") -> "FidTrace":
+    def from_csv(cls, path, protocol: str | None = None) -> "FidTrace":
         cols = read_csv(path, ("tau_us", "signal"))
         return cls(cols[0], cols[1], protocol)
 
@@ -62,9 +60,9 @@ class Spectrum:
         freq = _frozen_array(self.freq_mhz)
         amp = _frozen_array(self.amplitude)
         if freq.ndim != 1 or freq.size == 0 or np.any(np.diff(freq) <= 0):
-            raise BadGrid("frequency grid must be non-empty and strictly increasing")
+            raise ValueError("frequency grid must be non-empty and strictly increasing")
         if amp.shape != freq.shape:
-            raise BadGrid("amplitude and frequency grid must have the same length")
+            raise ValueError("amplitude and frequency grid must have the same length")
         object.__setattr__(self, "freq_mhz", freq)
         object.__setattr__(self, "amplitude", amp)
 
@@ -113,6 +111,8 @@ def local_maxima(amplitude: np.ndarray) -> np.ndarray:
 
 def top_peaks(spectrum: Spectrum, n: int) -> list[tuple[float, float]]:
     """The n largest local maxima as (frequency, amplitude), amplitude-sorted."""
+    if n < 1:
+        raise ValueError(f"need at least one peak, got n = {n!r}")
     idx = local_maxima(spectrum.amplitude)
     order = idx[np.argsort(-spectrum.amplitude[idx], kind="stable")][:n]
     return [(float(spectrum.freq_mhz[i]), float(spectrum.amplitude[i])) for i in order]

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadGrid, DegenerateAxis
 from .signals import Spectrum
 
 # Default physical constants (MHz, mT).  The gyromagnetic ratios are CODATA
@@ -137,7 +136,7 @@ def nuclear_frequencies(params: SystemParams) -> tuple[float, float, float]:
 
 def _axis_angle_deg(a_zx: float, denom: float) -> float:
     if a_zx == 0.0 and denom == 0.0:
-        raise DegenerateAxis("quantization axis undefined: A_zx = 0 and A_zz = -/+ nu_C")
+        raise ValueError("quantization axis undefined: A_zx = 0 and A_zz = -/+ nu_C")
     deg = math.degrees(math.atan2(a_zx, denom))
     if deg <= -180.0:
         deg += 360.0
@@ -275,7 +274,7 @@ def esr_spectrum(lines, linewidth: float, grid) -> Spectrum:
         raise ValueError("linewidth must be positive")
     f = np.asarray(grid, dtype=float)
     if f.ndim != 1 or f.size == 0 or np.any(np.diff(f) <= 0):
-        raise BadGrid("grid must be non-empty and strictly increasing")
+        raise ValueError("grid must be non-empty and strictly increasing")
     hwhm = linewidth / 2.0
     # the Lorentzian squares the detunings and the half width; beyond float
     # range its wings would silently read as zeros

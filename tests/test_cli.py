@@ -154,6 +154,16 @@ def test_fid_analytic_and_spectrum_pipeline(tmp_path):
     assert found[1] == pytest.approx(nu_c, abs=peaks["resolution_mhz"])
 
 
+@pytest.mark.parametrize("protocol", ["uc", "u90_ms0"])
+def test_spectrum_of_a_csv_claims_no_protocol(tmp_path, protocol):
+    """fid.csv holds only delays and signals, so its spectrum records the
+    protocol as unknown, whichever protocol wrote the trace."""
+    fid_out, spec_out = tmp_path / "fid", tmp_path / "spec"
+    assert run(["fid", "--out", fid_out, "--set", f"fid.protocol={protocol}", "--set", "fid.record_us=20"]) == 0
+    assert run(["spectrum", "--out", spec_out, "--set", f"spectrum.fid_csv={fid_out / 'fid.csv'}"]) == 0
+    assert json.loads((spec_out / "peaks.json").read_text())["metadata"]["protocol"] is None
+
+
 def test_fid_missing_sequence_file(tmp_path):
     code = run(["fid", "--out", tmp_path / "x",
                 "--set", "fid.protocol=uc",
@@ -640,6 +650,16 @@ MALFORMED = {
     "params-field-bool": ["angles", "--set", "params.b_mt=true"],
     "params-override-bool": ["angles", "--set", "params.nu_c_override=true"],
     "polarize-c0-bool": ["polarize", "--set", "polarize.c0=true"],
+    # bad data in a readable file, and parameters with no nuclear quantization axis
+    "spectrum-fid-nonuniform": ["spectrum", "--set", "spectrum.fid_csv={nonuniform_csv}"],
+    "spectrum-fid-repeated-delay": ["spectrum", "--set", "spectrum.fid_csv={repeated_csv}"],
+    "fit-sinusoid-one-delay": ["fit", "sinusoid", "--data", "{one_delay_csv}", "--nu", "0.1"],
+    **{
+        f"{argv[0]}-degenerate-axis": [
+            *argv, "--set", "params.a_zx=0", "--set", "params.a_zz=-0.1", "--set", "params.nu_c_override=0.1",
+        ]
+        for argv in (["angles"], ["esr"], ["fid", "--set", "fid.protocol=uc"])
+    },
 }
 
 
@@ -673,6 +693,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "one_column_csv": "d_l_us\n" + "".join(f"{d}.0\n" for d in range(8)),
         "nan_csv": "tau_us,signal\n0.0,0.5\n1.0,nan\n2.0,0.25\n3.0,0.5\n4.0,0.75\n5.0,0.25\n",
         "inf_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n2.0,0.25\ninf,0.5\n",
+        "nonuniform_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n3.0,0.25\n4.0,0.5\n",
+        "repeated_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n1.0,0.25\n2.0,0.5\n",
+        "one_delay_csv": "tau_us,signal\n" + "2.0,0.5\n" * 6,
         "nan_polarization_csv": "d_l_us,p\n" + "".join(f"{d}.0,{'nan' if d == 3 else 0.1 * d}\n" for d in range(8)),
         "unknown_root": json.dumps({"params": {"b_mt": 0.05}, "paramz": {"b_gauss": 1}}),
     }
@@ -693,6 +716,8 @@ FUZZ_KEYS = {
     for command, block in (("angles", "params"), ("esr", "esr"), ("fid", "fid"), ("spectrum", "spectrum"),
                            ("bloch", "bloch"), ("polarize", "polarize"))
 }
+FUZZ_PATH_KEYS = {"fid.sequence", "fid.sequence_dagger", "fid.sequence_readout", "spectrum.fid_csv",
+                  "bloch.sequence", "polarize.sequence"}
 # every value is either rejected or too large to allocate (1e308), so no
 # draw builds a big grid
 FUZZ_VALUES = ("NaN", "Infinity", "-Infinity", "-1", "0", "0.5", "1e308",
@@ -723,7 +748,8 @@ def test_fuzzed_config_value_keeps_exit_contract(tmp_path, case, value):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run([command, *base, "--set", f"{key}={value}", "--out", out])
-    assert code in (0, 2, 3)
+    # a config value alone causes no OS error; only a path that names no file does
+    assert code in (0, 2) or (code == 3 and value == '"bogus"' and key in FUZZ_PATH_KEYS)
     # no key takes a boolean, and an integer key takes no fraction
     if value == "true" or (value == "0.5" and FUZZ_KEYS[command][key] is int):
         assert code == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nvctrl as nc
 from nvctrl import experiments
-from nvctrl.errors import NoConvergence, NonPositiveInput, NonuniformGrid
+from nvctrl.errors import NoConvergence
 from nvctrl.experiments import default_tau_grid, ideal_reset
 from nvctrl.fidelity import u_t_sequence
 from nvctrl.signals import fwhm, top_peaks
@@ -47,6 +47,13 @@ def test_analytic_fid_signal_bounds(a_zz, a_zx, nu_c):
 def test_analytic_fid_rejects_unknown_kind(paper):
     with pytest.raises(ValueError):
         nc.analytic_fid("other", paper, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_default_tau_grid_rejects_a_step_that_is_not_positive(step):
+    """Checked before np.arange, which divides by the step."""
+    with pytest.raises(ValueError, match="tau step must be positive"):
+        default_tau_grid(200.0, step)
 
 
 def test_fid_uc_ideal_matches_closed_form(paper):
@@ -248,7 +255,7 @@ def test_spectrum_window_options(paper):
 def test_spectrum_rejects_nonuniform_grid():
     tau = np.array([0.0, 1.0, 2.5, 3.0])
     trace = nc.FidTrace(tau, np.full(4, 0.25))
-    with pytest.raises(NonuniformGrid):
+    with pytest.raises(ValueError, match="tau grid must be uniformly spaced"):
         nc.spectrum_from_fid(trace)
 
 
@@ -478,7 +485,7 @@ def test_estimate_experimental_fidelities_degenerate_and_flagged():
     flagged = nc.estimate_experimental_fidelities(0.1, 0.2, 0.2, 0.5)
     assert flagged.f_180 > 1.0
     assert flagged.unphysical
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ValueError, match="b0 must be positive"):
         nc.estimate_experimental_fidelities(0.0, 0.1, 0.1, 0.5)
 
 

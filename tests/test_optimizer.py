@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
-from nvctrl.errors import BadGenomeLength
 from nvctrl.optimizer import _CHUNK, _FitnessKernel, genome_bounds
 from nvctrl.propagation import Delay, Pulse
 
@@ -103,7 +102,7 @@ def test_decode_clamps_and_wraps(up_problem):
 
 
 def test_decode_bad_length(up_problem):
-    with pytest.raises(BadGenomeLength):
+    with pytest.raises(ValueError, match=r"expected genome of length 9, got shape \(7,\)"):
         nc.decode(up_problem, np.zeros(7))
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import nvctrl as nc
-from nvctrl.errors import BadGrid
 from nvctrl.signals import fwhm, local_maxima, read_csv, top_peaks, write_csv
 
 
 def test_fid_trace_validation():
-    with pytest.raises(BadGrid):
+    with pytest.raises(ValueError, match="tau grid must be non-empty and strictly increasing"):
         nc.FidTrace([0.0, 0.0, 1.0], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         nc.FidTrace([0.0, 1.0], [0.5, 1.5])
@@ -22,6 +21,8 @@ def test_fid_trace_csv_round_trip(tmp_path):
     restored = nc.FidTrace.from_csv(path, protocol="uc_readout")
     assert np.array_equal(restored.tau_us, tau)
     assert np.array_equal(restored.signal, signal)
+    assert restored.protocol == "uc_readout"
+    assert nc.FidTrace.from_csv(path).protocol is None
 
 
 def test_spectrum_csv_round_trip(tmp_path):
@@ -47,6 +48,8 @@ def test_local_maxima_and_top_peaks():
     peaks = top_peaks(spec, 2)
     assert peaks[0] == (3.0, 3.0)
     assert peaks[1] == (5.0, 2.0)
+    with pytest.raises(ValueError, match="need at least one peak, got n = 0"):
+        top_peaks(spec, 0)
 
 
 def test_fwhm_of_lorentzian():
