@@ -3,7 +3,7 @@
 Microwave pulses on the electron spin, combined with free precession under an
 anisotropic hyperfine coupling, steer the nuclear spin without any
 radio-frequency drive.  The package provides the spin model, exact unitary
-propagation of short pulse sequences, genetic-algorithm pulse synthesis for
+propagation of short pulse sequences, multistart gradient pulse synthesis for
 target gates and state transfers, and simulations of the standard readout
 experiments (indirect FID, spectra, nuclear polarization).
 """

@@ -47,7 +47,7 @@ class UsageError(NvctrlError):
 
 
 _POLARIZATION_MODEL = asdict(experiments.paper_polarization_model())
-# the GA budget; the seed is the top-level `seed`
+# the search budget; the seed is the top-level `seed`
 _GA = {f.name: f.default for f in fields(GaConfig) if f.name != "seed"}
 _FIT_RATIOS = ("b0", "b1", "bm1", "f")
 
@@ -172,7 +172,7 @@ def _block(config: dict, name: str) -> dict:
 
 
 def _ga(config: dict, name: str) -> GaConfig:
-    """The GA budget in block `name`, seeded by the top-level seed."""
+    """The search budget in block `name`, seeded by the top-level seed."""
     return GaConfig(**_block(config, name), seed=config["seed"])
 
 

@@ -1,11 +1,13 @@
-"""Genetic-algorithm search over pulse-sequence parameters.
+"""Multistart search over pulse-sequence parameters.
 
 The genome packs the free parameters of an n-pulse sequence as flat blocks
 [tau_1..tau_n | t_1..t_n | phi_1..phi_n] (free flip angles) or
 [tau_1..tau_n | phi_1..phi_n] (switched mode, every flip angle fixed at 180
-degrees).  The restarts run in lockstep, with fitness evaluated for all their
-populations at once; each restart draws from its own generator in a fixed
-schedule, so results are bitwise reproducible for a given seed.
+degrees).  Each restart draws uniform genomes in the search box; an optional
+genetic algorithm evolves them, and a projected L-BFGS on exact gradients
+polishes each restart's best.  The restarts run in lockstep, with fitness
+evaluated for all of them at once; each restart draws from its own generator
+in a fixed schedule, so results are bitwise reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ DEFAULT_SEED = 20260809
 # Rabi periods), phases in [0, 2pi]
 TAU_MAX_US = 10.0
 # restarts x population: the genomes one lockstep generation evaluates
-# (62.5 times the default budget of 16 x 100)
+# (about 195 times the default 512 x 1)
 MAX_GENERATION_GENOMES = 100_000
 # genomes per kernel pass (the children of 8 restarts): a wider lockstep
 # generation runs in slices of this size, so its work arrays stay small.
 # Against one pass per generation (BENCH_chunk.json): peak RSS 241 -> 164 MB
-# at 1000 x 100 genomes; at the default 16 x 100, the synth benchmark's
+# at 1000 x 100 genomes; at the GA budget of 16 x 100, the synth benchmark's
 # peak RSS 87.96 -> 86.92 MB and wall_s 0.903 -> 0.872 s
 _CHUNK = 784
 
@@ -75,8 +77,7 @@ class ControlProblem:
             raise ValueError("duration penalty must be non-negative and finite")
         # the penalty term of the longest sequence in the search box, as
         # _FitnessKernel computes it
-        taus, ts, _ = _split(self, genome_bounds(self)[1])
-        longest = float(taus.sum(axis=1)[0] + ts.sum(axis=1)[0])
+        longest = float(_durations(self, genome_bounds(self)[1])[0])
         if not math.isfinite(self.duration_penalty * longest / TAU_MAX_US):
             raise ValueError("duration penalty overflows on the longest sequence")
 
@@ -93,15 +94,19 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """GA budget and seed.  The operator settings are fixed class constants;
-    mutation sigma is a fraction of each bound width.
+    """Search budget and seed.  Each of the `restarts` draws `population`
+    uniform genomes from its own generator.  With `generations` >= 1 a GA
+    evolves them; its operator settings are fixed class constants, mutation
+    sigma is a fraction of each bound width, and the population must exceed
+    the elites.  With no generations (the default), the best draw of each
+    restart goes straight to the polish.  The defaults, 512 restarts of one
+    genome and 300 polish evaluations, come from the hit-rate sweep
+    BENCH_search_multistart.json (see the README).
 
     polish_evals is each restart's evaluation budget in a deterministic
     projected L-BFGS refinement of its best genome; one evaluation is the
     fitness and its exact gradient, and one kernel call evaluates every
-    restart still polishing, in lockstep.  The fixed mutation width explores
-    well but cannot settle the third digit, so the polish closes that gap
-    without touching the evolutionary stage.
+    restart still polishing, in lockstep.
     """
 
     crossover_rate: ClassVar[float] = 0.8
@@ -110,17 +115,19 @@ class GaConfig:
     elite_count: ClassVar[int] = 2
     tournament_size: ClassVar[int] = 3
 
-    population: int = 100
-    generations: int = 60
+    population: int = 1
+    generations: int = 0
     seed: int = DEFAULT_SEED
-    restarts: int = 16
-    polish_evals: int = 4000
+    restarts: int = 512
+    polish_evals: int = 300
 
     def __post_init__(self):
-        if self.population <= self.elite_count:
-            raise ValueError(f"population must exceed the {self.elite_count} elites")
-        if self.generations < 1 or self.restarts < 1:
-            raise ValueError("generations and restarts must be at least 1")
+        if self.population < 1 or self.restarts < 1:
+            raise ValueError("population and restarts must be at least 1")
+        if self.generations < 0:
+            raise ValueError("generations must be non-negative")
+        if self.generations > 0 and self.population <= self.elite_count:
+            raise ValueError(f"population must exceed the {self.elite_count} elites when generations > 0")
         if self.restarts * self.population > MAX_GENERATION_GENOMES:
             raise ValueError(f"restarts x population must not exceed {MAX_GENERATION_GENOMES}")
         if self.polish_evals < 0:
@@ -177,6 +184,12 @@ def _split(problem: ControlProblem, genomes) -> tuple[np.ndarray, np.ndarray, np
         ts = np.full_like(taus, problem.switched_pulse_us)
         phis = g[:, n:]
     return taus, ts, phis
+
+
+def _durations(problem: ControlProblem, genomes) -> np.ndarray:
+    """Total duration (B,) of each genome of a batch, as `_split` reads it."""
+    taus, ts, _ = _split(problem, genomes)
+    return taus.sum(axis=1) + ts.sum(axis=1)
 
 
 def decode(problem: ControlProblem, genome) -> PulseSequence:
@@ -346,11 +359,15 @@ class _FitnessKernel:
         turns = np.diff(np.hstack([zero, phis, zero]), axis=1)
         angles = _phases(self._w_free, np.hstack([taus, zero])).reshape(-1, self.n + 1, 4)
         diagonals = _cis(angles - turns[:, :, None] * _ZDIAG).transpose(1, 2, 0)
-        # the drive diagonals of every sample, computed once per distinct
-        # duration (children copy theirs from their parents); the bit patterns
-        # tell -0.0 from +0.0
-        distinct, where = np.unique(ts.reshape(-1).view(np.int64), return_inverse=True)
-        drives = _cis(_phases(self._w_drive, distinct.view(float)))[where]
+        # the drive diagonals of every sample; a GA generation computes them
+        # once per distinct duration (children copy theirs from their parents,
+        # and the bit patterns tell -0.0 from +0.0), while the polish's
+        # durations are nearly all distinct and skip the dedup
+        if gradient:
+            drives = _cis(_phases(self._w_drive, ts.reshape(-1)))
+        else:
+            distinct, where = np.unique(ts.reshape(-1).view(np.int64), return_inverse=True)
+            drives = _cis(_phases(self._w_drive, distinct.view(float)))[where]
         drives = drives.reshape(-1, self.n, len(self._drive), 4)
         acc = np.zeros(taus.shape[0])
         # the adjoint sums of the free diagonals, shared by the drive samples,
@@ -411,9 +428,11 @@ def _leaders(fit, dur, pop) -> np.ndarray:
 
 
 def _run_restarts(kernel, problem, ga, rngs):
-    """One GA run per generator, all in lockstep: one kernel call per
-    generation.  A child bitwise equal to its first parent inherits that
-    parent's fitness and duration.  With a polish budget, each restart's
+    """One search per generator, all in lockstep: one kernel call per
+    generation.  Each restart starts from `ga.population` uniform genomes of
+    its generator; with no generations, that draw is all of its search
+    before the polish.  A child bitwise equal to its first parent inherits
+    that parent's fitness and duration.  With a polish budget, each restart's
     polished genome is one more generation of one.  Returns each restart's
     best fitness (R,), duration (R,) and genome (R, L), and the best fitness
     after each generation (G + 1 or G + 2, R)."""
@@ -423,11 +442,13 @@ def _run_restarts(kernel, problem, ga, rngs):
     sigma = ga.mutation_sigma * (hi - lo)
     n_child = ga.population - ga.elite_count
     rows = np.arange(len(rngs))[:, None]
-    # each generation's draws, one row per restart: two tournaments' entrants,
-    # the uniforms of crossover, mix and mutation, and the mutation normals
-    entrants = np.empty((2, len(rngs), n_child, ga.tournament_size), dtype=np.int64)
-    uniforms = np.empty((len(rngs), n_child * (1 + 2 * length)))
-    normals = np.empty((len(rngs), n_child, length))
+    if ga.generations:
+        # each generation's draws, one row per restart: two tournaments'
+        # entrants, the uniforms of crossover, mix and mutation, and the
+        # mutation normals
+        entrants = np.empty((2, len(rngs), n_child, ga.tournament_size), dtype=np.int64)
+        uniforms = np.empty((len(rngs), n_child * (1 + 2 * length)))
+        normals = np.empty((len(rngs), n_child, length))
     best = (np.full(len(rngs), -np.inf), np.zeros(len(rngs)), np.zeros((len(rngs), length)))
     history = []
 
@@ -474,10 +495,11 @@ def _run_restarts(kernel, problem, ga, rngs):
 
 @dataclass(frozen=True, eq=False)
 class Minimum:
-    """Where `minimize` left each row: x (R, L), status and evals (R,); nfev
-    counts the calls of the objective."""
+    """Where `minimize` left each row: x (R, L), its value f, status and
+    evals (R,); nfev counts the calls of the objective."""
 
     x: np.ndarray
+    f: np.ndarray
     status: np.ndarray
     evals: np.ndarray
     nfev: int
@@ -546,7 +568,7 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         status[(status == _RUNNING) & (evals >= budget)] = 1
         run = np.flatnonzero(status == _RUNNING)
         if not run.size:
-            return Minimum(x, status, evals, nfev)
+            return Minimum(x, f, status, evals, nfev)
         trial = np.clip(x[run] + alpha[run, None] * d[run], lower, upper)
         f_new, g_new = fun(trial)
         nfev += 1
@@ -580,7 +602,8 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
     phases are left unbounded, since the kernel treats them as periodic.  The
     search sees each genome divided by the box widths, which evens out the
     curvature of microsecond delays, short pulses and phases.  Returns the
-    fitness (R,), duration (R,) and genome (R, L) of every restart.
+    fitness (R,), duration (R,) and genome (R, L) of every restart; the
+    fitness is the one its last accepted evaluation computed.
     """
     lo, hi = genome_bounds(kernel.problem)
     width = hi - lo
@@ -593,8 +616,7 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     res = minimize(negative_fitness, genomes / width, lower, upper, budget)
     x = res.x * width
-    fit, dur = kernel.objective(x)
-    return fit, dur, x
+    return -res.f, _durations(kernel.problem, x), x
 
 
 def _tournament(fit, entrants):
@@ -605,7 +627,7 @@ def _tournament(fit, entrants):
 
 
 def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
-    """Best-of-restarts GA search.
+    """Best-of-restarts search (see `GaConfig`).
 
     The reported fidelity (and robust fidelity, when a robustness range is
     configured) is re-evaluated from scratch through the propagation and

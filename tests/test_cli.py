@@ -110,6 +110,18 @@ def test_optimize_default_transfer_reaches_high_fidelity(tmp_path):
     assert result["fidelity"] >= 0.99
 
 
+def test_optimize_multistart_without_generations(tmp_path):
+    """population 1 with no generations polishes uniform starts, and the
+    history holds the best start and the polished best."""
+    out = tmp_path / "multistart"
+    assert run(["optimize", "--out", out, "--seed", "4",
+                "--set", "optimize.ga.population=1", "--set", "optimize.ga.generations=0",
+                "--set", "optimize.ga.restarts=8", "--set", "optimize.ga.polish_evals=30"]) == 0
+    gens, fitness = read_csv(out / "history.csv", ("generation", "best_fitness"))
+    assert gens.tolist() == [0.0, 1.0] and fitness[1] >= fitness[0]
+    assert json.loads((out / "result.json").read_text())["best_fitness"] == fitness[1]
+
+
 def test_optimize_switched_mode(tmp_path):
     out = tmp_path / "sw"
     code = run(["optimize", "--out", out, "--seed", "4",
@@ -531,7 +543,9 @@ MALFORMED = {
     "params-nan": ["angles", "--set", "params.b_mt=NaN"],
     "config-not-json": ["angles", "--config", "{not_json}"],
     "optimize-no-pulses": ["optimize", "--set", "optimize.n_pulses=0"],
-    "optimize-population-one": ["optimize", "--set", "optimize.ga.population=1"],
+    # the GA keeps 2 elites, so it needs 3 genomes; the multistart search needs 1
+    "optimize-population-one": ["optimize", "--set", "optimize.ga.population=1", "--set", "optimize.ga.generations=1"],
+    "optimize-ga-generations-negative": ["optimize", *TINY_GA, "--set", "optimize.ga.generations=-1"],
     "spectrum-zerofill-zero": [
         "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.zerofill_factor=0",
     ],

@@ -70,6 +70,19 @@ def test_ga_config_bounds_genomes_per_generation():
             nc.GaConfig(population=100, restarts=restarts)
 
 
+def test_ga_config_needs_elites_only_with_generations():
+    """One genome per restart is a search with no generations; the GA needs
+    more genomes than its elites, and a generation count is never negative."""
+    nc.GaConfig(population=1, generations=0)
+    with pytest.raises(ValueError, match="exceed the 2 elites"):
+        nc.GaConfig(population=2, generations=1)
+    with pytest.raises(ValueError, match="generations must be non-negative"):
+        nc.GaConfig(generations=-1)
+    for bad in ({"population": 0}, {"restarts": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            nc.GaConfig(generations=0, **bad)
+
+
 def test_genome_layout_lengths(u90_problem, up_problem, paper):
     assert genome_bounds(u90_problem)[0].size == 6
     switched = nc.ControlProblem(
@@ -355,23 +368,29 @@ def test_rank_factor_reproduces_initial_state(paper, target):
 
 
 LOCKSTEP_GA = nc.GaConfig(population=16, generations=25, restarts=8, seed=20260809, polish_evals=20)
+LOCKSTEP_MULTISTART = nc.GaConfig(population=3, generations=0, restarts=8, seed=20260809, polish_evals=20)
 
 
-@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
-def test_lockstep_restarts_match_each_restart_alone(request, problem_name):
+@pytest.mark.parametrize(
+    ("problem_name", "ga"),
+    [(name, ga) for ga in (LOCKSTEP_GA, LOCKSTEP_MULTISTART) for name in ("u90_problem", "up_problem")],
+    ids=["u90_problem", "up_problem", "u90_problem-multistart", "up_problem-multistart"],
+)
+def test_lockstep_restarts_match_each_restart_alone(request, problem_name, ga):
     """Eight restarts in lockstep give each restart bitwise the best candidate
-    and history it gets when run alone from the same child seed."""
+    and history it gets when run alone from the same child seed, with GA
+    generations and without."""
     from nvctrl.optimizer import _run_restarts
 
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
-    seeds = np.random.SeedSequence(LOCKSTEP_GA.seed).spawn(LOCKSTEP_GA.restarts)
+    seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
     rngs = [np.random.default_rng(s) for s in seeds]
-    fit, dur, pop, history = _run_restarts(kernel, problem, LOCKSTEP_GA, rngs)
+    fit, dur, pop, history = _run_restarts(kernel, problem, ga, rngs)
     assert fit.shape == dur.shape == (8,) and pop.shape == (8, genome_bounds(problem)[0].size)
-    assert history.shape == (LOCKSTEP_GA.generations + 2, 8)
+    assert history.shape == (ga.generations + 2, 8)
     for r, seed in enumerate(seeds):
-        alone = _run_restarts(kernel, problem, LOCKSTEP_GA, [np.random.default_rng(seed)])
+        alone = _run_restarts(kernel, problem, ga, [np.random.default_rng(seed)])
         assert (fit[r], dur[r]) == (alone[0][0], alone[1][0])
         assert pop[r].tobytes() == alone[2][0].tobytes()
         assert history[:, r].tobytes() == alone[3][:, 0].tobytes()
@@ -381,6 +400,42 @@ def _oracle_leader(fit, dur, pop) -> int:
     """Plain-Python winner rule: highest fitness, then shortest duration,
     then lowest genome as a tuple; the first on a full tie."""
     return min(range(len(fit)), key=lambda j: (-fit[j], dur[j], tuple(pop[j])))
+
+
+@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
+def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
+    """With no generations, each restart's best and history equal, bitwise,
+    an oracle built restart by restart: its own generator's uniform draw of
+    `population` genomes, each scored alone, the best of them by the
+    plain-Python winner rule, the polish of those bests, then `_leaders`
+    between each start and its polish.  No GA draw follows the start."""
+    from nvctrl.optimizer import _leaders, _polish, _run_restarts
+
+    problem = request.getfixturevalue(problem_name)
+    kernel = _FitnessKernel(problem)
+    ga = nc.GaConfig(population=5, generations=0, restarts=6, seed=11, polish_evals=40)
+    seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    fit, dur, pop, history = _run_restarts(kernel, problem, ga, rngs)
+    lo, hi = genome_bounds(problem)
+    starts = []
+    for seed, used in zip(seeds, rngs):
+        rng = np.random.default_rng(seed)
+        draw = rng.uniform(lo, hi, size=(ga.population, lo.size))
+        assert used.bit_generator.state == rng.bit_generator.state
+        scored = [kernel.objective(g[None, :]) for g in draw]
+        f, d = (np.array([s[i][0] for s in scored]) for i in (0, 1))
+        j = _oracle_leader(f, d, draw)
+        starts.append((f[j], d[j], draw[j]))
+    start_fit, start_dur, start_pop = (np.array(a) for a in zip(*starts))
+    polished = _polish(kernel, start_pop, ga.polish_evals)
+    columns = [np.stack(pair, axis=1) for pair in zip((start_fit, start_dur, start_pop), polished)]
+    pick = _leaders(*columns)
+    want = [c[np.arange(ga.restarts), pick] for c in columns]
+    assert np.any(pick == 1)
+    assert fit.tobytes() == want[0].tobytes() and dur.tobytes() == want[1].tobytes()
+    assert pop.tobytes() == want[2].tobytes()
+    assert history.tobytes() == np.stack([start_fit, want[0]]).tobytes()
 
 
 def test_leaders_pick_what_better_picks():
@@ -626,8 +681,9 @@ def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, pro
 def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, budget):
     """One polish evaluation is one genome's fitness and exact gradient; a
     lockstep call evaluates every restart still running, and the budget caps
-    each restart's evaluations exactly.  The polished genomes are then
-    evaluated once more, in one call."""
+    each restart's evaluations exactly.  The polished genomes are not
+    evaluated again: their fitness and duration, from the polish's own
+    evaluations, equal the objective's bitwise."""
     from nvctrl.optimizer import _polish
 
     kernel = _FitnessKernel(up_problem)
@@ -644,13 +700,15 @@ def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, b
 
     kernel.gradient, kernel.objective = counting_gradient, counting_objective
     lo, hi = genome_bounds(up_problem)
-    _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
+    fit, dur, xs = _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
     (res,) = minimize_results
     assert res.evals.max() == budget and np.all(res.status[res.evals == budget] <= 1)
     assert np.all(res.status[res.evals < budget] == 0)
     assert len(gradient_batches) == res.nfev == budget
     assert gradient_batches[0] == 5 and sum(gradient_batches) == res.evals.sum()
-    assert objective_batches == [5]
+    assert objective_batches == []
+    want_fit, want_dur = real_objective(xs)
+    assert fit.tobytes() == want_fit.tobytes() and dur.tobytes() == want_dur.tobytes()
 
 
 def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
@@ -673,7 +731,7 @@ def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
 
 
 FIXTURE_PINS = {
-    "up_free3_result": 0.998379797362,
+    "up_free3_result": 0.999167495939,
     "u90_result": 0.974224874778,
     "up_short_result": 0.922953765243,
     "up_switched_result": 0.590934808507,

@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Hit-rate sweep of the GA budget over the tier-1 GA jobs.
+"""Hit-rate sweep of the search budget over the tier-1 GA jobs.
 
-    python3 tools/search_sweep.py --designs 8x300 16x60 32x30 64x15 \\
-        --seeds 1-10 --tier1 --tag budget
+    python3 tools/search_sweep.py --designs 16x60 512x0x1x300 768x0x1 \\
+        --seeds 1-10 --tier1 --tag multistart
 
-Each design is RESTARTSxGENERATIONS or RESTARTSxGENERATIONSxPOPULATION
-(population 100 by default).  The jobs are the 21 GA searches the tier-1
+Each design is RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]]: the restarts,
+the GA generations (0 polishes each restart's best of POPULATION uniform
+starts, with no GA), the population (100 by default) and each restart's
+polish budget in evaluations (4000 by default; 100 and 4000 were the GA's
+population and budget before the multistart search became the default).
+The jobs are the 21 GA searches the tier-1
 tests run, as tests/ga_jobs.py defines them: the 13 rows of the benchmark
 tables (row i runs with GA seed seed + i), the 4 robust jobs and the 4
-fixture jobs.  Every (design, job, seed) run records its best fitness,
-fidelity, duration, wall time, the genomes the GA evaluated in the fitness
-kernel, the polish evaluations summed over the restarts and the polish's
-lockstep kernel calls.  The genomes come from wrapping
+fixture jobs.  Every (design, job, seed) run records the design's
+`GaConfig` fields (`restarts`, `generations`, `population`,
+`polish_evals`), its best fitness, fidelity, duration, wall time, the
+genomes the GA evaluated in the fitness kernel, the polish evaluations
+spent, summed over the restarts (`polish_used`), and the polish's lockstep
+kernel calls.  The genomes come from wrapping
 `_FitnessKernel.objective`, the polish counts from the result of
 `optimizer.minimize`.  Their sum in kernel genomes,
-`cost_genomes = genomes + polish_evals * GRADIENT_GENOMES`, is a cost that
+`cost_genomes = genomes + polish_used * GRADIENT_GENOMES`, is a cost that
 does not change between re-runs: one polish evaluation is the fitness and
 exact gradient of one genome, which costs GRADIENT_GENOMES = 2 genomes (the
 ratio of the summed median times of `_FitnessKernel.gradient` and
@@ -32,11 +38,13 @@ tools/best_known.json holds the best fitness known for each job; a run that
 beats it raises the value in that file.  A run hits when its best fitness is
 within 1e-6 of its job's best known.  With `--tier1` every design also runs
 at the tests' seed 20260809; those runs are reported apart and never count
-as hits.  When the design 8x300 (the budget before the sweep) is among
-those run, the summary names the design with the most hits among those
-whose summed mean time over the jobs is at most 0.7 of 8x300's, the
-cheaper one on a tie, and gives each design's time ratio to 8x300 in every
-pass and its ratio of summed `cost_genomes` (over the first pass) to 8x300's.
+as hits.  When the design 16x60 (the GA budget before the multistart
+search) is among those run, the summary names the design with the most
+hits among those whose summed mean time over the jobs is at most that of
+16x60, measured in the same sweep, the cheaper one on a tie.  It gives
+each design's time ratio to 16x60 in every pass, its ratio of summed
+`cost_genomes` (over the first pass) to 16x60's, and the jobs where the
+chosen design hits less often than 16x60.
 
 The results go to BENCH_search_<tag>.json in the current directory.
 """
@@ -63,14 +71,16 @@ from nvctrl import optimizer  # noqa: E402
 from ga_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
 
 BEST_KNOWN = ROOT / "tools" / "best_known.json"
-BASELINE = "8x300"
+BASELINE = "16x60"
 HIT_TOL = 1e-6
-COST_RATIO = 0.7
+TIME_RATIO = 1.0
+# the population and polish budget a design without them runs with
+POPULATION, POLISH = 100, 4000
 GRADIENT_GENOMES = 2
 JOB_IDS = list(jobs(nc.GaConfig()))
 
 
-_COUNTS = {"genomes": 0, "polish_evals": 0, "polish_calls": 0}
+_COUNTS = {"genomes": 0, "polish_used": 0, "polish_calls": 0}
 
 
 def _install_counters() -> None:
@@ -84,7 +94,7 @@ def _install_counters() -> None:
 
     def counted_minimize(*args, **kwargs):
         res = minimize(*args, **kwargs)
-        _COUNTS["polish_evals"] += int(res.evals.sum())
+        _COUNTS["polish_used"] += int(res.evals.sum())
         _COUNTS["polish_calls"] += res.nfev
         return res
 
@@ -94,15 +104,26 @@ def _install_counters() -> None:
 
 def parse_design(text: str) -> dict:
     parts = [int(p) for p in text.lower().split("x")]
-    if len(parts) not in (2, 3) or min(parts) < 1:
-        raise argparse.ArgumentTypeError(f"design {text!r} is not RxG or RxGxP")
-    restarts, generations, population = (parts + [100])[:3]
-    return {"restarts": restarts, "generations": generations, "population": population}
+    if len(parts) not in (2, 3, 4):
+        raise argparse.ArgumentTypeError(f"design {text!r} is not RxG[xP[xE]]")
+    parts += [POPULATION, POLISH][len(parts) - 2 :]
+    design = dict(zip(("restarts", "generations", "population", "polish_evals"), parts))
+    try:
+        nc.GaConfig(**design)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"design {text!r}: {exc}") from None
+    return design
 
 
 def design_name(d: dict) -> str:
-    name = f"{d['restarts']}x{d['generations']}"
-    return name if d["population"] == 100 else f"{name}x{d['population']}"
+    """RxG, then the population and the polish budget where they are not the
+    defaults (a budget needs the population before it)."""
+    parts = [d["restarts"], d["generations"], d["population"], d["polish_evals"]]
+    if d["polish_evals"] == POLISH:
+        parts.pop()
+        if d["population"] == POPULATION:
+            parts.pop()
+    return "x".join(map(str, parts))
 
 
 def parse_seeds(items: list[str]) -> list[int]:
@@ -116,7 +137,7 @@ def parse_seeds(items: list[str]) -> list[int]:
 def run_one(task: tuple) -> dict:
     job, design, seed, repeat = task
     problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
-    _COUNTS.update(genomes=0, polish_evals=0, polish_calls=0)
+    _COUNTS.update(genomes=0, polish_used=0, polish_calls=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
     wall = perf_counter() - start
@@ -132,10 +153,8 @@ def run_one(task: tuple) -> dict:
         "robust_fidelity": result.robust_fidelity,
         "duration_us": result.total_duration_us,
         "wall_s": wall,
-        "genomes": _COUNTS["genomes"],
-        "polish_evals": _COUNTS["polish_evals"],
-        "polish_calls": _COUNTS["polish_calls"],
-        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_evals"] * GRADIENT_GENOMES,
+        **_COUNTS,
+        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_used"] * GRADIENT_GENOMES,
     }
 
 
@@ -187,16 +206,17 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
 
 
 def choose(summary: dict) -> dict | None:
-    """The design with the most hits among those at most COST_RATIO of the
+    """The design with the most hits among those at most TIME_RATIO of the
     baseline's summed mean time; the cheaper one on a tie."""
     if BASELINE not in summary:
         return None
     base = summary[BASELINE]
-    budget = COST_RATIO * base["summed_mean_wall_s"]
+    budget = TIME_RATIO * base["summed_mean_wall_s"]
     eligible = [d for d, s in summary.items() if s["summed_mean_wall_s"] <= budget]
     ranked = sorted(eligible, key=lambda d: (-summary[d]["hits"], summary[d]["summed_mean_wall_s"]))
+    chosen = ranked[0] if ranked else None
     return {
-        "rule": f"most hits among designs with summed mean time <= {COST_RATIO} x {BASELINE}'s; "
+        "rule": f"most hits among designs with summed mean time <= {TIME_RATIO} x {BASELINE}'s; "
                 "the cheaper on a tie",
         "baseline": BASELINE,
         "budget_s": budget,
@@ -207,7 +227,13 @@ def choose(summary: dict) -> dict | None:
             for d, s in summary.items()
         },
         "ranked": ranked,
-        "chosen": ranked[0] if ranked else None,
+        "chosen": chosen,
+        # job -> [the chosen design's hits, the baseline's]
+        "below_baseline": {
+            job: [s["hits"], base["per_job"][job]["hits"]]
+            for job, s in summary[chosen]["per_job"].items()
+            if s["hits"] < base["per_job"][job]["hits"]
+        } if chosen else {},
     }
 
 
