@@ -250,9 +250,7 @@ class _FitnessKernel:
     contraction at a fraction of its cost.  Every contraction is an
     `np.einsum` without path optimization, which sums each genome in the
     same order at any batch position, so a genome's fitness does not depend
-    on the batch it is evaluated in.  Children copy durations from their
-    parents, so the drive factors are computed once per distinct duration
-    bit pattern in a batch and shared by every genome that has it.
+    on the batch it is evaluated in.
     """
 
     def __init__(self, problem: ControlProblem):
@@ -359,16 +357,8 @@ class _FitnessKernel:
         turns = np.diff(np.hstack([zero, phis, zero]), axis=1)
         angles = _phases(self._w_free, np.hstack([taus, zero])).reshape(-1, self.n + 1, 4)
         diagonals = _cis(angles - turns[:, :, None] * _ZDIAG).transpose(1, 2, 0)
-        # the drive diagonals of every sample; a GA generation computes them
-        # once per distinct duration (children copy theirs from their parents,
-        # and the bit patterns tell -0.0 from +0.0), while the polish's
-        # durations are nearly all distinct and skip the dedup
-        if gradient:
-            drives = _cis(_phases(self._w_drive, ts.reshape(-1)))
-        else:
-            distinct, where = np.unique(ts.reshape(-1).view(np.int64), return_inverse=True)
-            drives = _cis(_phases(self._w_drive, distinct.view(float)))[where]
-        drives = drives.reshape(-1, self.n, len(self._drive), 4)
+        # the drive diagonals of every pulse and drive sample
+        drives = _cis(_phases(self._w_drive, ts.reshape(-1))).reshape(-1, self.n, len(self._drive), 4)
         acc = np.zeros(taus.shape[0])
         # the adjoint sums of the free diagonals, shared by the drive samples,
         # and the pulse-duration derivatives, summed over them

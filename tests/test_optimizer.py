@@ -293,10 +293,9 @@ def test_fitness_is_independent_of_batch_position(paper, case):
 @pytest.mark.parametrize("case", ["u_p", "robust_u_c", "switched"])
 def test_copied_durations_are_independent_of_batch_position(paper, case, method):
     """Rows that copy duration genes from one another, as GA children do,
-    with +0.0 and -0.0 among them: the kernel computes each distinct
-    duration's drive factors once per batch, and each genome's result alone
-    still equals, bitwise, its result in the batch and in that batch
-    reversed.  In switched mode every pulse duration is the same."""
+    with +0.0 and -0.0 among them: each genome's result alone equals,
+    bitwise, its result in the batch and in that batch reversed.  In
+    switched mode every pulse duration is the same."""
     problem = _gradient_problem(paper, case)
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)

@@ -6,21 +6,24 @@
 
 Each design is RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]]: the restarts,
 the GA generations (0 polishes each restart's best of POPULATION uniform
-starts, with no GA), the population (100 by default) and each restart's
-polish budget in evaluations (4000 by default; 100 and 4000 were the GA's
-population and budget before the multistart search became the default).
+starts, with no GA), the population and each restart's polish budget in
+evaluations.  A design that leaves them out runs the GA budget used before
+the multistart search became the default, population 100 and polish
+budget 4000, not the `GaConfig` defaults: 512x0 is population 100, and the
+default search is 512x0x1x300.
 The jobs are the 21 GA searches the tier-1
 tests run, as tests/ga_jobs.py defines them: the 13 rows of the benchmark
 tables (row i runs with GA seed seed + i), the 4 robust jobs and the 4
 fixture jobs.  Every (design, job, seed) run records the design's
-`GaConfig` fields (`restarts`, `generations`, `population`,
-`polish_evals`), its best fitness, fidelity, duration, wall time, the
-genomes the GA evaluated in the fitness kernel, the polish evaluations
-spent, summed over the restarts (`polish_used`), and the polish's lockstep
-kernel calls.  The genomes come from wrapping
+`restarts`, `generations`, `population` and polish budget
+(`polish_budget`, the `GaConfig.polish_evals` it ran with), its best
+fitness, fidelity, duration, wall time, the genomes the GA evaluated in
+the fitness kernel, the polish evaluations spent, summed over the restarts
+(`polish_evals`, as in the sweeps before the budget was recorded), and
+the polish's lockstep kernel calls.  The genomes come from wrapping
 `_FitnessKernel.objective`, the polish counts from the result of
 `optimizer.minimize`.  Their sum in kernel genomes,
-`cost_genomes = genomes + polish_used * GRADIENT_GENOMES`, is a cost that
+`cost_genomes = genomes + polish_evals * GRADIENT_GENOMES`, is a cost that
 does not change between re-runs: one polish evaluation is the fitness and
 exact gradient of one genome, which costs GRADIENT_GENOMES = 2 genomes (the
 ratio of the summed median times of `_FitnessKernel.gradient` and
@@ -74,13 +77,14 @@ BEST_KNOWN = ROOT / "tools" / "best_known.json"
 BASELINE = "16x60"
 HIT_TOL = 1e-6
 TIME_RATIO = 1.0
-# the population and polish budget a design without them runs with
+# the population and polish budget a design without them runs with: the GA
+# budget before the multistart default, not the GaConfig defaults
 POPULATION, POLISH = 100, 4000
 GRADIENT_GENOMES = 2
 JOB_IDS = list(jobs(nc.GaConfig()))
 
 
-_COUNTS = {"genomes": 0, "polish_used": 0, "polish_calls": 0}
+_COUNTS = {"genomes": 0, "polish_evals": 0, "polish_calls": 0}
 
 
 def _install_counters() -> None:
@@ -94,7 +98,7 @@ def _install_counters() -> None:
 
     def counted_minimize(*args, **kwargs):
         res = minimize(*args, **kwargs)
-        _COUNTS["polish_used"] += int(res.evals.sum())
+        _COUNTS["polish_evals"] += int(res.evals.sum())
         _COUNTS["polish_calls"] += res.nfev
         return res
 
@@ -137,14 +141,15 @@ def parse_seeds(items: list[str]) -> list[int]:
 def run_one(task: tuple) -> dict:
     job, design, seed, repeat = task
     problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
-    _COUNTS.update(genomes=0, polish_used=0, polish_calls=0)
+    _COUNTS.update(genomes=0, polish_evals=0, polish_calls=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
     wall = perf_counter() - start
     return {
         "job": job,
         "design": design_name(design),
-        **design,
+        **{k: design[k] for k in ("restarts", "generations", "population")},
+        "polish_budget": design["polish_evals"],
         "seed": seed,
         "ga_seed": ga.seed,
         "repeat": repeat,
@@ -154,7 +159,7 @@ def run_one(task: tuple) -> dict:
         "duration_us": result.total_duration_us,
         "wall_s": wall,
         **_COUNTS,
-        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_used"] * GRADIENT_GENOMES,
+        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_evals"] * GRADIENT_GENOMES,
     }
 
 
@@ -269,7 +274,9 @@ def environment() -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--designs", nargs="+", type=parse_design, required=True)
+    p.add_argument("--designs", nargs="+", type=parse_design, required=True,
+                   help=f"RxG[xP[xE]] designs; P and E default to the old GA budget, population {POPULATION} "
+                        f"and polish budget {POLISH} (the default search is 512x0x1x300)")
     p.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 1-10 42")
     p.add_argument("--tier1", action="store_true", help=f"also run each design at seed {TIER1_SEED}")
     p.add_argument("--jobs", nargs="+", help="job ids to run (default: all 21)")
