@@ -3,11 +3,10 @@
 The genome packs the free parameters of an n-pulse sequence as flat blocks
 [tau_1..tau_n | t_1..t_n | phi_1..phi_n] (free flip angles) or
 [tau_1..tau_n | phi_1..phi_n] (switched mode, every flip angle fixed at 180
-degrees).  Each restart draws uniform genomes in the search box; an optional
-genetic algorithm evolves them, and a projected L-BFGS on exact gradients
-polishes each restart's best.  The restarts run in lockstep, with fitness
-evaluated for all of them at once; each restart draws from its own generator
-in a fixed schedule, so results are bitwise reproducible for a given seed.
+degrees).  Each restart draws one uniform genome in the search box from its
+own generator, and a projected L-BFGS on exact gradients polishes it.  The
+restarts run in lockstep, with fitness evaluated for all of them at once, so
+results are bitwise reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ DEFAULT_SEED = 20260809
 # the search box: delays in [0, TAU_MAX_US], pulses in [0, t_max_us] (two
 # Rabi periods), phases in [0, 2pi]
 TAU_MAX_US = 10.0
-# restarts x population: the genomes one lockstep generation evaluates
-# (about 195 times the default 512 x 1)
-MAX_GENERATION_GENOMES = 100_000
-# genomes per kernel pass (the children of 8 restarts): a wider lockstep
-# generation runs in slices of this size, so its work arrays stay small.
-# Against one pass per generation (BENCH_chunk.json): peak RSS 241 -> 164 MB
-# at 1000 x 100 genomes; at the GA budget of 16 x 100, the synth benchmark's
-# peak RSS 87.96 -> 86.92 MB and wall_s 0.903 -> 0.872 s
+# the starts one search draws and scores in one kernel call (about 195 times
+# the default 512)
+MAX_RESTARTS = 100_000
+# genomes per kernel pass: a wider batch runs in slices of this size, so its
+# work arrays stay small.  Against one pass per batch (BENCH_chunk.json, with
+# the genetic algorithm the search used then): peak RSS 241 -> 164 MB at 10^5
+# genomes per kernel call
 _CHUNK = 784
 
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
@@ -94,42 +92,31 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Search budget and seed.  Each of the `restarts` draws `population`
-    uniform genomes from its own generator.  With `generations` >= 1 a GA
-    evolves them; its operator settings are fixed class constants, mutation
-    sigma is a fraction of each bound width, and the population must exceed
-    the elites.  With no generations (the default), the best draw of each
-    restart goes straight to the polish.  The defaults, 512 restarts of one
-    genome and 300 polish evaluations, come from the hit-rate sweep
-    BENCH_search_multistart.json (see the README).
-
-    polish_evals is each restart's evaluation budget in a deterministic
-    projected L-BFGS refinement of its best genome; one evaluation is the
-    fitness and its exact gradient, and one kernel call evaluates every
-    restart still polishing, in lockstep.
+    """Search budget and seed.  Each of the `restarts` draws one uniform
+    genome from its own generator, and polish_evals is each restart's
+    evaluation budget in a deterministic projected L-BFGS refinement of that
+    start; one evaluation is the fitness and its exact gradient, and one
+    kernel call evaluates every restart still polishing, in lockstep.  The
+    defaults, 512 restarts and 300 polish evaluations, come from the hit-rate
+    sweep BENCH_search_multistart.json (see the README).
     """
 
-    crossover_rate: ClassVar[float] = 0.8
-    mutation_rate: ClassVar[float] = 0.15
-    mutation_sigma: ClassVar[float] = 0.05
-    elite_count: ClassVar[int] = 2
-    tournament_size: ClassVar[int] = 3
+    # the genome count of a search, as perfbench/spans.py (their only reader) computes it
+    population: ClassVar[int] = 1
+    generations: ClassVar[int] = 0
+    elite_count: ClassVar[int] = 0
 
-    population: int = 1
-    generations: int = 0
     seed: int = DEFAULT_SEED
     restarts: int = 512
     polish_evals: int = 300
 
     def __post_init__(self):
-        if self.population < 1 or self.restarts < 1:
-            raise ValueError("population and restarts must be at least 1")
-        if self.generations < 0:
-            raise ValueError("generations must be non-negative")
-        if self.generations > 0 and self.population <= self.elite_count:
-            raise ValueError(f"population must exceed the {self.elite_count} elites when generations > 0")
-        if self.restarts * self.population > MAX_GENERATION_GENOMES:
-            raise ValueError(f"restarts x population must not exceed {MAX_GENERATION_GENOMES}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
+        if self.restarts > MAX_RESTARTS:
+            raise ValueError(f"restarts must not exceed {MAX_RESTARTS}")
         if self.polish_evals < 0:
             raise ValueError("polish_evals must be non-negative")
 
@@ -417,69 +404,23 @@ def _leaders(fit, dur, pop) -> np.ndarray:
     return lead
 
 
-def _run_restarts(kernel, problem, ga, rngs):
-    """One search per generator, all in lockstep: one kernel call per
-    generation.  Each restart starts from `ga.population` uniform genomes of
-    its generator; with no generations, that draw is all of its search
-    before the polish.  A child bitwise equal to its first parent inherits
-    that parent's fitness and duration.  With a polish budget, each restart's
-    polished genome is one more generation of one.  Returns each restart's
-    best fitness (R,), duration (R,) and genome (R, L), and the best fitness
-    after each generation (G + 1 or G + 2, R)."""
-    lo, hi = genome_bounds(problem)
-    length = lo.size
-    n_dur = length - problem.n_pulses
-    sigma = ga.mutation_sigma * (hi - lo)
-    n_child = ga.population - ga.elite_count
-    rows = np.arange(len(rngs))[:, None]
-    if ga.generations:
-        # each generation's draws, one row per restart: two tournaments'
-        # entrants, the uniforms of crossover, mix and mutation, and the
-        # mutation normals
-        entrants = np.empty((2, len(rngs), n_child, ga.tournament_size), dtype=np.int64)
-        uniforms = np.empty((len(rngs), n_child * (1 + 2 * length)))
-        normals = np.empty((len(rngs), n_child, length))
-    best = (np.full(len(rngs), -np.inf), np.zeros(len(rngs)), np.zeros((len(rngs), length)))
-    history = []
-
-    def consider_generation():
-        # the best so far sits in column 0, so it survives a full tie
-        lead = _leaders(*(np.concatenate([b[:, None], a], axis=1) for b, a in zip(best, (fit, dur, pop))))
-        moved = lead > 0
-        for b, a in zip(best, (fit, dur, pop)):
-            b[moved] = a[moved, lead[moved] - 1]
-        history.append(best[0].copy())
-
-    pop = np.stack([rng.uniform(lo, hi, size=(ga.population, length)) for rng in rngs])
-    fit, dur = (a.reshape(len(rngs), -1) for a in kernel.objective(pop.reshape(-1, length)))
-    consider_generation()
-    for _ in range(ga.generations):
-        elite = np.argsort(-fit, axis=1, kind="stable")[:, : ga.elite_count]
-        for r, rng in enumerate(rngs):
-            for e in entrants:
-                e[r] = rng.integers(0, ga.population, size=(n_child, ga.tournament_size))
-            rng.random(out=uniforms[r])
-            rng.standard_normal(out=normals[r])
-        do_cx = uniforms[:, :n_child] < ga.crossover_rate
-        genes = uniforms[:, n_child:].reshape(len(rngs), 2, n_child, length)
-        mix, mut = genes[:, 0] < 0.5, genes[:, 1] < ga.mutation_rate
-        noise = normals * sigma
-        p1, p2 = (_tournament(fit, e) for e in entrants)
-        first = pop[rows, p1]
-        children = np.where(do_cx[:, :, None] & mix, pop[rows, p2], first) + np.where(mut, noise, 0.0)
-        children[..., :n_dur] = np.clip(children[..., :n_dur], lo[:n_dur], hi[:n_dur])
-        children[..., n_dur:] = np.mod(children[..., n_dur:], hi[n_dur:])
-        child_fit, child_dur = fit[rows, p1], dur[rows, p1]
-        fresh = np.any(children.view(np.int64) != first.view(np.int64), axis=2)
-        if fresh.any():
-            child_fit[fresh], child_dur[fresh] = kernel.objective(children[fresh])
-        pop = np.concatenate([pop[rows, elite], children], axis=1)
-        fit = np.concatenate([fit[rows, elite], child_fit], axis=1)
-        dur = np.concatenate([dur[rows, elite], child_dur], axis=1)
-        consider_generation()
-    if ga.polish_evals > 0:
-        fit, dur, pop = (a[:, None] for a in _polish(kernel, best[2], ga.polish_evals))
-        consider_generation()
+def _run_restarts(kernel, rngs, budget):
+    """One search per generator, all in lockstep.  Each restart draws one
+    uniform genome from its generator and one kernel call scores every
+    start; with a polish `budget`, the polish refines the starts and each
+    restart keeps the better of its start and its polish by `_leaders`.
+    Returns each restart's best fitness (R,), duration (R,) and genome
+    (R, L), and the best fitness of the start and, with a polish, after it
+    (1 or 2, R)."""
+    lo, hi = genome_bounds(kernel.problem)
+    pop = np.stack([rng.uniform(lo, hi) for rng in rngs])
+    best = (*kernel.objective(pop), pop)
+    history = [best[0]]
+    if budget > 0:
+        fit, dur, pop = (np.stack(pair, axis=1) for pair in zip(best, _polish(kernel, pop, budget)))
+        lead = _leaders(fit, dur, pop)
+        best = tuple(a[np.arange(len(rngs)), lead] for a in (fit, dur, pop))
+        history.append(best[0])
     return (*best, np.array(history))
 
 
@@ -609,13 +550,6 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return -res.f, _durations(kernel.problem, x), x
 
 
-def _tournament(fit, entrants):
-    """Each (R, C, T) tournament's fittest entrant, the first on a tie."""
-    rows = np.arange(len(fit))[:, None, None]
-    won = np.argmax(fit[rows, entrants], axis=2)
-    return np.take_along_axis(entrants, won[..., None], axis=2)[..., 0]
-
-
 def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
     """Best-of-restarts search (see `GaConfig`).
 
@@ -627,7 +561,7 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
     ga = ga or GaConfig()
     kernel = _FitnessKernel(problem)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
-    fit, dur, pop, history = _run_restarts(kernel, problem, ga, rngs)
+    fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
     win = _leaders(fit[None], dur[None], pop[None])[0]
     seq = decode(problem, pop[win])
     h = build_hamiltonian_subspace(problem.params)
@@ -679,7 +613,7 @@ def table_runs(
     ga: GaConfig | None = None,
 ) -> list[tuple[ControlProblem, GaConfig]]:
     """The problems of benchmark batch `which` in ("I", "II", "III"), each
-    with the GA config its row runs with: row i runs with seed `ga.seed + i`.
+    with the search config its row runs with: row i runs with seed `ga.seed + i`.
 
     Table III uses the stronger-field system (nu_C = 0.3 MHz) where the
     m_S = -1 quantization axis tilts to 36.6 degrees.

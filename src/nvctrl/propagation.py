@@ -5,7 +5,7 @@ pulses on the electron pseudo-spin.  All propagators are built by Hermitian
 eigendecomposition, U = V exp(-i 2 pi w t) V^dag, which is exact at any
 duration.  `_propagators` is the one place that does so, for a whole batch of
 durations at once.  The factor 2*pi enters only in `_phases`, the phase angles
-2 pi w t that `_propagators` and the diagonal factors of the GA fitness
+2 pi w t that `_propagators` and the diagonal factors of the search's fitness
 kernel share.
 
 Physical invariants are checked once per batch where results leave this

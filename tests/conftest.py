@@ -14,7 +14,7 @@ def h_sub(paper):
     return nc.build_hamiltonian_subspace(paper)
 
 
-# The GA runs below are the expensive fixtures; they are shared between the
+# The searches below are the expensive fixtures; they are shared between the
 # optimizer, experiment and acceptance tests.  Their problems are defined in
 # ga_jobs.py.
 

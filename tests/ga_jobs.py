@@ -1,8 +1,9 @@
-"""The GA searches the tier-1 tests run, defined once.
+"""The searches the tier-1 tests run, defined once.
 
-conftest.py builds its shared GA fixtures from these problems, and
-tools/search_sweep.py runs all 21 of them to size the GA budget: the 13
-benchmark table rows, the 4 robust jobs and the 4 fixture jobs.
+conftest.py builds its shared search fixtures from these problems, and
+tools/search_sweep.py runs all 21 of them to size the search budget: the 13
+benchmark table rows, the 4 robust jobs and the 4 fixture jobs.  The module
+keeps the name it had when the search was a genetic algorithm (GA).
 """
 
 import nvctrl as nc
@@ -30,7 +31,7 @@ def robust_problems(params: nc.SystemParams) -> dict[str, nc.ControlProblem]:
 
 
 def fixture_problems(params: nc.SystemParams) -> dict[str, nc.ControlProblem]:
-    """The shared nominal GA fixtures, by fixture name without `_result`.
+    """The shared nominal search fixtures, by fixture name without `_result`.
     up_short is the acceptance configuration for the population transfer: 4
     pulses with a duration penalty selecting the short solutions."""
     u_p = nc.build_target("u_p", params, 0.5)
@@ -43,7 +44,7 @@ def fixture_problems(params: nc.SystemParams) -> dict[str, nc.ControlProblem]:
 
 
 def jobs(ga: nc.GaConfig) -> dict[str, tuple[nc.ControlProblem, nc.GaConfig]]:
-    """Every tier-1 GA search with the GA config it runs under for the budget
+    """Every tier-1 search with the search config it runs under for the budget
     and seed of `ga` (table row i runs with seed ga.seed + i), by job id in a
     fixed order."""
     params = nc.SystemParams()

@@ -183,11 +183,11 @@ def test_criterion_8_property_suites(paper):
         u = nc.sequence_propagator(h, seq)
         assert np.linalg.norm(u - trotter_sequence(h, seq)) < 1e-7
 
-    # GA determinism: a repeat with the same seed
+    # search determinism: a repeat with the same seed
     problem = nc.ControlProblem(
         params=paper, target=nc.build_target("u_90", paper, 0.5), n_pulses=2, rabi_mhz=0.5
     )
-    cfg = nc.GaConfig(population=14, generations=12, restarts=2, seed=7, polish_evals=100)
+    cfg = nc.GaConfig(restarts=16, seed=7, polish_evals=100)
     results = [nc.optimize(problem, cfg) for _ in range(2)]
     assert results[0].best_sequence == results[1].best_sequence
     assert results[0].fidelity == results[1].fidelity
@@ -206,5 +206,5 @@ def test_criterion_8_property_suites(paper):
         alpha = rng.uniform(0, 2 * math.pi)
         assert nc.gate_fidelity(np.exp(1j * alpha) * u1, u1) == pytest.approx(1.0, abs=1e-10)
 
-    report(8, "hermiticity, unitarity, fine-step oracle (1e-7), GA repeat "
+    report(8, "hermiticity, unitarity, fine-step oracle (1e-7), search repeat "
               "determinism, fidelity bounds and phase invariance on randomized instances")

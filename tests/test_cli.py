@@ -19,13 +19,10 @@ from nvctrl.cli import main
 from nvctrl.signals import read_csv, write_csv
 
 TINY_GA = [
-    "--set", "optimize.ga.population=12",
-    "--set", "optimize.ga.generations=15",
-    "--set", "optimize.ga.restarts=2",
+    "--set", "optimize.ga.restarts=8",
+    "--set", "optimize.ga.polish_evals=50",
 ]
 TINY_TABLES_GA = [
-    "--set", "tables.ga.population=6",
-    "--set", "tables.ga.generations=1",
     "--set", "tables.ga.restarts=1",
     "--set", "tables.ga.polish_evals=0",
 ]
@@ -103,7 +100,7 @@ def test_optimize_unknown_target_usage_error(tmp_path):
 
 
 def test_optimize_default_transfer_reaches_high_fidelity(tmp_path):
-    """Full-default GA on the default target (the population transfer)."""
+    """Full-default search on the default target (the population transfer)."""
     out = tmp_path / "up"
     assert run(["optimize", "--out", out, "--seed", "20260809"]) == 0
     result = json.loads((out / "result.json").read_text())
@@ -111,11 +108,10 @@ def test_optimize_default_transfer_reaches_high_fidelity(tmp_path):
 
 
 def test_optimize_multistart_without_generations(tmp_path):
-    """population 1 with no generations polishes uniform starts, and the
-    history holds the best start and the polished best."""
+    """The search polishes uniform starts, and the history holds the best
+    start and the polished best."""
     out = tmp_path / "multistart"
     assert run(["optimize", "--out", out, "--seed", "4",
-                "--set", "optimize.ga.population=1", "--set", "optimize.ga.generations=0",
                 "--set", "optimize.ga.restarts=8", "--set", "optimize.ga.polish_evals=30"]) == 0
     gens, fitness = read_csv(out / "history.csv", ("generation", "best_fitness"))
     assert gens.tolist() == [0.0, 1.0] and fitness[1] >= fitness[0]
@@ -353,8 +349,7 @@ commands = {
     "esr": ["esr"],
     "fid": ["fid"],
     "spectrum": ["spectrum", "--set", f"spectrum.fid_csv={root}/fid/fid.csv"],
-    "optimize": ["optimize", "--set", "optimize.ga.population=6", "--set", "optimize.ga.generations=2",
-                 "--set", "optimize.ga.restarts=2", "--set", "optimize.ga.polish_evals=5"],
+    "optimize": ["optimize", "--set", "optimize.ga.restarts=4", "--set", "optimize.ga.polish_evals=5"],
     "fit": ["fit", "polarization", "--data", data],
 }
 for name, argv in commands.items():
@@ -414,8 +409,7 @@ def test_manifest_reproduces_outputs_bitwise(tmp_path):
         (["spectrum"], ["--set", f"spectrum.fid_csv={tmp_path / 'fid.csv'}", "--set", "spectrum.zerofill_factor=2"]),
         (["bloch"], ["--set", f"bloch.sequence={seq_path}", "--set", "bloch.dt_us=0.05"]),
         (["polarize"], ["--set", f"polarize.sequence={seq_path}", "--set", "polarize.n_points=51"]),
-        (["tables"], ["--which", "III", "--seed", "3", "--set", "tables.ga.population=6",
-                      "--set", "tables.ga.generations=3", "--set", "tables.ga.restarts=1",
+        (["tables"], ["--which", "III", "--seed", "3", "--set", "tables.ga.restarts=4",
                       "--set", "tables.ga.polish_evals=5"]),
         # the fit commands read their inputs from config keys, which their options alias
         (["fit", "polarization"], ["--data", tmp_path / "pol.csv"]),
@@ -520,9 +514,7 @@ def test_unreadable_input_file_keeps_exit_contract(tmp_path, capsys, argv):
 def test_tables_command_structure(tmp_path):
     out = tmp_path / "tables"
     code = run(["tables", "--which", "III", "--out", out, "--seed", "7",
-                "--set", "tables.ga.population=10",
-                "--set", "tables.ga.generations=10",
-                "--set", "tables.ga.restarts=1",
+                "--set", "tables.ga.restarts=4",
                 "--set", "tables.ga.polish_evals=100"])
     assert code == 0
     text = (out / "table_III.csv").read_text().strip().splitlines()
@@ -543,7 +535,7 @@ MALFORMED = {
     "params-nan": ["angles", "--set", "params.b_mt=NaN"],
     "config-not-json": ["angles", "--config", "{not_json}"],
     "optimize-no-pulses": ["optimize", "--set", "optimize.n_pulses=0"],
-    # the GA keeps 2 elites, so it needs 3 genomes; the multistart search needs 1
+    # the removed keys of the genetic algorithm are unknown, whatever their value
     "optimize-population-one": ["optimize", "--set", "optimize.ga.population=1", "--set", "optimize.ga.generations=1"],
     "optimize-ga-generations-negative": ["optimize", *TINY_GA, "--set", "optimize.ga.generations=-1"],
     "spectrum-zerofill-zero": [
@@ -596,13 +588,14 @@ MALFORMED = {
     "fid-key-misspelt": ["fid", "--set", "fid.dt=0.5"],
     "bloch-key-misspelt": ["bloch", "--set", "bloch.sequence={sequence}", "--set", "bloch.dt=0.05"],
     "optimize-ga-key-misspelt": ["optimize", *TINY_GA, "--set", "optimize.ga.populaton=12"],
-    # the GA operator settings and the search box are fixed, not config keys
+    # the settings of the removed genetic algorithm and the search box are not config keys
     **{
         f"optimize-ga-{key}": ["optimize", *TINY_GA, "--set", f"optimize.ga.{key}={value}"]
         for key, value in (("crossover_rate", 0.5), ("mutation_rate", 0.2), ("mutation_sigma", 0.1),
-                           ("elite_count", 1), ("tournament_size", 2))
+                           ("elite_count", 1), ("tournament_size", 2), ("population", 1), ("generations", 0))
     },
     "tables-ga-elite-count": ["tables", "--which", "III", *TINY_TABLES_GA, "--set", "tables.ga.elite_count=1"],
+    "tables-ga-generations": ["tables", "--which", "III", *TINY_TABLES_GA, "--set", "tables.ga.generations=0"],
     "optimize-robust-key-misspelt": [
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.47, "hi_mhz": 0.53, "n_sample": 5}}',
     ],
@@ -616,19 +609,21 @@ MALFORMED = {
     "sequence-delay-with-phase": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={delay_phase}"],
     "sequence-phase-overflow": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={overflow_pulse}"],
     # a fraction for an integer key and a boolean for a number are rejected, not truncated or taken as 1
-    "optimize-ga-generations-fraction": ["optimize", *TINY_GA, "--set", "optimize.ga.generations=1.9"],
+    "optimize-ga-restarts-fraction": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=1.9"],
     "optimize-ga-restarts-bool": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=true"],
     "optimize-pulses-fraction": ["optimize", *TINY_GA, "--set", "optimize.n_pulses=2.5"],
     "optimize-robust-samples-fraction": [
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.48, "hi_mhz": 0.52, "n_samples": 2.9}}',
     ],
     "seed-fraction": ["optimize", *TINY_GA, "--set", "seed=1.5"],
-    # the GA seed is the top-level seed, not a key of a ga block
+    # the search seed is the top-level seed, not a key of a ga block, and is never negative
     "optimize-ga-seed": ["optimize", *TINY_GA, "--set", "optimize.ga.seed=3"],
     "tables-ga-seed": ["tables", "--which", "III", *TINY_TABLES_GA, "--set", "tables.ga.seed=3"],
+    "optimize-seed-negative": ["optimize", *TINY_GA, "--seed", "-1"],
+    "tables-seed-negative": ["tables", "--which", "III", *TINY_TABLES_GA, "--seed", "-1"],
     # a finite penalty whose term overflows on the longest sequence
     "optimize-penalty-overflow": ["optimize", *TINY_GA, "--set", "optimize.duration_penalty=1e308"],
-    # restarts x population above the bound fails before any generator is spawned
+    # restarts above the bound fail before any generator is spawned
     "optimize-ga-restarts-huge": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=100000000000"],
     # more drive-amplitude samples than MAX_DRIVE_SAMPLES fail before the
     # kernel builds one eigendecomposition per sample

@@ -10,7 +10,7 @@ import nvctrl as nc
 from nvctrl.optimizer import _CHUNK, _FitnessKernel, genome_bounds
 from nvctrl.propagation import Delay, Pulse
 
-SMALL_GA = nc.GaConfig(population=16, generations=25, restarts=2, seed=99, polish_evals=200)
+SMALL_GA = nc.GaConfig(restarts=16, seed=99, polish_evals=200)
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +60,32 @@ def test_duration_penalty_bound_follows_the_mode(paper):
 
 
 def test_ga_config_bounds_genomes_per_generation():
-    """restarts x population is capped, so a huge restart count fails before
-    one generator per restart is spawned."""
-    from nvctrl.optimizer import MAX_GENERATION_GENOMES
+    """The one kernel call before the polish scores one genome per restart,
+    so the restart count is capped, and a huge one fails before one
+    generator per restart is spawned."""
+    from nvctrl.optimizer import MAX_RESTARTS
 
-    nc.GaConfig(population=100, restarts=MAX_GENERATION_GENOMES // 100)
-    for restarts in (MAX_GENERATION_GENOMES // 100 + 1, 100_000_000_000):
-        with pytest.raises(ValueError, match="restarts x population"):
-            nc.GaConfig(population=100, restarts=restarts)
+    nc.GaConfig(restarts=MAX_RESTARTS)
+    for restarts in (MAX_RESTARTS + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match="restarts must not exceed"):
+            nc.GaConfig(restarts=restarts)
 
 
-def test_ga_config_needs_elites_only_with_generations():
-    """One genome per restart is a search with no generations; the GA needs
-    more genomes than its elites, and a generation count is never negative."""
-    nc.GaConfig(population=1, generations=0)
-    with pytest.raises(ValueError, match="exceed the 2 elites"):
-        nc.GaConfig(population=2, generations=1)
-    with pytest.raises(ValueError, match="generations must be non-negative"):
-        nc.GaConfig(generations=-1)
-    for bad in ({"population": 0}, {"restarts": 0}):
-        with pytest.raises(ValueError, match="at least 1"):
-            nc.GaConfig(generations=0, **bad)
+def test_ga_config_rejects_out_of_range_values():
+    """A negative seed is refused by name, before numpy sees it; the search
+    needs a restart and a non-negative polish budget; the genetic algorithm's
+    settings are not fields."""
+    nc.GaConfig(seed=0, restarts=1, polish_evals=0)
+    for bad, message in (
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"restarts": 0}, "restarts must be at least 1"),
+        ({"polish_evals": -1}, "polish_evals must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            nc.GaConfig(**bad)
+    for removed in ("population", "generations"):
+        with pytest.raises(TypeError):
+            nc.GaConfig(**{removed: 1})
 
 
 def test_genome_layout_lengths(u90_problem, up_problem, paper):
@@ -238,7 +243,7 @@ KERNEL_PROBLEMS = {
 
 @pytest.mark.parametrize("case", KERNEL_PROBLEMS.values(), ids=KERNEL_PROBLEMS.keys())
 def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, case):
-    """A batch of random genomes through the GA kernel against fidelities of
+    """A batch of random genomes through the fitness kernel against fidelities of
     the decoded sequences propagated by the independent scipy-expm product,
     averaged over the drive samples of a robust problem."""
     from dataclasses import replace
@@ -292,7 +297,7 @@ def test_fitness_is_independent_of_batch_position(paper, case):
 @pytest.mark.parametrize("method", ["objective", "gradient"])
 @pytest.mark.parametrize("case", ["u_p", "robust_u_c", "switched"])
 def test_copied_durations_are_independent_of_batch_position(paper, case, method):
-    """Rows that copy duration genes from one another, as GA children do,
+    """Rows that copy duration genes from one another, as GA children did,
     with +0.0 and -0.0 among them: each genome's result alone equals,
     bitwise, its result in the batch and in that batch reversed.  In
     switched mode every pulse duration is the same."""
@@ -366,30 +371,24 @@ def test_rank_factor_reproduces_initial_state(paper, target):
     assert np.abs(a @ a.conj().T - rho).max() <= 1e-15
 
 
-LOCKSTEP_GA = nc.GaConfig(population=16, generations=25, restarts=8, seed=20260809, polish_evals=20)
-LOCKSTEP_MULTISTART = nc.GaConfig(population=3, generations=0, restarts=8, seed=20260809, polish_evals=20)
-
-
 @pytest.mark.parametrize(
-    ("problem_name", "ga"),
-    [(name, ga) for ga in (LOCKSTEP_GA, LOCKSTEP_MULTISTART) for name in ("u90_problem", "up_problem")],
-    ids=["u90_problem", "up_problem", "u90_problem-multistart", "up_problem-multistart"],
+    "problem_name", ["u90_problem", "up_problem"], ids=["u90_problem-multistart", "up_problem-multistart"]
 )
-def test_lockstep_restarts_match_each_restart_alone(request, problem_name, ga):
+def test_lockstep_restarts_match_each_restart_alone(request, problem_name):
     """Eight restarts in lockstep give each restart bitwise the best candidate
-    and history it gets when run alone from the same child seed, with GA
-    generations and without."""
+    and history it gets when run alone from the same child seed."""
     from nvctrl.optimizer import _run_restarts
 
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
+    ga = nc.GaConfig(restarts=8, seed=20260809, polish_evals=20)
     seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
     rngs = [np.random.default_rng(s) for s in seeds]
-    fit, dur, pop, history = _run_restarts(kernel, problem, ga, rngs)
+    fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
     assert fit.shape == dur.shape == (8,) and pop.shape == (8, genome_bounds(problem)[0].size)
-    assert history.shape == (ga.generations + 2, 8)
+    assert history.shape == (2, 8)
     for r, seed in enumerate(seeds):
-        alone = _run_restarts(kernel, problem, ga, [np.random.default_rng(seed)])
+        alone = _run_restarts(kernel, [np.random.default_rng(seed)], ga.polish_evals)
         assert (fit[r], dur[r]) == (alone[0][0], alone[1][0])
         assert pop[r].tobytes() == alone[2][0].tobytes()
         assert history[:, r].tobytes() == alone[3][:, 0].tobytes()
@@ -403,29 +402,26 @@ def _oracle_leader(fit, dur, pop) -> int:
 
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
 def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
-    """With no generations, each restart's best and history equal, bitwise,
-    an oracle built restart by restart: its own generator's uniform draw of
-    `population` genomes, each scored alone, the best of them by the
-    plain-Python winner rule, the polish of those bests, then `_leaders`
-    between each start and its polish.  No GA draw follows the start."""
+    """Each restart's best and history equal, bitwise, an oracle built
+    restart by restart: one uniform draw of its own generator, scored alone,
+    the polish of those starts, then `_leaders` between each start and its
+    polish.  The generator draws nothing more."""
     from nvctrl.optimizer import _leaders, _polish, _run_restarts
 
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
-    ga = nc.GaConfig(population=5, generations=0, restarts=6, seed=11, polish_evals=40)
+    ga = nc.GaConfig(restarts=6, seed=11, polish_evals=40)
     seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
     rngs = [np.random.default_rng(s) for s in seeds]
-    fit, dur, pop, history = _run_restarts(kernel, problem, ga, rngs)
+    fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
     lo, hi = genome_bounds(problem)
     starts = []
     for seed, used in zip(seeds, rngs):
         rng = np.random.default_rng(seed)
-        draw = rng.uniform(lo, hi, size=(ga.population, lo.size))
+        draw = rng.uniform(lo, hi, size=lo.size)
         assert used.bit_generator.state == rng.bit_generator.state
-        scored = [kernel.objective(g[None, :]) for g in draw]
-        f, d = (np.array([s[i][0] for s in scored]) for i in (0, 1))
-        j = _oracle_leader(f, d, draw)
-        starts.append((f[j], d[j], draw[j]))
+        f, d = kernel.objective(draw[None, :])
+        starts.append((f[0], d[0], draw))
     start_fit, start_dur, start_pop = (np.array(a) for a in zip(*starts))
     polished = _polish(kernel, start_pop, ga.polish_evals)
     columns = [np.stack(pair, axis=1) for pair in zip((start_fit, start_dur, start_pop), polished)]
@@ -457,56 +453,6 @@ def test_leaders_pick_what_better_picks():
     assert np.any(top.sum(axis=1) > 1)
     assert np.any([len(set(dur[r][top[r]])) > 1 for r in range(rows)])
     assert np.any(lead != np.argmax(fit, axis=1))
-
-
-@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
-def test_skipped_children_are_copies_with_exact_fitness(request, monkeypatch, problem_name):
-    """Every child the kernel does not evaluate is a bitwise copy of a genome
-    of its restart's previous generation, and the fitness and duration it
-    inherits equal the kernel's on it; copies do occur.  Each restart's best
-    and history are what a plain-Python scan over all its generations gives."""
-    from nvctrl import optimizer
-
-    problem = request.getfixturevalue(problem_name)
-    kernel = _FitnessKernel(problem)
-    evaluated, generations = {}, []
-    real_objective, real_leaders = kernel.objective, optimizer._leaders
-
-    def recording_objective(genomes):
-        # the children of generation k are evaluated after k generations were seen
-        evaluated.setdefault(len(generations), set()).update(g.tobytes() for g in np.atleast_2d(genomes))
-        return real_objective(genomes)
-
-    def recording_leaders(fit, dur, pop):
-        # column 0 holds each restart's best so far; the rest is the generation
-        generations.append((fit[:, 1:], dur[:, 1:], pop[:, 1:]))
-        return real_leaders(fit, dur, pop)
-
-    kernel.objective = recording_objective
-    monkeypatch.setattr(optimizer, "_leaders", recording_leaders)
-    ga = nc.GaConfig(population=16, generations=30, restarts=3, seed=5, polish_evals=0)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
-    best_fit, best_dur, best_pop, history = optimizer._run_restarts(kernel, problem, ga, rngs)
-    assert len(generations) == ga.generations + 1
-    skipped = 0
-    for k, ((_, _, before), (fit, dur, pop)) in enumerate(zip(generations, generations[1:]), start=1):
-        for r in range(ga.restarts):
-            previous = {g.tobytes() for g in before[r]}
-            for g, f, d in zip(pop[r, ga.elite_count :], fit[r, ga.elite_count :], dur[r, ga.elite_count :]):
-                want_fit, want_dur = real_objective(g[None, :])
-                assert (f, d) == (want_fit[0], want_dur[0])
-                if g.tobytes() not in evaluated.get(k, ()):
-                    skipped += 1
-                    assert g.tobytes() in previous
-    assert skipped > 0
-    for r in range(ga.restarts):
-        seen, want_history = [], []
-        for fit, dur, pop in generations:
-            seen += zip(fit[r], dur[r], pop[r])
-            want_history.append(seen[_oracle_leader(*zip(*seen))][0])
-        want = seen[_oracle_leader(*zip(*seen))]
-        assert (best_fit[r], best_dur[r], best_pop[r].tobytes()) == (want[0], want[1], want[2].tobytes())
-        assert history[:, r].tolist() == want_history
 
 
 @pytest.fixture
@@ -739,12 +685,12 @@ FIXTURE_PINS = {
 
 @pytest.mark.parametrize(("fixture", "best_fitness"), FIXTURE_PINS.items())
 def test_fixture_best_fitness_is_pinned(request, fixture, best_fitness):
-    """The polished optima of the shared GA fixtures at the acceptance seed."""
+    """The polished optima of the shared search fixtures at the acceptance seed."""
     assert request.getfixturevalue(fixture).best_fitness == pytest.approx(best_fitness, abs=1e-9)
 
 
 def test_best_known_covers_every_job_and_bounds_the_pins():
-    """tools/best_known.json has a value for each of the 21 GA jobs of
+    """tools/best_known.json has a value for each of the 21 search jobs of
     ga_jobs.py, and no pinned fixture optimum lies above its job's best
     known value."""
     from pathlib import Path
@@ -798,7 +744,7 @@ def test_optim_result_serialization(u90_problem):
     assert nc.PulseSequence.from_json_dict(data["sequence"]) == result.best_sequence
 
 
-# -- benchmark reproductions (session-scoped GA fixtures) --------------------
+# -- benchmark reproductions (session-scoped search fixtures) ----------------
 
 
 def test_up_acceptance_configuration(up_short_result):

@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
-"""Hit-rate sweep of the search budget over the tier-1 GA jobs.
+"""Hit-rate sweep of the search budget over the tier-1 search jobs.
 
-    python3 tools/search_sweep.py --designs 16x60 512x0x1x300 768x0x1 \\
+    python3 tools/search_sweep.py --designs 512 384x300 768x4000 \\
         --seeds 1-10 --tier1 --tag multistart
 
-Each design is RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]]: the restarts,
-the GA generations (0 polishes each restart's best of POPULATION uniform
-starts, with no GA), the population and each restart's polish budget in
-evaluations.  A design that leaves them out runs the GA budget used before
-the multistart search became the default, population 100 and polish
-budget 4000, not the `GaConfig` defaults: 512x0 is population 100, and the
-default search is 512x0x1x300.
-The jobs are the 21 GA searches the tier-1
-tests run, as tests/ga_jobs.py defines them: the 13 rows of the benchmark
-tables (row i runs with GA seed seed + i), the 4 robust jobs and the 4
-fixture jobs.  Every (design, job, seed) run records the design's
-`restarts`, `generations`, `population` and polish budget
+Each design is RESTARTS[xPOLISH]: the restarts, each one uniform start, and
+each restart's polish budget in evaluations, by default the `GaConfig`
+default of 300.  A design is named RESTARTSxPOLISH, so the default search
+is 512x300.  The jobs are the 21 searches the tier-1 tests run, as
+tests/ga_jobs.py defines them: the 13 rows of the benchmark tables (row i
+runs with seed seed + i), the 4 robust jobs and the 4 fixture jobs.  Every
+(design, job, seed) run records the design's `restarts` and polish budget
 (`polish_budget`, the `GaConfig.polish_evals` it ran with), its best
-fitness, fidelity, duration, wall time, the genomes the GA evaluated in
-the fitness kernel, the polish evaluations spent, summed over the restarts
-(`polish_evals`, as in the sweeps before the budget was recorded), and
-the polish's lockstep kernel calls.  The genomes come from wrapping
+fitness, fidelity, duration, wall time, the genomes evaluated in the
+fitness kernel, the polish evaluations spent, summed over the restarts
+(`polish_evals`, as in the sweeps before the budget was recorded), and the
+polish's lockstep kernel calls.  The older BENCH_search_*.json files, made
+when the search could run a genetic algorithm (GA), also record each
+design's GA `generations` and `population`, and name their designs
+RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]].  The genomes come from wrapping
 `_FitnessKernel.objective`, the polish counts from the result of
 `optimizer.minimize`.  Their sum in kernel genomes,
 `cost_genomes = genomes + polish_evals * GRADIENT_GENOMES`, is a cost that
@@ -41,13 +39,13 @@ tools/best_known.json holds the best fitness known for each job; a run that
 beats it raises the value in that file.  A run hits when its best fitness is
 within 1e-6 of its job's best known.  With `--tier1` every design also runs
 at the tests' seed 20260809; those runs are reported apart and never count
-as hits.  When the design 16x60 (the GA budget before the multistart
-search) is among those run, the summary names the design with the most
-hits among those whose summed mean time over the jobs is at most that of
-16x60, measured in the same sweep, the cheaper one on a tie.  It gives
-each design's time ratio to 16x60 in every pass, its ratio of summed
-`cost_genomes` (over the first pass) to 16x60's, and the jobs where the
-chosen design hits less often than 16x60.
+as hits.  When the default design 512x300 is among those run, the summary
+names the design with the most hits among those whose summed mean time
+over the jobs is at most that of 512x300, measured in the same sweep, the
+cheaper one on a tie.  It gives each design's time ratio to 512x300 in
+every pass, its ratio of summed `cost_genomes` (over the first pass) to
+512x300's, and the jobs where the chosen design hits less often than
+512x300.
 
 The results go to BENCH_search_<tag>.json in the current directory.
 """
@@ -74,12 +72,8 @@ from nvctrl import optimizer  # noqa: E402
 from ga_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
 
 BEST_KNOWN = ROOT / "tools" / "best_known.json"
-BASELINE = "16x60"
 HIT_TOL = 1e-6
 TIME_RATIO = 1.0
-# the population and polish budget a design without them runs with: the GA
-# budget before the multistart default, not the GaConfig defaults
-POPULATION, POLISH = 100, 4000
 GRADIENT_GENOMES = 2
 JOB_IDS = list(jobs(nc.GaConfig()))
 
@@ -108,10 +102,9 @@ def _install_counters() -> None:
 
 def parse_design(text: str) -> dict:
     parts = [int(p) for p in text.lower().split("x")]
-    if len(parts) not in (2, 3, 4):
-        raise argparse.ArgumentTypeError(f"design {text!r} is not RxG[xP[xE]]")
-    parts += [POPULATION, POLISH][len(parts) - 2 :]
-    design = dict(zip(("restarts", "generations", "population", "polish_evals"), parts))
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"design {text!r} is not R[xE]")
+    design = {"restarts": parts[0], "polish_evals": parts[1] if len(parts) == 2 else nc.GaConfig.polish_evals}
     try:
         nc.GaConfig(**design)
     except ValueError as exc:
@@ -120,14 +113,11 @@ def parse_design(text: str) -> dict:
 
 
 def design_name(d: dict) -> str:
-    """RxG, then the population and the polish budget where they are not the
-    defaults (a budget needs the population before it)."""
-    parts = [d["restarts"], d["generations"], d["population"], d["polish_evals"]]
-    if d["polish_evals"] == POLISH:
-        parts.pop()
-        if d["population"] == POPULATION:
-            parts.pop()
-    return "x".join(map(str, parts))
+    return f"{d['restarts']}x{d['polish_evals']}"
+
+
+# the default search, against which the other designs are measured
+BASELINE = design_name({"restarts": nc.GaConfig.restarts, "polish_evals": nc.GaConfig.polish_evals})
 
 
 def parse_seeds(items: list[str]) -> list[int]:
@@ -148,7 +138,7 @@ def run_one(task: tuple) -> dict:
     return {
         "job": job,
         "design": design_name(design),
-        **{k: design[k] for k in ("restarts", "generations", "population")},
+        "restarts": design["restarts"],
         "polish_budget": design["polish_evals"],
         "seed": seed,
         "ga_seed": ga.seed,
@@ -275,8 +265,8 @@ def environment() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--designs", nargs="+", type=parse_design, required=True,
-                   help=f"RxG[xP[xE]] designs; P and E default to the old GA budget, population {POPULATION} "
-                        f"and polish budget {POLISH} (the default search is 512x0x1x300)")
+                   help=f"R[xE] designs: R restarts, polish budget E (default {nc.GaConfig.polish_evals}); "
+                        f"the default search is {BASELINE}")
     p.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 1-10 42")
     p.add_argument("--tier1", action="store_true", help=f"also run each design at seed {TIER1_SEED}")
     p.add_argument("--jobs", nargs="+", help="job ids to run (default: all 21)")
