@@ -150,6 +150,8 @@ def u_t_sequence(params: SystemParams, rabi_mhz: float) -> PulseSequence:
     separated by a delay of 1/(2 |A_zz|)."""
     if params.a_zz == 0:
         raise ValueError("u_t requires a nonzero A_zz")
+    if not 0 < rabi_mhz < math.inf:
+        raise ValueError("Rabi frequency must be positive and finite")
     t90 = 1.0 / (4.0 * rabi_mhz)
     delay = 1.0 / (2.0 * abs(params.a_zz))
     return PulseSequence(

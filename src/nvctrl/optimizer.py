@@ -93,12 +93,13 @@ class ControlProblem:
 @dataclass(frozen=True)
 class GaConfig:
     """Search budget and seed.  Each of the `restarts` draws one uniform
-    genome from its own generator, and polish_evals is each restart's
-    evaluation budget in a deterministic projected L-BFGS refinement of that
-    start; one evaluation is the fitness and its exact gradient, and one
-    kernel call evaluates every restart still polishing, in lockstep.  The
-    defaults, 512 restarts and 300 polish evaluations, come from the hit-rate
-    sweep BENCH_search_multistart.json (see the README).
+    genome from its own generator, and polish_evals (at least 1) is each
+    restart's evaluation budget in a deterministic projected L-BFGS
+    refinement of that start; one evaluation is the fitness and its exact
+    gradient, the first one scores the start, and one kernel call evaluates
+    every restart still polishing, in lockstep.  The defaults, 512 restarts
+    and 300 polish evaluations, come from the hit-rate sweep
+    BENCH_search_multistart.json (see the README).
     """
 
     # the genome count of a search, as perfbench/spans.py (their only reader) computes it
@@ -117,8 +118,8 @@ class GaConfig:
             raise ValueError("restarts must be at least 1")
         if self.restarts > MAX_RESTARTS:
             raise ValueError(f"restarts must not exceed {MAX_RESTARTS}")
-        if self.polish_evals < 0:
-            raise ValueError("polish_evals must be non-negative")
+        if self.polish_evals < 1:
+            raise ValueError("polish_evals must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,9 +276,9 @@ class _FitnessKernel:
             self._score_op = vf_h @ t.rho_target.matrix @ vf
             self._state_norm = norm
 
-    def _fidelities(self, diagonals, m, drive, gradient: bool):
+    def _fidelities(self, diagonals, m, drive):
         """Fidelity of every genome at one drive sample, of basis change m
-        and drive diagonals (n, 4, B), and with `gradient` the adjoint sums
+        and drive diagonals (n, 4, B), and the adjoint sums
         h = sum_c Lambda * X at each diagonal factor: X the columns just
         after the factor, Lambda the derivative of the fidelity with respect
         to them.  A factor exp(-i a) changes the fidelity by
@@ -287,24 +288,20 @@ class _FitnessKernel:
         states = []
         for k in range(self.n):
             x = diagonals[k][:, None, :] * x
-            states += [x] * gradient
+            states.append(x)
             x = _rotate(m.T, x)
             x = drive[k][:, None, :] * x
-            states += [x] * gradient
+            states.append(x)
             x = _rotate(m, x)
         x = diagonals[self.n][:, None, :] * x
         if self._state_norm is None:
             z = np.einsum("ij,ijb->b", self._score_op, x)
             fid = np.abs(z) / 4.0
-            if not gradient:
-                return fid
             # d|z| = Re(conj(z) dz) / |z|; no direction ascends from z = 0
             phase = np.divide(z.conj(), 4.0 * np.abs(z), out=np.zeros_like(z), where=z != 0)
             lam = self._score_op[:, :, None] * phase
         else:
             fid = np.einsum("icb,ij,jcb->b", x.conj(), self._score_op, x).real / self._state_norm
-            if not gradient:
-                return fid
             lam = np.einsum("icb,ij->jcb", x.conj(), self._score_op) * (2.0 / self._state_norm)
         # the backward pass: pull Lambda through each factor in reverse
         h_free = [np.einsum("icb,icb->ib", lam, x)]
@@ -319,24 +316,17 @@ class _FitnessKernel:
             lam = diagonals[k][:, None, :] * lam
         return fid, np.array(h_free[::-1]).imag, np.array(h_drive[::-1]).imag
 
-    def objective(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitness (mean fidelity minus optional duration penalty) and total
-        durations for a batch of genomes, at most `_CHUNK` per pass."""
-        return self._batched(genomes, False)
-
     def gradient(self, genomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitness and its exact gradient (B, L) for a batch of genomes, from
-        one forward and one backward pass.  A duration beyond its bound has
-        zero derivative, as `_split` clips it there; at the bound it has the
-        derivative from inside the box."""
-        return self._batched(genomes, True)
-
-    def _batched(self, genomes, gradient: bool):
+        """Fitness (B,) (mean fidelity minus optional duration penalty) and
+        its exact gradient (B, L) for a batch of genomes, from one forward
+        and one backward pass, at most `_CHUNK` genomes per pass.  A duration
+        beyond its bound has zero derivative, as `_split` clips it there; at
+        the bound it has the derivative from inside the box."""
         g = np.atleast_2d(np.asarray(genomes, dtype=float))
-        parts = [self._chunk(g[i : i + _CHUNK], gradient) for i in range(0, max(len(g), 1), _CHUNK)]
+        parts = [self._chunk(g[i : i + _CHUNK]) for i in range(0, max(len(g), 1), _CHUNK)]
         return tuple(np.concatenate(a) for a in zip(*parts))
 
-    def _chunk(self, genomes: np.ndarray, gradient: bool):
+    def _chunk(self, genomes: np.ndarray):
         taus, ts, phis = _split(self.problem, genomes)
         # diagonal k merges Z_{k-1}, D_f(tau_k) and Z_k^dag (phi_0 = 0); the
         # last one, with no delay and phi_{n+1} = 0, is the final Z_n
@@ -351,18 +341,11 @@ class _FitnessKernel:
         # and the pulse-duration derivatives, summed over them
         h_free, d_ts = 0.0, 0.0
         for s, (w_drive, m) in enumerate(self._drive):
-            drive = drives[:, :, s].transpose(1, 2, 0)
-            if not gradient:
-                acc += self._fidelities(diagonals, m, drive, False)
-                continue
-            fid, h_f, h_d = self._fidelities(diagonals, m, drive, True)
+            fid, h_f, h_d = self._fidelities(diagonals, m, drives[:, :, s].transpose(1, 2, 0))
             acc += fid
             h_free, d_ts = h_free + h_f, d_ts + _weigh(TWO_PI * w_drive, h_d)
-        fid = acc / len(self.omegas)
         dur = taus.sum(axis=1) + ts.sum(axis=1)
-        fit = fid - self.problem.duration_penalty * dur / TAU_MAX_US
-        if not gradient:
-            return fit, dur
+        fit = acc / len(self.omegas) - self.problem.duration_penalty * dur / TAU_MAX_US
         # each diagonal is exp(-i (2pi w_free tau - turn s_z)); a turn is
         # phi_{k+1} - phi_k, so phi_k moves turns k - 1 and k in opposite ways
         d_turns = -_weigh(_ZDIAG, h_free)
@@ -377,7 +360,7 @@ class _FitnessKernel:
         return fit, grad
 
 
-# Polish: the stopping tolerances on the relative decrease of the objective
+# Polish: the stopping tolerances on the relative decrease of the value
 # and on the projected gradient (in the width-scaled coordinates the polish
 # works on), the L-BFGS memory, the Armijo constant and the most trial steps
 # of one line search.  A row of `minimize` ends converged (0), out of budget
@@ -390,47 +373,38 @@ _MAX_TRIALS = 20
 _RUNNING = -1
 
 
-def _leaders(fit, dur, pop) -> np.ndarray:
-    """Index of each row's best entry: the highest fitness, then the shortest
-    duration, then the genome lowest gene by gene; the first on a full tie."""
-    lead = fit.argmax(axis=1)
-    ties = fit == fit[np.arange(len(fit)), lead][:, None]
-    tied = ties.sum(axis=1) > 1
-    if tied.any():
-        keep = ties[tied]
-        for key in (dur[tied], *np.moveaxis(pop[tied], 2, 0)):
-            keep &= key == np.where(keep, key, np.inf).min(axis=1, keepdims=True)
-        lead[tied] = keep.argmax(axis=1)
-    return lead
+def _leader(fit, dur, pop) -> int:
+    """Index of the best of the entries fit (R,), dur (R,) and pop (R, L):
+    the highest fitness, then the shortest duration, then the genome lowest
+    gene by gene; the first on a full tie."""
+    keep = fit == fit.max()
+    for key in (dur, *pop.T):
+        keep &= key == np.where(keep, key, np.inf).min()
+    return int(keep.argmax())
 
 
 def _run_restarts(kernel, rngs, budget):
     """One search per generator, all in lockstep.  Each restart draws one
-    uniform genome from its generator and one kernel call scores every
-    start; with a polish `budget`, the polish refines the starts and each
-    restart keeps the better of its start and its polish by `_leaders`.
-    Returns each restart's best fitness (R,), duration (R,) and genome
-    (R, L), and the best fitness of the start and, with a polish, after it
-    (1 or 2, R)."""
+    uniform genome from its generator, and the polish refines every start
+    within `budget` evaluations; its first evaluation scores the starts, in
+    one kernel call.  The polish accepts only steps that do not lower the
+    fitness, so a restart ends no worse than it starts.  Returns each
+    restart's polished fitness (R,), duration (R,) and genome (R, L), and
+    its fitness at the start and after the polish (2, R)."""
     lo, hi = genome_bounds(kernel.problem)
-    pop = np.stack([rng.uniform(lo, hi) for rng in rngs])
-    best = (*kernel.objective(pop), pop)
-    history = [best[0]]
-    if budget > 0:
-        fit, dur, pop = (np.stack(pair, axis=1) for pair in zip(best, _polish(kernel, pop, budget)))
-        lead = _leaders(fit, dur, pop)
-        best = tuple(a[np.arange(len(rngs)), lead] for a in (fit, dur, pop))
-        history.append(best[0])
-    return (*best, np.array(history))
+    fit, dur, pop, start = _polish(kernel, np.stack([rng.uniform(lo, hi) for rng in rngs]), budget)
+    return fit, dur, pop, np.array([start, fit])
 
 
 @dataclass(frozen=True, eq=False)
 class Minimum:
-    """Where `minimize` left each row: x (R, L), its value f, status and
-    evals (R,); nfev counts the calls of the objective."""
+    """Where `minimize` left each row: x (R, L), its value f, its value f0
+    at the start (from the first call), status and evals (R,); nfev counts
+    the calls of `fun`."""
 
     x: np.ndarray
     f: np.ndarray
+    f0: np.ndarray
     status: np.ndarray
     evals: np.ndarray
     nfev: int
@@ -479,7 +453,7 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
     """
     x = np.clip(np.array(x0, dtype=float), lower, upper)
     f, g = fun(x)
-    rows = len(x)
+    f0, rows = f.copy(), len(x)
     nfev, evals, status = 1, np.ones(rows, dtype=np.int64), np.full(rows, _RUNNING)
     s_mem, y_mem = np.zeros((2, rows, _MEMORY, x.shape[1]))
     d, alpha, trials = np.zeros_like(x), np.zeros(rows), np.zeros(rows, dtype=np.int64)
@@ -499,7 +473,7 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         status[(status == _RUNNING) & (evals >= budget)] = 1
         run = np.flatnonzero(status == _RUNNING)
         if not run.size:
-            return Minimum(x, f, status, evals, nfev)
+            return Minimum(x, f, f0, status, evals, nfev)
         trial = np.clip(x[run] + alpha[run, None] * d[run], lower, upper)
         f_new, g_new = fun(trial)
         nfev += 1
@@ -525,7 +499,7 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         status[back[trials[back] >= _MAX_TRIALS]] = 2
 
 
-def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic projected L-BFGS refinement of every restart's genome
     (R, L) in lockstep: one evaluation is the fitness and its exact gradient
     for all restarts still running, in one kernel call, and `budget` caps
@@ -533,8 +507,9 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
     phases are left unbounded, since the kernel treats them as periodic.  The
     search sees each genome divided by the box widths, which evens out the
     curvature of microsecond delays, short pulses and phases.  Returns the
-    fitness (R,), duration (R,) and genome (R, L) of every restart; the
-    fitness is the one its last accepted evaluation computed.
+    fitness (R,), duration (R,) and genome (R, L) of every restart, the
+    fitness the one its last accepted evaluation computed, and its fitness
+    at the start (R,), from the first evaluation.
     """
     lo, hi = genome_bounds(kernel.problem)
     width = hi - lo
@@ -547,7 +522,7 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     res = minimize(negative_fitness, genomes / width, lower, upper, budget)
     x = res.x * width
-    return -res.f, _durations(kernel.problem, x), x
+    return -res.f, _durations(kernel.problem, x), x, -res.f0
 
 
 def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
@@ -562,7 +537,7 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
     kernel = _FitnessKernel(problem)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
     fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
-    win = _leaders(fit[None], dur[None], pop[None])[0]
+    win = _leader(fit, dur, pop)
     seq = decode(problem, pop[win])
     h = build_hamiltonian_subspace(problem.params)
     fid = sequence_fidelity(seq, problem.target, h)

@@ -24,7 +24,7 @@ TINY_GA = [
 ]
 TINY_TABLES_GA = [
     "--set", "tables.ga.restarts=1",
-    "--set", "tables.ga.polish_evals=0",
+    "--set", "tables.ga.polish_evals=1",
 ]
 
 
@@ -556,6 +556,8 @@ MALFORMED = {
     "esr-fmin-overflow": ["esr", "--set", "esr.f_min_mhz=-1e308"],
     "polarize-c0-nan": ["polarize", "--set", "polarize.c0=NaN"],
     "optimize-rabi-nan": ["optimize", "--set", "optimize.rabi_mhz=NaN"],
+    # the readout target is built from the Rabi frequency before the problem checks it
+    "optimize-u-t-rabi-zero": ["optimize", "--set", "optimize.target=u_t", "--set", "optimize.rabi_mhz=0"],
     "optimize-penalty-nan": ["optimize", "--set", "optimize.duration_penalty=NaN"],
     "optimize-bounds-nan": ["optimize", "--set", 'optimize.bounds={{"t_max_us": NaN, "tau_max_us": 10}}'],
     "optimize-robust-nan": ["optimize", "--set", 'optimize.robust={{"lo_mhz": NaN, "hi_mhz": 0.52}}'],
@@ -625,6 +627,8 @@ MALFORMED = {
     "optimize-penalty-overflow": ["optimize", *TINY_GA, "--set", "optimize.duration_penalty=1e308"],
     # restarts above the bound fail before any generator is spawned
     "optimize-ga-restarts-huge": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=100000000000"],
+    # the polish's first evaluation scores the starts, so a search spends at least one
+    "optimize-ga-polish-zero": ["optimize", *TINY_GA, "--set", "optimize.ga.polish_evals=0"],
     # more drive-amplitude samples than MAX_DRIVE_SAMPLES fail before the
     # kernel builds one eigendecomposition per sample
     "optimize-robust-samples-huge": [

@@ -52,7 +52,7 @@ def test_duration_penalty_bound_follows_the_mode(paper):
     with pytest.raises(ValueError, match="penalty overflows"):
         nc.ControlProblem(paper, target, duration_penalty=5e306)
     switched = nc.ControlProblem(paper, target, mode=nc.MODE_SWITCHED, duration_penalty=5e306)
-    fit, _ = _FitnessKernel(switched).objective(np.vstack(genome_bounds(switched)))
+    fit, _ = _FitnessKernel(switched).gradient(np.vstack(genome_bounds(switched)))
     assert np.isfinite(fit).all()
     for penalty in (0.0, 0.1):
         with pytest.raises(ValueError, match="Rabi frequency too small"):
@@ -73,13 +73,14 @@ def test_ga_config_bounds_genomes_per_generation():
 
 def test_ga_config_rejects_out_of_range_values():
     """A negative seed is refused by name, before numpy sees it; the search
-    needs a restart and a non-negative polish budget; the genetic algorithm's
-    settings are not fields."""
-    nc.GaConfig(seed=0, restarts=1, polish_evals=0)
+    needs a restart and a polish evaluation, the one that scores the starts;
+    the genetic algorithm's settings are not fields."""
+    nc.GaConfig(seed=0, restarts=1, polish_evals=1)
     for bad, message in (
         ({"seed": -1}, "seed must be non-negative"),
         ({"restarts": 0}, "restarts must be at least 1"),
-        ({"polish_evals": -1}, "polish_evals must be non-negative"),
+        ({"polish_evals": 0}, "polish_evals must be at least 1"),
+        ({"polish_evals": -1}, "polish_evals must be at least 1"),
     ):
         with pytest.raises(ValueError, match=message):
             nc.GaConfig(**bad)
@@ -178,7 +179,7 @@ def test_switched_mode_with_robustness_smoke(paper, h_sub):
 
 
 def test_fitness_identity_genome_against_u90(u90_problem):
-    f, _ = _FitnessKernel(u90_problem).objective(np.zeros((1, 6)))
+    f, _ = _FitnessKernel(u90_problem).gradient(np.zeros((1, 6)))
     assert f[0] == pytest.approx(math.cos(math.pi / 4.0), abs=1e-12)
 
 
@@ -187,7 +188,7 @@ def test_fitness_identity_genome_trivial_state_transfer(paper):
 
     target = nc.Target("custom", "state", rho_initial=rho0_state(), rho_target=rho0_state())
     problem = nc.ControlProblem(params=paper, target=target, n_pulses=2, rabi_mhz=0.5)
-    f, _ = _FitnessKernel(problem).objective(np.zeros((1, 6)))
+    f, _ = _FitnessKernel(problem).gradient(np.zeros((1, 6)))
     assert f[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -220,7 +221,7 @@ def test_fitness_matches_direct_recomposition(paper, h_sub):
                 direct = nc.sequence_fidelity(seq, problem.target, h_sub)
             else:
                 direct = nc.robust_fidelity(seq, problem.target, problem.robustness, h_sub)
-            assert kernel.objective(g[None, :])[0][0] == pytest.approx(direct, abs=1e-12)
+            assert kernel.gradient(g[None, :])[0][0] == pytest.approx(direct, abs=1e-12)
 
 
 def _kernel_problem(paper, target, n_pulses=3, robustness=None):
@@ -254,7 +255,7 @@ def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, case):
     rng = np.random.default_rng(23)
     lo, hi = genome_bounds(problem)
     genomes = rng.uniform(lo, hi, size=(32, lo.size))
-    fit, _ = _FitnessKernel(problem).objective(genomes)
+    fit, _ = _FitnessKernel(problem).gradient(genomes)
     t = problem.target
     omegas = problem.robustness.samples() if problem.robustness else [problem.rabi_mhz]
     for g, f in zip(genomes, fit):
@@ -277,26 +278,24 @@ def test_fitness_kernel_batch_matches_trotter_oracle(paper, h_sub, case):
     ids=["u_p", "u_90", "u_c_dagger", "robust_u_c"],
 )
 def test_fitness_is_independent_of_batch_position(paper, case):
-    """Each genome's fitness and duration alone equal, bitwise, those at its
-    place in a batch of one restart's children (98), of eight restarts' in
-    lockstep (784), of a ragged lockstep batch left by skipped copies (577),
-    of two kernel chunks and one genome (2 _CHUNK + 1), of 32 restarts'
-    children in lockstep (32 x 98), and in that batch reversed."""
+    """Each genome's fitness and gradient alone equal, bitwise, those at its
+    place in a batch of 98, of one kernel chunk (784), of a ragged lockstep
+    batch (577), of two kernel chunks and one genome (2 _CHUNK + 1), of
+    32 x 98 genomes, and in that batch reversed."""
     problem = _kernel_problem(paper, *case)
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)
     genomes = np.random.default_rng(41).uniform(lo, hi, size=(32 * 98, lo.size))
-    alone = np.array([np.concatenate(kernel.objective(g[None, :])) for g in genomes]).T
+    alone = np.array([np.concatenate(kernel.gradient(g[None, :]), axis=None) for g in genomes])
     sizes = (98, 784, 577, 2 * _CHUNK + 1, 32 * 98, 32 * 98)
     picks = (slice(0, 98), slice(0, 784), slice(101, 678), slice(5, 6 + 2 * _CHUNK), slice(None), slice(None, None, -1))
     for picked, size in zip(picks, sizes):
         assert genomes[picked].shape[0] == size
-        assert np.all(np.array(kernel.objective(genomes[picked])) == alone[:, picked])
+        assert np.column_stack(kernel.gradient(genomes[picked])).tobytes() == alone[picked].tobytes()
 
 
-@pytest.mark.parametrize("method", ["objective", "gradient"])
 @pytest.mark.parametrize("case", ["u_p", "robust_u_c", "switched"])
-def test_copied_durations_are_independent_of_batch_position(paper, case, method):
+def test_copied_durations_are_independent_of_batch_position(paper, case):
     """Rows that copy duration genes from one another, as GA children did,
     with +0.0 and -0.0 among them: each genome's result alone equals,
     bitwise, its result in the batch and in that batch reversed.  In
@@ -312,9 +311,8 @@ def test_copied_durations_are_independent_of_batch_position(paper, case, method)
     genomes[::7, :n_dur] = np.where(rng.random((len(genomes[::7]), n_dur)) < 0.5, 0.0, -0.0)
     _, copies = np.unique(genomes[:, :n_dur].view(np.int64), return_counts=True)
     assert copies.max() > 10 and np.signbit(genomes[:, :n_dur][genomes[:, :n_dur] == 0]).any()
-    run = getattr(kernel, method)
-    alone = np.array([np.concatenate(run(g[None, :]), axis=None) for g in genomes])
-    batch, reverse = (np.column_stack(run(b)) for b in (genomes, genomes[::-1]))
+    alone = np.array([np.concatenate(kernel.gradient(g[None, :]), axis=None) for g in genomes])
+    batch, reverse = (np.column_stack(kernel.gradient(b)) for b in (genomes, genomes[::-1]))
     assert alone.tobytes() == batch.tobytes() == reverse[::-1].tobytes()
 
 
@@ -402,11 +400,12 @@ def _oracle_leader(fit, dur, pop) -> int:
 
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
 def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
-    """Each restart's best and history equal, bitwise, an oracle built
-    restart by restart: one uniform draw of its own generator, scored alone,
-    the polish of those starts, then `_leaders` between each start and its
-    polish.  The generator draws nothing more."""
-    from nvctrl.optimizer import _leaders, _polish, _run_restarts
+    """Each restart's result and history equal, bitwise, an oracle built
+    restart by restart: one uniform draw of its own generator, the polish of
+    those draws, and the fitness of each draw scored alone, at the genome the
+    polish's scaling by the box widths gives back.  The generator draws
+    nothing more, and the polish gains on some restart."""
+    from nvctrl.optimizer import _polish, _run_restarts
 
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
@@ -415,29 +414,25 @@ def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
     rngs = [np.random.default_rng(s) for s in seeds]
     fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
     lo, hi = genome_bounds(problem)
-    starts = []
+    draws = []
     for seed, used in zip(seeds, rngs):
         rng = np.random.default_rng(seed)
-        draw = rng.uniform(lo, hi, size=lo.size)
+        draws.append(rng.uniform(lo, hi, size=lo.size))
         assert used.bit_generator.state == rng.bit_generator.state
-        f, d = kernel.objective(draw[None, :])
-        starts.append((f[0], d[0], draw))
-    start_fit, start_dur, start_pop = (np.array(a) for a in zip(*starts))
-    polished = _polish(kernel, start_pop, ga.polish_evals)
-    columns = [np.stack(pair, axis=1) for pair in zip((start_fit, start_dur, start_pop), polished)]
-    pick = _leaders(*columns)
-    want = [c[np.arange(ga.restarts), pick] for c in columns]
-    assert np.any(pick == 1)
-    assert fit.tobytes() == want[0].tobytes() and dur.tobytes() == want[1].tobytes()
-    assert pop.tobytes() == want[2].tobytes()
-    assert history.tobytes() == np.stack([start_fit, want[0]]).tobytes()
+    want_fit, want_dur, want_pop, _ = _polish(kernel, np.array(draws), ga.polish_evals)
+    width = hi - lo
+    start_fit = np.array([kernel.gradient((d / width * width)[None, :])[0][0] for d in draws])
+    assert fit.tobytes() == want_fit.tobytes() and dur.tobytes() == want_dur.tobytes()
+    assert pop.tobytes() == want_pop.tobytes()
+    assert history.tobytes() == np.stack([start_fit, want_fit]).tobytes()
+    assert np.all(fit >= start_fit) and np.any(fit > start_fit)
 
 
 def test_leaders_pick_what_better_picks():
-    """The vectorized pick agrees with a plain-Python oracle on rows full of
-    exact fitness ties, equal-fitness entries of other durations and
-    duplicated genomes (including -0.0 against 0.0)."""
-    from nvctrl.optimizer import _leaders
+    """The vectorized pick agrees with a plain-Python oracle, row by row, on
+    rows full of exact fitness ties, equal-fitness entries of other
+    durations and duplicated genomes (including -0.0 against 0.0)."""
+    from nvctrl.optimizer import _leader
 
     rng = np.random.default_rng(3)
     rows, size, length = 400, 9, 3
@@ -445,7 +440,7 @@ def test_leaders_pick_what_better_picks():
     dur = rng.choice([1.0, 2.0, 3.0], size=(rows, size))
     pool = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [0.0, 0.5, 9.0], [1.0, 0.0, 0.0]])
     pop = pool[rng.integers(0, len(pool), size=(rows, size))]
-    lead = _leaders(fit, dur, pop)
+    lead = np.array([_leader(fit[r], dur[r], pop[r]) for r in range(rows)])
     for r in range(rows):
         assert lead[r] == _oracle_leader(fit[r], dur[r], pop[r])
     top = fit == fit.max(axis=1, keepdims=True)
@@ -477,8 +472,8 @@ def _ascent_gradient(kernel, genome, h=1e-6):
     for i in range(genome.size):
         step = np.zeros(genome.size)
         step[i] = h
-        up, _ = kernel.objective((genome + step)[None, :])
-        down, _ = kernel.objective((genome - step)[None, :])
+        up, _ = kernel.gradient((genome + step)[None, :])
+        down, _ = kernel.gradient((genome - step)[None, :])
         grad[i] = (up[0] - down[0]) / (2.0 * h)
     return grad
 
@@ -512,14 +507,13 @@ GRADIENT_CASES = [*GRADIENT_PROBLEMS, "switched", "penalty"]
 def test_gradient_matches_central_differences(paper, case):
     """The adjoint gradient agrees with central differences of the kernel
     fitness at steps 1e-3 to 1e-6, with an error that falls as h^2 until
-    round-off takes over; its fitness is bitwise the objective's."""
+    round-off takes over."""
     problem = _gradient_problem(paper, case)
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)
     # keep the durations 1e-3 inside the box, so that no step crosses a bound
     genomes = np.random.default_rng(29).uniform(lo + 1e-3, hi - 1e-3, size=(3, lo.size))
-    fit, grad = kernel.gradient(genomes)
-    assert fit.tobytes() == kernel.objective(genomes)[0].tobytes()
+    _, grad = kernel.gradient(genomes)
     for g, exact in zip(genomes, grad):
         errors = {h: np.abs(_ascent_gradient(kernel, g, h) - exact).max() for h in (1e-3, 1e-4, 1e-5, 1e-6)}
         assert errors[1e-3] < 1e-3 and errors[1e-6] < 1e-9
@@ -543,7 +537,7 @@ def test_gradient_at_and_beyond_the_box(paper):
     for i, inward in ((0, h), (2, -h), (4, -h)):
         step = np.zeros(genome.size)
         step[i] = inward
-        one_sided = (kernel.objective((genome + step)[None, :])[0][0] - fit) / inward
+        one_sided = (kernel.gradient((genome + step)[None, :])[0][0] - fit) / inward
         assert abs(one_sided - grad[i]) < 1e-5
         assert abs(grad[i]) > 1e-3
     central = _ascent_gradient(kernel, genome)
@@ -608,8 +602,8 @@ def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, pro
     kernel = _FitnessKernel(problem)
     lo, hi = genome_bounds(problem)
     starts = np.random.default_rng(31).uniform(lo, hi, size=(4, lo.size))
-    start_fit, _ = kernel.objective(starts)
-    fit, _, xs = _polish(kernel, starts, 4000)
+    start_fit, _ = kernel.gradient(starts)
+    fit, _, xs, _ = _polish(kernel, starts, 4000)
     (res,) = minimize_results
     assert np.all(res.status == 0) and res.evals.max() < 4000
     assert np.all(fit >= start_fit)
@@ -627,33 +621,49 @@ def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, b
     """One polish evaluation is one genome's fitness and exact gradient; a
     lockstep call evaluates every restart still running, and the budget caps
     each restart's evaluations exactly.  The polished genomes are not
-    evaluated again: their fitness and duration, from the polish's own
-    evaluations, equal the objective's bitwise."""
-    from nvctrl.optimizer import _polish
+    evaluated again: their fitness, from the polish's own evaluations,
+    equals the kernel's bitwise."""
+    from nvctrl.optimizer import _durations, _polish
 
     kernel = _FitnessKernel(up_problem)
-    gradient_batches, objective_batches = [], []
-    real_gradient, real_objective = kernel.gradient, kernel.objective
+    batches = []
+    real_gradient = kernel.gradient
 
     def counting_gradient(genomes):
-        gradient_batches.append(len(genomes))
+        batches.append(len(genomes))
         return real_gradient(genomes)
 
-    def counting_objective(genomes):
-        objective_batches.append(len(genomes))
-        return real_objective(genomes)
-
-    kernel.gradient, kernel.objective = counting_gradient, counting_objective
+    kernel.gradient = counting_gradient
     lo, hi = genome_bounds(up_problem)
-    fit, dur, xs = _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
+    fit, dur, xs, _ = _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
     (res,) = minimize_results
     assert res.evals.max() == budget and np.all(res.status[res.evals == budget] <= 1)
     assert np.all(res.status[res.evals < budget] == 0)
-    assert len(gradient_batches) == res.nfev == budget
-    assert gradient_batches[0] == 5 and sum(gradient_batches) == res.evals.sum()
-    assert objective_batches == []
-    want_fit, want_dur = real_objective(xs)
-    assert fit.tobytes() == want_fit.tobytes() and dur.tobytes() == want_dur.tobytes()
+    assert len(batches) == res.nfev == budget
+    assert batches[0] == 5 and sum(batches) == res.evals.sum()
+    assert fit.tobytes() == real_gradient(xs)[0].tobytes()
+    assert dur.tobytes() == _durations(up_problem, xs).tobytes()
+
+
+@pytest.mark.parametrize(("restarts", "budget"), [(24, 30), (_CHUNK, 3)])
+def test_search_makes_one_kernel_pass_per_polish_call(u90_problem, minimize_results, monkeypatch, restarts, budget):
+    """A search of at most `_CHUNK` restarts passes through the kernel once
+    per lockstep call of the polish, and the first pass scores all the
+    starts: nothing scores them apart from the polish."""
+    from nvctrl import optimizer
+
+    rows = []
+    real_chunk = optimizer._FitnessKernel._chunk
+
+    def counting_chunk(self, genomes):
+        rows.append(len(genomes))
+        return real_chunk(self, genomes)
+
+    monkeypatch.setattr(optimizer._FitnessKernel, "_chunk", counting_chunk)
+    nc.optimize(u90_problem, nc.GaConfig(restarts=restarts, seed=5, polish_evals=budget))
+    (res,) = minimize_results
+    assert len(rows) == res.nfev and rows[0] == restarts
+    assert sum(rows) == res.evals.sum()
 
 
 def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
@@ -664,7 +674,7 @@ def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
     kernel = _FitnessKernel(up_problem)
     lo, hi = genome_bounds(up_problem)
     starts = np.random.default_rng(37).uniform(lo, hi, size=(16, lo.size))
-    fit, dur, xs = _polish(kernel, starts, 4000)
+    fit, dur, xs, _ = _polish(kernel, starts, 4000)
     lockstep = minimize_results[0]
     assert len(set(lockstep.evals.tolist())) > 1
     for r, start in enumerate(starts):

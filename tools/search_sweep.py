@@ -12,28 +12,28 @@ tests/ga_jobs.py defines them: the 13 rows of the benchmark tables (row i
 runs with seed seed + i), the 4 robust jobs and the 4 fixture jobs.  Every
 (design, job, seed) run records the design's `restarts` and polish budget
 (`polish_budget`, the `GaConfig.polish_evals` it ran with), its best
-fitness, fidelity, duration, wall time, the genomes evaluated in the
-fitness kernel, the polish evaluations spent, summed over the restarts
+fitness, fidelity, duration, wall time, the starts scored (`genomes`, the
+design's restarts), the polish evaluations spent, summed over the restarts
 (`polish_evals`, as in the sweeps before the budget was recorded), and the
 polish's lockstep kernel calls.  The older BENCH_search_*.json files, made
 when the search could run a genetic algorithm (GA), also record each
 design's GA `generations` and `population`, and name their designs
-RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]].  The genomes come from wrapping
-`_FitnessKernel.objective`, the polish counts from the result of
-`optimizer.minimize`.  Their sum in kernel genomes,
-`cost_genomes = genomes + polish_evals * GRADIENT_GENOMES`, is a cost that
-does not change between re-runs: one polish evaluation is the fitness and
-exact gradient of one genome, which costs GRADIENT_GENOMES = 2 genomes (the
-ratio of the summed median times of `_FitnessKernel.gradient` and
-`objective` over the 21 jobs, each on 784 random in-box genomes: 1.87 on
-2 cores with one BLAS thread, 2.16 on 16 genomes).  Every sweep measures
-that ratio again and records it as `gradient_cost` beside the
-environment.  The runs
-go one after another in this process, as a command-line search runs, so no
-run's wall time shares the cores with another run.  BLAS runs on one thread, as
-in perfbench: the package's matrices are 4x4 to 18x18.
-With `--repeats N` every run is made N times, in N full passes, to show
-the spread of the wall times; the results of a run must not change.
+RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]]; their `genomes` count the
+kernel's fitness-only evaluations, and they carry `gradient_cost`.  The
+polish counts come from the result of `optimizer.minimize`, whose first
+evaluation scores the starts.  `cost_genomes = polish_evals *
+GRADIENT_GENOMES` is a cost in kernel genomes that does not change between
+re-runs: one polish evaluation is the fitness and exact gradient of one
+genome, which costs GRADIENT_GENOMES = 2 fitness-only genomes (the ratio
+of the summed median times of a gradient and a fitness-only kernel call
+over the 21 jobs, each on 784 random in-box genomes, last measured when
+the kernel still had a fitness-only call: 1.87 on 2 cores with one BLAS
+thread, 2.16 on 16 genomes).  The runs go one after another in this
+process, as a command-line search runs, so no run's wall time shares the
+cores with another run.  BLAS runs on one thread, as in perfbench: the
+package's matrices are 4x4 to 18x18.  With `--repeats N` every run is
+made N times, in N full passes, to show the spread of the wall times; the
+results of a run must not change.
 
 tools/best_known.json holds the best fitness known for each job; a run that
 beats it raises the value in that file.  A run hits when its best fitness is
@@ -78,17 +78,13 @@ GRADIENT_GENOMES = 2
 JOB_IDS = list(jobs(nc.GaConfig()))
 
 
-_COUNTS = {"genomes": 0, "polish_evals": 0, "polish_calls": 0}
+_COUNTS = {"polish_evals": 0, "polish_calls": 0}
 
 
 def _install_counters() -> None:
-    """Count the genomes of the kernel's objective, and read the polish
-    evaluations and lockstep calls off each result of `minimize`."""
-    objective, minimize = optimizer._FitnessKernel.objective, optimizer.minimize
-
-    def counted_objective(self, genomes):
-        _COUNTS["genomes"] += np.atleast_2d(genomes).shape[0]
-        return objective(self, genomes)
+    """Read the polish evaluations and lockstep calls off each result of
+    `minimize`."""
+    minimize = optimizer.minimize
 
     def counted_minimize(*args, **kwargs):
         res = minimize(*args, **kwargs)
@@ -96,7 +92,6 @@ def _install_counters() -> None:
         _COUNTS["polish_calls"] += res.nfev
         return res
 
-    optimizer._FitnessKernel.objective = counted_objective
     optimizer.minimize = counted_minimize
 
 
@@ -131,7 +126,7 @@ def parse_seeds(items: list[str]) -> list[int]:
 def run_one(task: tuple) -> dict:
     job, design, seed, repeat = task
     problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
-    _COUNTS.update(genomes=0, polish_evals=0, polish_calls=0)
+    _COUNTS.update(polish_evals=0, polish_calls=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
     wall = perf_counter() - start
@@ -148,8 +143,9 @@ def run_one(task: tuple) -> dict:
         "robust_fidelity": result.robust_fidelity,
         "duration_us": result.total_duration_us,
         "wall_s": wall,
+        "genomes": design["restarts"],
         **_COUNTS,
-        "cost_genomes": _COUNTS["genomes"] + _COUNTS["polish_evals"] * GRADIENT_GENOMES,
+        "cost_genomes": _COUNTS["polish_evals"] * GRADIENT_GENOMES,
     }
 
 
@@ -232,26 +228,6 @@ def choose(summary: dict) -> dict | None:
     }
 
 
-def gradient_cost(job_ids: list[str], batch: int = optimizer._CHUNK, repeats: int = 15) -> float:
-    """The summed median time of `_FitnessKernel.gradient` over the jobs,
-    divided by that of `objective`, each on `batch` random in-box genomes."""
-    times = np.zeros(2)
-    every = jobs(nc.GaConfig())
-    for problem, _ in (every[job] for job in job_ids):
-        kernel = optimizer._FitnessKernel(problem)
-        lo, hi = optimizer.genome_bounds(problem)
-        genomes = np.random.default_rng(0).uniform(lo, hi, size=(batch, lo.size))
-        runs = []
-        for _ in range(repeats):
-            start = perf_counter()
-            kernel.objective(genomes)
-            middle = perf_counter()
-            kernel.gradient(genomes)
-            runs.append((middle - start, perf_counter() - middle))
-        times += np.median(runs, axis=0)
-    return float(times[1] / times[0])
-
-
 def environment() -> dict:
     return {
         "python": platform.python_version(),
@@ -288,7 +264,6 @@ def main(argv=None) -> int:
         for job in job_ids
     ]
     start = perf_counter()
-    cost = gradient_cost(job_ids)
     _install_counters()
     records = []
     for task in tasks:
@@ -327,7 +302,6 @@ def main(argv=None) -> int:
         "tier1_seed": tier1,
         "sweep_wall_s": perf_counter() - start,
         "environment": environment(),
-        "gradient_cost": cost,
         "records": records,
     }
     Path(f"BENCH_search_{args.tag}.json").write_text(json.dumps(out, indent=1) + "\n")
