@@ -238,11 +238,6 @@ def cmd_optimize(config):
     files = {
         "sequence.json": result.best_sequence.save,
         "result.json": result.to_json_dict(),
-        "history.csv": lambda path: signals.write_csv(
-            path,
-            ("generation", "best_fitness"),
-            (np.arange(len(result.history), dtype=float), np.array(result.history)),
-        ),
     }
     robust_text = "" if result.robust_fidelity is None else f", robust {result.robust_fidelity:.4f}"
     return files, (

@@ -133,6 +133,8 @@ class OptimResult:
     history: tuple
     seed: int
     best_fitness: float
+    # the polish of every restart (see `_polish`); not serialized
+    polish: Minimum
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,19 +385,6 @@ def _leader(fit, dur, pop) -> int:
     return int(keep.argmax())
 
 
-def _run_restarts(kernel, rngs, budget):
-    """One search per generator, all in lockstep.  Each restart draws one
-    uniform genome from its generator, and the polish refines every start
-    within `budget` evaluations; its first evaluation scores the starts, in
-    one kernel call.  The polish accepts only steps that do not lower the
-    fitness, so a restart ends no worse than it starts.  Returns each
-    restart's polished fitness (R,), duration (R,) and genome (R, L), and
-    its fitness at the start and after the polish (2, R)."""
-    lo, hi = genome_bounds(kernel.problem)
-    fit, dur, pop, start = _polish(kernel, np.stack([rng.uniform(lo, hi) for rng in rngs]), budget)
-    return fit, dur, pop, np.array([start, fit])
-
-
 @dataclass(frozen=True, eq=False)
 class Minimum:
     """Where `minimize` left each row: x (R, L), its value f, its value f0
@@ -499,7 +488,7 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         status[back[trials[back] >= _MAX_TRIALS]] = 2
 
 
-def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _polish(kernel, genomes, budget) -> Minimum:
     """Deterministic projected L-BFGS refinement of every restart's genome
     (R, L) in lockstep: one evaluation is the fitness and its exact gradient
     for all restarts still running, in one kernel call, and `budget` caps
@@ -507,9 +496,10 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
     phases are left unbounded, since the kernel treats them as periodic.  The
     search sees each genome divided by the box widths, which evens out the
     curvature of microsecond delays, short pulses and phases.  Returns the
-    fitness (R,), duration (R,) and genome (R, L) of every restart, the
-    fitness the one its last accepted evaluation computed, and its fitness
-    at the start (R,), from the first evaluation.
+    `minimize` result in genome units and as fitness: x the polished genomes,
+    f their fitness from the last accepted evaluation, f0 the fitness of the
+    starts from the first.  The polish accepts only steps that do not lower
+    the fitness, so a restart ends no worse than it starts.
     """
     lo, hi = genome_bounds(kernel.problem)
     width = hi - lo
@@ -520,13 +510,17 @@ def _polish(kernel, genomes, budget) -> tuple[np.ndarray, np.ndarray, np.ndarray
         fit, grad = kernel.gradient(u * width)
         return -fit, -grad * width
 
+    # `minimize` is looked up in the module namespace at each call, where
+    # perfbench's polish span rebinds it
     res = minimize(negative_fitness, genomes / width, lower, upper, budget)
-    x = res.x * width
-    return -res.f, _durations(kernel.problem, x), x, -res.f0
+    return replace(res, x=res.x * width, f=-res.f, f0=-res.f0)
 
 
 def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
-    """Best-of-restarts search (see `GaConfig`).
+    """Best-of-restarts search (see `GaConfig`): each restart draws one
+    uniform genome from its own generator, and `_polish` refines the starts
+    in lockstep.  `history` is the winner's fitness at its start and after
+    the polish.
 
     The reported fidelity (and robust fidelity, when a robustness range is
     configured) is re-evaluated from scratch through the propagation and
@@ -535,10 +529,11 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
     """
     ga = ga or GaConfig()
     kernel = _FitnessKernel(problem)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
-    fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
-    win = _leader(fit, dur, pop)
-    seq = decode(problem, pop[win])
+    lo, hi = genome_bounds(problem)
+    starts = [np.random.default_rng(s).uniform(lo, hi) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
+    polish = _polish(kernel, np.stack(starts), ga.polish_evals)
+    win = _leader(polish.f, _durations(problem, polish.x), polish.x)
+    seq = decode(problem, polish.x[win])
     h = build_hamiltonian_subspace(problem.params)
     fid = sequence_fidelity(seq, problem.target, h)
     robust = None
@@ -549,9 +544,10 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
         fidelity=fid,
         robust_fidelity=robust,
         total_duration_us=seq.total_duration_us,
-        history=tuple(history[:, win].tolist()),
+        history=(float(polish.f0[win]), float(polish.f[win])),
         seed=ga.seed,
-        best_fitness=float(fit[win]),
+        best_fitness=float(polish.f[win]),
+        polish=polish,
     )
 
 

@@ -90,8 +90,9 @@ def test_optimize_writes_artifacts(tmp_path):
     h = nc.build_hamiltonian_subspace(nc.SystemParams())
     redo = nc.sequence_fidelity(seq, nc.build_target("u_90", nc.SystemParams()), h)
     assert redo == pytest.approx(result["fidelity"], abs=1e-12)
-    gens, fitness = read_csv(out / "history.csv", ("generation", "best_fitness"))
-    assert np.all(np.diff(fitness) >= -1e-15)
+    start, polished = result["history"]
+    assert polished >= start and result["best_fitness"] == polished
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "result.json", "sequence.json"]
 
 
 def test_optimize_unknown_target_usage_error(tmp_path):
@@ -108,14 +109,14 @@ def test_optimize_default_transfer_reaches_high_fidelity(tmp_path):
 
 
 def test_optimize_multistart_without_generations(tmp_path):
-    """The search polishes uniform starts, and the history holds the best
-    start and the polished best."""
+    """The search polishes uniform starts, and the history holds the
+    winner's fitness at its start and after the polish."""
     out = tmp_path / "multistart"
     assert run(["optimize", "--out", out, "--seed", "4",
                 "--set", "optimize.ga.restarts=8", "--set", "optimize.ga.polish_evals=30"]) == 0
-    gens, fitness = read_csv(out / "history.csv", ("generation", "best_fitness"))
-    assert gens.tolist() == [0.0, 1.0] and fitness[1] >= fitness[0]
-    assert json.loads((out / "result.json").read_text())["best_fitness"] == fitness[1]
+    result = json.loads((out / "result.json").read_text())
+    assert len(result["history"]) == 2 and result["history"][1] >= result["history"][0]
+    assert result["best_fitness"] == result["history"][1]
 
 
 def test_optimize_switched_mode(tmp_path):

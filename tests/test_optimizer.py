@@ -369,27 +369,15 @@ def test_rank_factor_reproduces_initial_state(paper, target):
     assert np.abs(a @ a.conj().T - rho).max() <= 1e-15
 
 
-@pytest.mark.parametrize(
-    "problem_name", ["u90_problem", "up_problem"], ids=["u90_problem-multistart", "up_problem-multistart"]
-)
-def test_lockstep_restarts_match_each_restart_alone(request, problem_name):
-    """Eight restarts in lockstep give each restart bitwise the best candidate
-    and history it gets when run alone from the same child seed."""
-    from nvctrl.optimizer import _run_restarts
-
+@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
+def test_first_restarts_do_not_depend_on_the_restart_count(request, problem_name):
+    """Restart r draws from the r-th child of the seed, whatever the number
+    of restarts: the first 3 polished genomes of a search of 3 restarts and
+    of one of 8 are bitwise the same."""
     problem = request.getfixturevalue(problem_name)
-    kernel = _FitnessKernel(problem)
-    ga = nc.GaConfig(restarts=8, seed=20260809, polish_evals=20)
-    seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
-    assert fit.shape == dur.shape == (8,) and pop.shape == (8, genome_bounds(problem)[0].size)
-    assert history.shape == (2, 8)
-    for r, seed in enumerate(seeds):
-        alone = _run_restarts(kernel, [np.random.default_rng(seed)], ga.polish_evals)
-        assert (fit[r], dur[r]) == (alone[0][0], alone[1][0])
-        assert pop[r].tobytes() == alone[2][0].tobytes()
-        assert history[:, r].tobytes() == alone[3][:, 0].tobytes()
+    x3, x8 = (nc.optimize(problem, nc.GaConfig(restarts=r, seed=20260809, polish_evals=20)).polish.x for r in (3, 8))
+    assert x3.shape == (3, genome_bounds(problem)[0].size) and x8.shape[0] == 8
+    assert x3.tobytes() == x8[:3].tobytes()
 
 
 def _oracle_leader(fit, dur, pop) -> int:
@@ -400,32 +388,45 @@ def _oracle_leader(fit, dur, pop) -> int:
 
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
 def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
-    """Each restart's result and history equal, bitwise, an oracle built
-    restart by restart: one uniform draw of its own generator, the polish of
-    those draws, and the fitness of each draw scored alone, at the genome the
-    polish's scaling by the box widths gives back.  The generator draws
-    nothing more, and the polish gains on some restart."""
-    from nvctrl.optimizer import _polish, _run_restarts
+    """The search's polish record equals, bitwise, an oracle built restart by
+    restart: one uniform draw of its own generator, the polish of those
+    draws, and the fitness of each draw scored alone, at the genome the
+    polish's scaling by the box widths gives back.  The polish gains on
+    some restart."""
+    from nvctrl.optimizer import _polish
 
     problem = request.getfixturevalue(problem_name)
     kernel = _FitnessKernel(problem)
     ga = nc.GaConfig(restarts=6, seed=11, polish_evals=40)
-    seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    fit, dur, pop, history = _run_restarts(kernel, rngs, ga.polish_evals)
+    polish = nc.optimize(problem, ga).polish
     lo, hi = genome_bounds(problem)
-    draws = []
-    for seed, used in zip(seeds, rngs):
-        rng = np.random.default_rng(seed)
-        draws.append(rng.uniform(lo, hi, size=lo.size))
-        assert used.bit_generator.state == rng.bit_generator.state
-    want_fit, want_dur, want_pop, _ = _polish(kernel, np.array(draws), ga.polish_evals)
+    seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
+    draws = np.array([np.random.default_rng(s).uniform(lo, hi) for s in seeds])
+    want = _polish(kernel, draws, ga.polish_evals)
     width = hi - lo
     start_fit = np.array([kernel.gradient((d / width * width)[None, :])[0][0] for d in draws])
-    assert fit.tobytes() == want_fit.tobytes() and dur.tobytes() == want_dur.tobytes()
-    assert pop.tobytes() == want_pop.tobytes()
-    assert history.tobytes() == np.stack([start_fit, want_fit]).tobytes()
-    assert np.all(fit >= start_fit) and np.any(fit > start_fit)
+    for name in ("x", "f", "f0", "status", "evals"):
+        assert getattr(polish, name).tobytes() == getattr(want, name).tobytes(), name
+    assert polish.nfev == want.nfev
+    assert polish.f0.tobytes() == start_fit.tobytes()
+    assert np.all(polish.f >= start_fit) and np.any(polish.f > start_fit)
+
+
+@pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
+def test_optimize_reports_the_polish_winner(request, problem_name):
+    """The result's best sequence, fitness and history come from the
+    polish's winner by `_leader`, and the polish record is not serialized."""
+    from nvctrl.optimizer import _durations, _leader, decode
+
+    problem = request.getfixturevalue(problem_name)
+    result = nc.optimize(problem, nc.GaConfig(restarts=6, seed=11, polish_evals=40))
+    polish = result.polish
+    win = _leader(polish.f, _durations(problem, polish.x), polish.x)
+    assert result.best_sequence == decode(problem, polish.x[win])
+    assert result.history == (polish.f0[win], polish.f[win])
+    assert result.best_fitness == polish.f[win]
+    assert all(type(v) is float for v in (*result.history, result.best_fitness))
+    assert "polish" not in result.to_json_dict()
 
 
 def test_leaders_pick_what_better_picks():
@@ -448,22 +449,6 @@ def test_leaders_pick_what_better_picks():
     assert np.any(top.sum(axis=1) > 1)
     assert np.any([len(set(dur[r][top[r]])) > 1 for r in range(rows)])
     assert np.any(lead != np.argmax(fit, axis=1))
-
-
-@pytest.fixture
-def minimize_results(monkeypatch):
-    """Every lockstep result the polish receives, in call order."""
-    from nvctrl import optimizer
-
-    results = []
-    real_minimize = optimizer.minimize
-
-    def recording_minimize(*args, **kwargs):
-        results.append(real_minimize(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(optimizer, "minimize", recording_minimize)
-    return results
 
 
 def _ascent_gradient(kernel, genome, h=1e-6):
@@ -592,7 +577,7 @@ def test_minimize_agrees_with_scipy_on_a_boxed_quadratic():
 
 
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
-def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, problem_name):
+def test_polish_ascends_to_a_box_stationary_point(request, problem_name):
     """From random in-box genomes, polished in one lockstep call, the polish
     never loses fitness, every restart converges inside its budget, and each
     ends where the box-projected gradient vanishes."""
@@ -603,13 +588,12 @@ def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, pro
     lo, hi = genome_bounds(problem)
     starts = np.random.default_rng(31).uniform(lo, hi, size=(4, lo.size))
     start_fit, _ = kernel.gradient(starts)
-    fit, _, xs, _ = _polish(kernel, starts, 4000)
-    (res,) = minimize_results
+    res = _polish(kernel, starts, 4000)
     assert np.all(res.status == 0) and res.evals.max() < 4000
-    assert np.all(fit >= start_fit)
+    assert np.all(res.f >= start_fit)
     # the polish leaves phases unbounded: the kernel treats them as periodic
     lo[-problem.n_pulses :], hi[-problem.n_pulses :] = -np.inf, np.inf
-    for x in xs:
+    for x in res.x:
         assert np.all(x >= lo) and np.all(x <= hi)
         grad = _ascent_gradient(kernel, x)
         projected = np.clip(x + grad, lo, hi) - x
@@ -617,13 +601,13 @@ def test_polish_ascends_to_a_box_stationary_point(request, minimize_results, pro
 
 
 @pytest.mark.parametrize("budget", [1, 3, 10])
-def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, budget):
+def test_polish_budget_caps_batched_kernel_calls(up_problem, budget):
     """One polish evaluation is one genome's fitness and exact gradient; a
     lockstep call evaluates every restart still running, and the budget caps
     each restart's evaluations exactly.  The polished genomes are not
     evaluated again: their fitness, from the polish's own evaluations,
     equals the kernel's bitwise."""
-    from nvctrl.optimizer import _durations, _polish
+    from nvctrl.optimizer import _polish
 
     kernel = _FitnessKernel(up_problem)
     batches = []
@@ -635,18 +619,16 @@ def test_polish_budget_caps_batched_kernel_calls(up_problem, minimize_results, b
 
     kernel.gradient = counting_gradient
     lo, hi = genome_bounds(up_problem)
-    fit, dur, xs, _ = _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
-    (res,) = minimize_results
+    res = _polish(kernel, np.random.default_rng(7).uniform(lo, hi, size=(5, lo.size)), budget)
     assert res.evals.max() == budget and np.all(res.status[res.evals == budget] <= 1)
     assert np.all(res.status[res.evals < budget] == 0)
     assert len(batches) == res.nfev == budget
     assert batches[0] == 5 and sum(batches) == res.evals.sum()
-    assert fit.tobytes() == real_gradient(xs)[0].tobytes()
-    assert dur.tobytes() == _durations(up_problem, xs).tobytes()
+    assert res.f.tobytes() == real_gradient(res.x)[0].tobytes()
 
 
 @pytest.mark.parametrize(("restarts", "budget"), [(24, 30), (_CHUNK, 3)])
-def test_search_makes_one_kernel_pass_per_polish_call(u90_problem, minimize_results, monkeypatch, restarts, budget):
+def test_search_makes_one_kernel_pass_per_polish_call(u90_problem, monkeypatch, restarts, budget):
     """A search of at most `_CHUNK` restarts passes through the kernel once
     per lockstep call of the polish, and the first pass scores all the
     starts: nothing scores them apart from the polish."""
@@ -660,13 +642,12 @@ def test_search_makes_one_kernel_pass_per_polish_call(u90_problem, minimize_resu
         return real_chunk(self, genomes)
 
     monkeypatch.setattr(optimizer._FitnessKernel, "_chunk", counting_chunk)
-    nc.optimize(u90_problem, nc.GaConfig(restarts=restarts, seed=5, polish_evals=budget))
-    (res,) = minimize_results
+    res = nc.optimize(u90_problem, nc.GaConfig(restarts=restarts, seed=5, polish_evals=budget)).polish
     assert len(rows) == res.nfev and rows[0] == restarts
     assert sum(rows) == res.evals.sum()
 
 
-def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
+def test_polish_restart_alone_matches_lockstep(up_problem):
     """A restart polished alone reaches bitwise the genome, fitness, status
     and evaluation count it reaches inside a lockstep batch of 16."""
     from nvctrl.optimizer import _polish
@@ -674,15 +655,12 @@ def test_polish_restart_alone_matches_lockstep(up_problem, minimize_results):
     kernel = _FitnessKernel(up_problem)
     lo, hi = genome_bounds(up_problem)
     starts = np.random.default_rng(37).uniform(lo, hi, size=(16, lo.size))
-    fit, dur, xs, _ = _polish(kernel, starts, 4000)
-    lockstep = minimize_results[0]
+    lockstep = _polish(kernel, starts, 4000)
     assert len(set(lockstep.evals.tolist())) > 1
     for r, start in enumerate(starts):
         alone = _polish(kernel, start[None, :], 4000)
-        res = minimize_results[-1]
-        assert alone[2][0].tobytes() == xs[r].tobytes()
-        assert (alone[0][0], alone[1][0]) == (fit[r], dur[r])
-        assert (res.status[0], res.evals[0]) == (lockstep.status[r], lockstep.evals[r])
+        assert alone.x[0].tobytes() == lockstep.x[r].tobytes()
+        assert (alone.f[0], alone.status[0], alone.evals[0]) == (lockstep.f[r], lockstep.status[r], lockstep.evals[r])
 
 
 FIXTURE_PINS = {

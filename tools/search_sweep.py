@@ -12,28 +12,21 @@ tests/ga_jobs.py defines them: the 13 rows of the benchmark tables (row i
 runs with seed seed + i), the 4 robust jobs and the 4 fixture jobs.  Every
 (design, job, seed) run records the design's `restarts` and polish budget
 (`polish_budget`, the `GaConfig.polish_evals` it ran with), its best
-fitness, fidelity, duration, wall time, the starts scored (`genomes`, the
-design's restarts), the polish evaluations spent, summed over the restarts
-(`polish_evals`, as in the sweeps before the budget was recorded), and the
-polish's lockstep kernel calls.  The older BENCH_search_*.json files, made
-when the search could run a genetic algorithm (GA), also record each
-design's GA `generations` and `population`, and name their designs
-RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]]; their `genomes` count the
-kernel's fitness-only evaluations, and they carry `gradient_cost`.  The
-polish counts come from the result of `optimizer.minimize`, whose first
-evaluation scores the starts.  `cost_genomes = polish_evals *
-GRADIENT_GENOMES` is a cost in kernel genomes that does not change between
-re-runs: one polish evaluation is the fitness and exact gradient of one
-genome, which costs GRADIENT_GENOMES = 2 fitness-only genomes (the ratio
-of the summed median times of a gradient and a fitness-only kernel call
-over the 21 jobs, each on 784 random in-box genomes, last measured when
-the kernel still had a fitness-only call: 1.87 on 2 cores with one BLAS
-thread, 2.16 on 16 genomes).  The runs go one after another in this
-process, as a command-line search runs, so no run's wall time shares the
-cores with another run.  BLAS runs on one thread, as in perfbench: the
-package's matrices are 4x4 to 18x18.  With `--repeats N` every run is
-made N times, in N full passes, to show the spread of the wall times; the
-results of a run must not change.
+fitness, fidelity, duration, wall time, the polish evaluations spent,
+summed over the restarts (`polish_evals`, as in the sweeps before the
+budget was recorded), and the polish's lockstep kernel calls
+(`polish_calls`).  Both counts come from the search result's `polish`, the
+record of the lockstep polish, whose first evaluation scores the starts.
+The committed BENCH_search_*.json files were made when the search could
+run a genetic algorithm (GA): they name their designs
+RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]], record each design's GA
+`generations` and `population`, the kernel genomes scored (`genomes`) and a
+cost in kernel genomes (`cost_genomes`), and some carry `gradient_cost`.
+The runs go one after another in this process, as a command-line search
+runs, so no run's wall time shares the cores with another run.  BLAS runs
+on one thread, as in perfbench: the package's matrices are 4x4 to 18x18.
+With `--repeats N` every run is made N times, in N full passes, to show
+the spread of the wall times; the results of a run must not change.
 
 tools/best_known.json holds the best fitness known for each job; a run that
 beats it raises the value in that file.  A run hits when its best fitness is
@@ -43,8 +36,7 @@ as hits.  When the default design 512x300 is among those run, the summary
 names the design with the most hits among those whose summed mean time
 over the jobs is at most that of 512x300, measured in the same sweep, the
 cheaper one on a tie.  It gives each design's time ratio to 512x300 in
-every pass, its ratio of summed `cost_genomes` (over the first pass) to
-512x300's, and the jobs where the chosen design hits less often than
+every pass and the jobs where the chosen design hits less often than
 512x300.
 
 The results go to BENCH_search_<tag>.json in the current directory.
@@ -68,31 +60,12 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 import numpy as np  # noqa: E402
 
 import nvctrl as nc  # noqa: E402
-from nvctrl import optimizer  # noqa: E402
 from ga_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
 
 BEST_KNOWN = ROOT / "tools" / "best_known.json"
 HIT_TOL = 1e-6
 TIME_RATIO = 1.0
-GRADIENT_GENOMES = 2
 JOB_IDS = list(jobs(nc.GaConfig()))
-
-
-_COUNTS = {"polish_evals": 0, "polish_calls": 0}
-
-
-def _install_counters() -> None:
-    """Read the polish evaluations and lockstep calls off each result of
-    `minimize`."""
-    minimize = optimizer.minimize
-
-    def counted_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        _COUNTS["polish_evals"] += int(res.evals.sum())
-        _COUNTS["polish_calls"] += res.nfev
-        return res
-
-    optimizer.minimize = counted_minimize
 
 
 def parse_design(text: str) -> dict:
@@ -115,18 +88,21 @@ def design_name(d: dict) -> str:
 BASELINE = design_name({"restarts": nc.GaConfig.restarts, "polish_evals": nc.GaConfig.polish_evals})
 
 
-def parse_seeds(items: list[str]) -> list[int]:
-    seeds = []
-    for item in items:
-        lo, _, hi = item.partition("-")
-        seeds += list(range(int(lo), int(hi or lo) + 1))
+def parse_seeds(text: str) -> list[int]:
+    """A seed N or a range LO-HI of non-negative seeds, HI >= LO."""
+    lo, _, hi = text.partition("-")
+    try:
+        seeds = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seeds {text!r}: expected a non-negative seed N or a range LO-HI") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} is empty")
     return seeds
 
 
 def run_one(task: tuple) -> dict:
     job, design, seed, repeat = task
     problem, ga = jobs(nc.GaConfig(**design, seed=seed))[job]
-    _COUNTS.update(polish_evals=0, polish_calls=0)
     start = perf_counter()
     result = nc.optimize(problem, ga)
     wall = perf_counter() - start
@@ -143,9 +119,8 @@ def run_one(task: tuple) -> dict:
         "robust_fidelity": result.robust_fidelity,
         "duration_us": result.total_duration_us,
         "wall_s": wall,
-        "genomes": design["restarts"],
-        **_COUNTS,
-        "cost_genomes": _COUNTS["polish_evals"] * GRADIENT_GENOMES,
+        "polish_evals": int(result.polish.evals.sum()),
+        "polish_calls": result.polish.nfev,
     }
 
 
@@ -181,7 +156,6 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
                 "hits": sum(r["hit"] for r in first),
                 "seeds": len(first),
                 "mean_wall_s": float(np.mean([r["wall_s"] for r in runs])),
-                "cost_genomes": sum(r["cost_genomes"] for r in first),
                 "worst_gap": max(r["gap"] for r in first),
             }
             by_repeat += [np.mean([r["wall_s"] for r in runs if r["repeat"] == k]) for k in range(repeats)]
@@ -190,7 +164,6 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
             "job_seeds": sum(j["seeds"] for j in per_job.values()),
             "summed_mean_wall_s": sum(j["mean_wall_s"] for j in per_job.values()),
             "summed_mean_wall_s_by_repeat": by_repeat.tolist(),
-            "cost_genomes": sum(j["cost_genomes"] for j in per_job.values()),
             "per_job": per_job,
         }
     return summary
@@ -212,7 +185,6 @@ def choose(summary: dict) -> dict | None:
         "baseline": BASELINE,
         "budget_s": budget,
         "time_ratio": {d: s["summed_mean_wall_s"] / base["summed_mean_wall_s"] for d, s in summary.items()},
-        "cost_ratio": {d: s["cost_genomes"] / base["cost_genomes"] for d, s in summary.items()},
         "time_ratio_by_repeat": {
             d: [t / b for t, b in zip(s["summed_mean_wall_s_by_repeat"], base["summed_mean_wall_s_by_repeat"])]
             for d, s in summary.items()
@@ -243,7 +215,8 @@ def main(argv=None) -> int:
     p.add_argument("--designs", nargs="+", type=parse_design, required=True,
                    help=f"R[xE] designs: R restarts, polish budget E (default {nc.GaConfig.polish_evals}); "
                         f"the default search is {BASELINE}")
-    p.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 1-10 42")
+    p.add_argument("--seeds", nargs="+", type=parse_seeds, required=True,
+                   help="non-negative seeds or ranges LO-HI, e.g. 1-10 42")
     p.add_argument("--tier1", action="store_true", help=f"also run each design at seed {TIER1_SEED}")
     p.add_argument("--jobs", nargs="+", help="job ids to run (default: all 21)")
     p.add_argument("--repeats", type=int, default=1, help="passes over every run (default 1)")
@@ -255,7 +228,7 @@ def main(argv=None) -> int:
         p.error(f"unknown jobs {unknown}; known: {JOB_IDS}")
     if args.repeats < 1:
         p.error("--repeats must be at least 1")
-    seeds = parse_seeds(args.seeds)
+    seeds = [s for group in args.seeds for s in group]
     tasks = [
         (job, d, s, k)
         for k in range(args.repeats)
@@ -264,7 +237,6 @@ def main(argv=None) -> int:
         for job in job_ids
     ]
     start = perf_counter()
-    _install_counters()
     records = []
     for task in tasks:
         r = run_one(task)
@@ -307,8 +279,7 @@ def main(argv=None) -> int:
     Path(f"BENCH_search_{args.tag}.json").write_text(json.dumps(out, indent=1) + "\n")
     for d in designs:
         s = summary[d]
-        print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s, "
-              f"{s['cost_genomes']} cost genomes")
+        print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s")
     if out["choice"]:
         print(f"chosen: {out['choice']['chosen']}")
     return 0
