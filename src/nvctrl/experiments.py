@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import optimizer
 from .errors import NoConvergence
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
 from .propagation import PulseSequence, _evolve, _propagators, sequence_propagator
@@ -251,7 +252,9 @@ def spectrum_from_fid(
     elif window == "exponential":
         if exp_rate is None or exp_rate < 0:
             raise ValueError("exponential window needs a non-negative exp_rate (1/us)")
-        w = np.exp(-exp_rate * (tau - tau[0]))
+        # a rate times a delay beyond float range gives the right weight, 0
+        with np.errstate(over="ignore"):
+            w = np.exp(-exp_rate * (tau - tau[0]))
     else:
         raise ValueError("window must be 'none', 'hann' or 'exponential'")
     n_fft = int(n * zerofill_factor)
@@ -340,62 +343,31 @@ def polarization_curve_max(
     return d_best, p_star
 
 
-def _polarization_residual(x, d, p):
-    c0, c1, c2, rate, gamma = x
-    return c0 - c1 * np.exp(-rate * d) + c2 * np.exp(-2.0 * gamma * d) - p
+# the start grid has _GRID_SIDE geometric steps per rate, and the polish
+# from its best point spends at most _POLISH_EVALS evaluations
+_GRID_SIDE = 8
+_POLISH_EVALS = 200
 
 
-# The start grid is scored with one batched QR per rate row.  A grid point is
-# then re-scored with its own `lstsq` when its QR score lies within
-# _GRID_RTOL * |p|^2 of the lowest QR score of a well-conditioned design, or
-# when its design's condition number exceeds _GRID_COND: there `lstsq` may drop
-# a singular value that the QR keeps.  Elsewhere the two scores differ by about
-# eps * cond * |p|^2 (under 5e-15 |p|^2 on the benchmark's data, where no
-# design's condition number exceeds 4e3), so the re-scored points include the
-# loop's minimum and the start point is the per-point loop's, bit for bit.
-# Constant data ties every point, and then all 625 are re-scored.
-_GRID_RTOL = 1e-8
-_GRID_COND = 1e6
-
-
-def _grid_start(d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The (c0, c1, c2, rate, gamma) of the grid point whose linear
-    least-squares fit scores lowest, the first in grid order on a tie."""
-    rates, gammas = np.geomspace(1e-2, 30.0, 25), np.geomspace(1e-4, 3.0, 25)
-    designs = np.empty((gammas.size, d.size, 3))
-    designs[:, :, 0] = 1.0
-    designs[:, :, 2] = np.exp(-2.0 * gammas[:, None] * d)
-    scores = np.empty((rates.size, gammas.size))
-    cond = np.empty_like(scores)
-    for i, rate in enumerate(rates):
-        designs[:, :, 1] = -np.exp(-rate * d)
-        q, r = np.linalg.qr(designs)
-        resid = p - (q @ (p @ q)[:, :, None])[..., 0]
-        scores[i] = np.einsum("gn,gn->g", resid, resid)
-        cond[i] = np.linalg.cond(r)
-    # a point is skipped only on a finite verdict, so NaN re-scores it
-    well = cond <= _GRID_COND
-    limit = np.min(scores[well], initial=np.inf) + _GRID_RTOL * float(p @ p)
-    best = None
-    for i, j in zip(*np.nonzero(~(well & (scores > limit)))):
-        rate, gamma = rates[i], gammas[j]
-        design = np.column_stack([np.ones_like(d), -np.exp(-rate * d), np.exp(-2.0 * gamma * d)])
-        coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-        resid = design @ coef - p
-        score = float(resid @ resid)
-        if best is None or score < best[0]:
-            best = (score, np.array([*coef, rate, gamma]))
-    return best[1]
+def _amplitudes(d, p, rate, gamma):
+    """The least-squares (c0, c1, c2) of the pumping model at fixed rates,
+    its residual model - p, and the two exponentials."""
+    fast, slow = np.exp(-rate * d), np.exp(-2.0 * gamma * d)
+    design = np.column_stack([np.ones_like(d), -fast, slow])
+    coef = np.linalg.lstsq(design, p, rcond=None)[0]
+    return coef, design @ coef - p, fast, slow
 
 
 def fit_polarization(data) -> PolarizationModel:
     """Least-squares fit of the three-term pumping model to (d, p) samples.
 
-    The model is linear in the amplitudes given the rates, so a coarse grid
-    over (rate, gamma) with linear solves picks the starting point, followed
-    by a damped nonlinear least-squares polish with non-negative rates.  Only
-    the sum alpha + beta is identifiable; it is reported in `alpha` with
-    `beta` set to zero.
+    The model is linear in the amplitudes given the rates, so the fit
+    minimizes half the squared residual of the least-squares amplitudes over
+    the two rates alone (variable projection: Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)).  A coarse (rate, gamma) grid picks the
+    start, and `optimizer.minimize` polishes it with non-negative rates.
+    Only the sum alpha + beta is identifiable; it is reported in `alpha`
+    with `beta` set to zero.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 6:
@@ -404,22 +376,28 @@ def fit_polarization(data) -> PolarizationModel:
     if np.any(d < 0) or d.max() <= d.min():
         raise ValueError("laser durations must be non-negative and span a range")
 
-    x0 = _grid_start(d, p)
-    from scipy.optimize import least_squares
+    grid = [
+        (rate, gamma)
+        for rate in np.geomspace(1e-2, 30.0, _GRID_SIDE)
+        for gamma in np.geomspace(1e-4, 3.0, _GRID_SIDE)
+    ]
+    resids = [_amplitudes(d, p, rate, gamma)[1] for rate, gamma in grid]
+    # the polish sees the rates in units of the best grid point, which evens
+    # out their curvatures (and halves its evaluations on the paper's curve)
+    scale = np.array(grid[int(np.argmin([r @ r for r in resids]))])
 
-    result = least_squares(
-        _polarization_residual,
-        x0,
-        args=(d, p),
-        bounds=([-np.inf, -np.inf, -np.inf, 0.0, 0.0], np.inf),
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=2000,
-    )
-    if not result.success or not np.all(np.isfinite(result.x)):
-        raise NoConvergence(f"polarization fit did not converge: {result.message}")
-    c0, c1, c2, rate, gamma = result.x
+    def objective(x):
+        rate, gamma = x[0] * scale
+        (_, c1, c2), resid, fast, slow = _amplitudes(d, p, rate, gamma)
+        # the amplitudes are optimal, so only the exponentials' derivatives count
+        grad = np.array([c1 * (resid @ (d * fast)), -2.0 * c2 * (resid @ (d * slow))])
+        return np.array([0.5 * (resid @ resid)]), (grad * scale)[None]
+
+    polish = optimizer.minimize(objective, np.ones((1, 2)), 0.0, np.inf, _POLISH_EVALS)
+    if polish.status[0] != 0:
+        raise NoConvergence(f"polarization fit did not converge (polish status {polish.status[0]})")
+    rate, gamma = polish.x[0] * scale
+    c0, c1, c2 = _amplitudes(d, p, rate, gamma)[0]
     # the two exponentials can trade roles with negated amplitudes; pin the
     # labeling so the c1 term carries the faster rate
     if rate < 2.0 * gamma:
@@ -442,6 +420,9 @@ def fit_fid_amplitude(data, nu_mhz: float) -> tuple[float, float, float]:
     if nu_mhz <= 0:
         raise ValueError("frequency must be positive")
     tau, y = arr[:, 0], arr[:, 1]
+    # Python floats overflow to inf without the RuntimeWarning numpy prints
+    if not math.isfinite(TWO_PI * nu_mhz * float(np.max(np.abs(tau)))):
+        raise ValueError(f"phase 2 pi nu tau is not finite at nu = {nu_mhz!r} MHz")
     phase = TWO_PI * nu_mhz * tau
     design = np.column_stack([np.ones_like(tau), np.sin(phase), np.cos(phase)])
     if np.linalg.matrix_rank(design) < 3:
@@ -476,12 +457,17 @@ def estimate_experimental_fidelities(
             raise ValueError(f"{name} must be positive")
     f_180 = math.sqrt(b1 / b0)
     f_u90 = math.sqrt(b1 / bm1)
-    f_uc = math.sqrt(f) / f_180
+    # a ratio beyond float range overflows to inf or underflows to 0
+    f_uc = math.sqrt(f) / f_180 if f_180 > 0 else math.inf
+    estimates = {"F_180": f_180, "F_U90": f_u90, "F_Uc": f_uc}
+    for name, value in estimates.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: the amplitude ratios leave the float range")
     return FidelityEstimates(
         f_180=f_180,
         f_u90=f_u90,
         f_uc=f_uc,
-        unphysical=any(v > 1.0 for v in (f_180, f_u90, f_uc)),
+        unphysical=any(v > 1.0 for v in estimates.values()),
     )
 
 

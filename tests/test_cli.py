@@ -334,61 +334,61 @@ def test_failed_write_is_runtime_error(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
-# runs five commands in a fresh interpreter and prints the scipy modules
-# loaded after importing the package and after each command
-IMPORT_PROBE = """
-import json, sys
-if sys.argv[1] == "eager":
-    import scipy.optimize
-import nvctrl, nvctrl.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-root, data = sys.argv[2], sys.argv[3]
-loaded = {"import": scipy_modules()}
+# runs every command in a fresh interpreter, with scipy unimportable
+# ("blocked") or imported first ("eager")
+SCIPY_PROBE = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+else:
+    import scipy.linalg, scipy.optimize
+import nvctrl.cli
+root, inputs = sys.argv[2], sys.argv[3]
 commands = {
     "angles": ["angles"],
     "esr": ["esr"],
     "fid": ["fid"],
     "spectrum": ["spectrum", "--set", f"spectrum.fid_csv={root}/fid/fid.csv"],
+    "bloch": ["bloch", "--set", f"bloch.sequence={inputs}/seq.json"],
+    "polarize": ["polarize", "--set", f"polarize.sequence={inputs}/seq.json"],
     "optimize": ["optimize", "--set", "optimize.ga.restarts=4", "--set", "optimize.ga.polish_evals=5"],
-    "fit": ["fit", "polarization", "--data", data],
+    "tables": ["tables", "--which", "III", "--set", "tables.ga.restarts=1", "--set", "tables.ga.polish_evals=1"],
+    "fit-polarization": ["fit", "polarization", "--data", f"{inputs}/pol.csv"],
+    "fit-sinusoid": ["fit", "sinusoid", "--data", f"{root}/fid/fid.csv", "--nu", "0.158"],
+    "fit-fidelities": ["fit", "fidelities", "--b0", "0.13", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7"],
 }
 for name, argv in commands.items():
-    assert nvctrl.cli.main(argv + ["--out", f"{root}/{name}"]) == 0
-    loaded[name] = scipy_modules()
-print(json.dumps(loaded))
+    if nvctrl.cli.main(argv + ["--out", f"{root}/{name}"]) != 0:
+        sys.exit(f"{name} failed")
 """
 
 
-def test_only_a_scipy_caller_imports_scipy(tmp_path):
-    """Importing the package and running the commands that call no scipy,
-    a polished `optimize` among them, loads no scipy module; `fit
-    polarization` loads scipy.optimize on first use, and every command writes
-    the same bytes as with scipy imported first."""
-    d = np.linspace(0.0, 60.0, 40)
-    data = tmp_path / "pol.csv"
-    write_csv(data, ("d_l_us", "p"), (d, nc.polarization_curve(nc.paper_polarization_model(), d)))
+def test_every_command_runs_without_scipy(tmp_path):
+    """Every command, `fit polarization` among them, runs where `import
+    scipy` fails, and writes the same bytes as with scipy imported first."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    nc.PulseSequence(0.5, (nc.Delay(0.2), nc.Pulse(1.0, 0.5))).save(inputs / "seq.json")
+    d = np.linspace(0.0, 120.0, 200)
+    write_csv(inputs / "pol.csv", ("d_l_us", "p"), (d, nc.polarization_curve(nc.paper_polarization_model(), d)))
     env = dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parents[1]))
-    loaded = {}
-    for mode in ("lazy", "eager"):
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, mode, str(tmp_path / mode), str(data)],
+    for mode in ("blocked", "eager"):
+        subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, mode, str(tmp_path / mode), str(inputs)],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        loaded[mode] = json.loads(done.stdout.splitlines()[-1])
-    for step in ("import", "angles", "esr", "fid", "spectrum", "optimize"):
-        assert loaded["lazy"][step] == [], step
-    assert "scipy.optimize" in loaded["lazy"]["fit"]
-    lazy = sorted(p.relative_to(tmp_path / "lazy") for p in (tmp_path / "lazy").rglob("*") if p.is_file())
+    blocked = sorted(p.relative_to(tmp_path / "blocked") for p in (tmp_path / "blocked").rglob("*") if p.is_file())
     eager = sorted(p.relative_to(tmp_path / "eager") for p in (tmp_path / "eager").rglob("*") if p.is_file())
-    assert lazy == eager and len(lazy) > 10
-    for rel in lazy:
-        lazy_bytes = (tmp_path / "lazy" / rel).read_bytes()
+    ran = {json.loads(p.read_text())["command"] for p in (tmp_path / "blocked").glob("*/manifest.json")}
+    assert ran == {name[4:].replace("_", " ") for name in vars(cli) if name.startswith("cmd_")}
+    assert blocked == eager
+    for rel in blocked:
+        blocked_bytes = (tmp_path / "blocked" / rel).read_bytes()
         eager_bytes = (tmp_path / "eager" / rel).read_bytes()
         if rel.name == "manifest.json":
             # the manifests name their own output paths
-            lazy_bytes = lazy_bytes.replace(b"/lazy/", b"/eager/")
-        assert lazy_bytes == eager_bytes, rel
+            blocked_bytes = blocked_bytes.replace(b"/blocked/", b"/eager/")
+        assert blocked_bytes == eager_bytes, rel
 
 
 def test_manifest_reproduces_outputs_bitwise(tmp_path):
@@ -578,6 +578,13 @@ MALFORMED = {
     ],
     "fit-fidelities-b0-nan": [
         "fit", "fidelities", "--b0", "nan", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
+    ],
+    # amplitude ratios beyond float range: F_180 overflows, or underflows to 0 under F_Uc
+    "fit-fidelities-ratio-overflow": [
+        "fit", "fidelities", "--b0", "1e-308", "--b1", "1e308", "--bm1", "1", "--f", "1",
+    ],
+    "fit-fidelities-ratio-underflow": [
+        "fit", "fidelities", "--b0", "1e308", "--b1", "1e-308", "--bm1", "1", "--f", "1",
     ],
     "fit-sinusoid-no-nu": ["fit", "sinusoid", "--data", "{fid_csv}"],
     "fit-fidelities-missing-ratios": ["fit", "fidelities", "--b0", "0.13"],
@@ -769,7 +776,29 @@ def test_fuzzed_config_value_keeps_exit_contract(tmp_path, case, value):
         assert code == 2
     assert "Traceback" not in err.getvalue()
     assert code == 0 or not out.exists()
+    # every JSON output is RFC 8259 JSON, which has no NaN or Infinity
+    for path in out.glob("*.json") if code == 0 else ():
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
     shutil.rmtree(out, ignore_errors=True)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--set", "spectrum.window=exponential", "--set", "spectrum.exp_rate=1e308"], 0),
+    (["fit", "sinusoid", "--nu", "1e308"], 2),
+], ids=["spectrum-exp-rate-overflow", "fit-sinusoid-nu-overflow"])
+def test_values_past_float_range_raise_no_numpy_warning(tmp_path, argv, code):
+    """An exponential window whose weights underflow to 0 is a valid window,
+    and a phase 2 pi nu tau past float range is refused before numpy sees it."""
+    fid_path = tmp_path / "fid.csv"
+    tau = np.arange(16.0)
+    nc.FidTrace(tau, 0.5 + 0.25 * np.cos(math.pi * tau)).to_csv(fid_path)
+    source = ["--set", f"spectrum.fid_csv={fid_path}"] if argv[0] == "spectrum" else ["--data", fid_path]
+    assert run([*argv, *source, "--out", tmp_path / "out"]) == code
 
 
 # the command that reads each config block, with options that give its

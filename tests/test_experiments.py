@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
-from nvctrl import experiments
 from nvctrl.errors import NoConvergence
 from nvctrl.experiments import default_tau_grid, ideal_reset
 from nvctrl.fidelity import u_t_sequence
@@ -356,68 +353,63 @@ def test_fit_polarization_constant_data_degenerates():
     assert abs(fit.c1) < 1e-6 and abs(fit.c2) < 1e-6 or abs(fit.c1 - fit.c2) < 1e-6
 
 
-def _grid_start_loop(d, p):
-    """The start point as the fit picked it one grid point at a time."""
-    best = None
-    for rate in np.geomspace(1e-2, 30.0, 25):
-        for gamma in np.geomspace(1e-4, 3.0, 25):
-            design = np.column_stack([np.ones_like(d), -np.exp(-rate * d), np.exp(-2.0 * gamma * d)])
-            coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-            resid = design @ coef - p
-            score = float(resid @ resid)
-            if best is None or score < best[0]:
-                best = (score, np.array([*coef, rate, gamma]))
-    return best[1]
+def _trf_from(fit, d, p):
+    """scipy's trust-region-reflective least squares, started from a fitted
+    model with the same non-negative rates: the start and end parameters
+    (c0, c1, c2, rate, gamma), the start residual and the end's squared
+    residual."""
+    from scipy.optimize import least_squares
+
+    def resid(x):
+        return x[0] - x[1] * np.exp(-x[3] * d) + x[2] * np.exp(-2.0 * x[4] * d) - p
+
+    x0 = np.array([fit.c0, fit.c1, fit.c2, fit.pump_rate, fit.gamma])
+    trf = least_squares(resid, x0, bounds=([-np.inf] * 3 + [0.0, 0.0], np.inf),
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
+    return x0, trf.x, resid(x0), 2.0 * trf.cost
 
 
-def _fit_outcome(data):
-    try:
-        return np.array(dataclasses.astuple(nc.fit_polarization(data))).tobytes()
-    except NoConvergence as exc:
-        return type(exc)
-
-
-def _grid_cases():
-    model = nc.paper_polarization_model()
-    clean = nc.polarization_curve(model, FIT_DESIGN)
+def _fit_datasets():
+    """The paper's curve on FIT_DESIGN, noiseless and at 50 noise seeds."""
+    clean = nc.polarization_curve(nc.paper_polarization_model(), FIT_DESIGN)
     rng = np.random.default_rng(2024)
-    cases = {"noiseless": (FIT_DESIGN, clean)}
-    for k in range(3):
-        cases[f"noisy-{k}"] = (FIT_DESIGN, clean + rng.normal(0.0, 0.01, FIT_DESIGN.size))
+    return [clean] + [clean + rng.normal(0.0, 0.01, FIT_DESIGN.size) for _ in range(50)]
+
+
+def test_fit_polarization_is_a_minimum_of_an_independent_least_squares():
+    """TRF started from the fit moves no parameter by more than 1e-6
+    relative, on the noiseless and 50 noisy datasets."""
+    for p in _fit_datasets():
+        x0, x, _, _ = _trf_from(nc.fit_polarization(np.column_stack([FIT_DESIGN, p])), FIT_DESIGN, p)
+        assert np.all(np.abs(x - x0) <= 1e-6 * np.abs(x0))
+
+
+def _degenerate_cases():
     short = np.linspace(0.0, 10.0, 12)
-    cases["constant"] = (short, np.full(12, 0.4))
-    # every grid point scores exactly 0
-    cases["zero"] = (short, np.zeros(12))
-    # two distinct durations: every design has rank 2 and every point ties
-    # to rounding, while the QR keeps a spurious third direction
-    cases["two-durations"] = (np.repeat([0.0, 1.0], 3), np.array([0.1, 0.2, 0.3, 0.5, 0.6, 0.4]))
-    # designs above _GRID_COND at the slowest rates, which are always re-scored
-    cases["short-span"] = (np.linspace(0.0, 0.5, 8), np.linspace(0.1, 0.3, 8) ** 2)
-    return cases
+    return {
+        "constant": (short, np.full(12, 0.4)),
+        "zero": (short, np.zeros(12)),
+        # two distinct durations: every design has rank 2
+        "two-durations": (np.repeat([0.0, 1.0], 3), np.array([0.1, 0.2, 0.3, 0.5, 0.6, 0.4])),
+        # a short span, where the amplitudes grow large and nearly cancel
+        "short-span": (np.linspace(0.0, 0.5, 8), np.linspace(0.1, 0.3, 8) ** 2),
+    }
 
 
-@pytest.mark.parametrize("case", sorted(_grid_cases()))
-def test_fit_polarization_batched_grid_picks_the_loops_start(monkeypatch, case):
-    """The batched grid gives the per-point loop's start point bit for bit,
-    and so the same fitted model (or the same failure)."""
-    d, p = _grid_cases()[case]
-    assert experiments._grid_start(d, p).tobytes() == _grid_start_loop(d, p).tobytes()
-    data = np.column_stack([d, p])
-    batched = _fit_outcome(data)
-    monkeypatch.setattr(experiments, "_grid_start", _grid_start_loop)
-    assert batched == _fit_outcome(data)
-
-
-def test_fit_polarization_grid_temporaries_stay_small():
-    d = FIT_DESIGN
-    p = nc.polarization_curve(nc.paper_polarization_model(), d)
-    tracemalloc.start()
+@pytest.mark.parametrize("case", sorted(_degenerate_cases()))
+def test_fit_polarization_degenerate_data_fails_or_is_a_minimum(case):
+    """A degenerate dataset ends in NoConvergence or in a fit whose squared
+    residual TRF lowers by no more than its round-off: a few ulps of the
+    terms summed into each residual."""
+    d, p = _degenerate_cases()[case]
     try:
-        experiments._grid_start(d, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+        fit = nc.fit_polarization(np.column_stack([d, p]))
+    except NoConvergence:
+        return
+    x0, _, r, after = _trf_from(fit, d, p)
+    terms = np.abs(x0[0]) + np.abs(x0[1]) * np.exp(-x0[3] * d) + np.abs(x0[2]) * np.exp(-2.0 * x0[4] * d) + np.abs(p)
+    roundoff = np.linalg.norm(8.0 * np.finfo(float).eps * terms)
+    assert r @ r - after <= 2.0 * np.linalg.norm(r) * roundoff + roundoff**2
 
 
 def test_fit_polarization_needs_enough_points():
@@ -469,6 +461,24 @@ def test_fit_fid_amplitude_nonnegative_b():
     assert math.sin(c) == pytest.approx(math.sin(math.pi), abs=1e-6) or b >= 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nu", [1e308, math.nan])
+def test_fit_fid_amplitude_rejects_a_phase_past_float_range(nu):
+    tau = np.linspace(0.0, 40.0, 100)
+    with pytest.raises(ValueError, match="not finite"):
+        nc.fit_fid_amplitude(np.column_stack([tau, np.full(100, 0.3)]), nu)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exponential_window_past_float_range_keeps_only_the_first_sample(paper):
+    """exp_rate * tau overflows to inf past the first sample, whose weights
+    are then 0: the spectrum is that sample's flat transform."""
+    trace = nc.analytic_fid("uc", paper, default_tau_grid(20.0))
+    spec = nc.spectrum_from_fid(trace, window="exponential", exp_rate=1e308)
+    first = trace.signal[0] - trace.signal.mean()
+    np.testing.assert_allclose(spec.amplitude, abs(first), rtol=1e-15)
+
+
 def test_estimate_experimental_fidelities_reference_values():
     est = nc.estimate_experimental_fidelities(0.13, 0.11, 0.20, 0.7)
     assert est.f_180 == pytest.approx(0.920, abs=0.005)
@@ -487,6 +497,11 @@ def test_estimate_experimental_fidelities_degenerate_and_flagged():
     assert flagged.unphysical
     with pytest.raises(ValueError, match="b0 must be positive"):
         nc.estimate_experimental_fidelities(0.0, 0.1, 0.1, 0.5)
+    # b1 / b0 overflows to inf, and underflows to 0 under F_Uc's division
+    with pytest.raises(ValueError, match="F_180 is not finite"):
+        nc.estimate_experimental_fidelities(1e-308, 1e308, 1.0, 1.0)
+    with pytest.raises(ValueError, match="F_Uc is not finite"):
+        nc.estimate_experimental_fidelities(1e308, 1e-308, 1.0, 1.0)
 
 
 def test_ideal_reset_preserves_carbon():
