@@ -63,7 +63,6 @@ _BLOCKS = {
         "target": "u_p", "rabi_mhz": 0.5, "mode": "free", "robust": dict | None, "n_pulses": 3,
         "duration_penalty": 0.0, "ga": {},
     },
-    # in RobustnessRange's argument order
     "optimize.robust": {"lo_mhz": float, "hi_mhz": float, "n_samples": 5},
     "optimize.ga": _GA,
     "fid": {
@@ -231,7 +230,7 @@ def cmd_optimize(config):
         n_pulses=block["n_pulses"],
         rabi_mhz=block["rabi_mhz"],
         mode=mode,
-        robustness=RobustnessRange(*_block(config, "optimize.robust").values()) if block["robust"] else None,
+        robustness=None if block["robust"] is None else RobustnessRange(**_block(config, "optimize.robust")),
         duration_penalty=block["duration_penalty"],
     )
     result = optimizer.optimize(problem, _ga(config, "optimize.ga"))
@@ -339,10 +338,7 @@ def cmd_polarize(config):
     lines = []
     if seq is not None:
         outcome = experiments.polarization_protocol_sim(params, seq)
-        payload["protocol"] = {
-            "polarization": outcome.polarization,
-            "peak_ratio": outcome.peak_ratio,
-        }
+        payload["protocol"] = asdict(outcome)
         lines.append(f"protocol polarization p = {outcome.polarization:.4f}")
     lines.append(f"curve maximum p = {p_star:.4f} at d_L = {d_star:.3f} us")
     files = {
@@ -359,16 +355,9 @@ def _fit_data(block) -> np.ndarray:
 
 def cmd_fit_polarization(config):
     model = experiments.fit_polarization(_fit_data(_block(config, "fit polarization")))
-    payload = {
-        "c0": model.c0,
-        "c1": model.c1,
-        "c2": model.c2,
-        "pump_rate_per_us": model.pump_rate,
-        "gamma_per_us": model.gamma,
-    }
-    return {"fit_polarization.json": payload}, (
+    return {"fit_polarization.json": asdict(model)}, (
         f"c0 = {model.c0:.4f}, c1 = {model.c1:.4f}, c2 = {model.c2:.4f}, "
-        f"alpha+beta = {model.pump_rate:.4f}/us, gamma = {model.gamma:.4f}/us"
+        f"alpha+beta = {model.pump_rate_per_us:.4f}/us, gamma = {model.gamma_per_us:.4f}/us"
     )
 
 
@@ -384,14 +373,8 @@ def cmd_fit_sinusoid(config):
 def cmd_fit_fidelities(config):
     block = _block(config, "fit fidelities")
     est = experiments.estimate_experimental_fidelities(**block)
-    payload = {
-        "f_180": est.f_180,
-        "f_u90": est.f_u90,
-        "f_uc": est.f_uc,
-        "unphysical": est.unphysical,
-    }
     flag = " (unphysical input ratios)" if est.unphysical else ""
-    return {"fidelities.json": payload}, (
+    return {"fidelities.json": asdict(est)}, (
         f"F_180 = {est.f_180:.3f}, F_U90 = {est.f_u90:.3f}, F_Uc = {est.f_uc:.3f}{flag}"
     )
 

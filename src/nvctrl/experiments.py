@@ -243,6 +243,8 @@ def spectrum_from_fid(
         raise ValueError("tau grid must be uniformly spaced")
     if zerofill_factor < 1:
         raise ValueError("zerofill_factor must be at least 1")
+    if exp_rate is not None and window != "exponential":
+        raise ValueError(f"exp_rate applies only to the exponential window, not to {window!r}")
     y = fid.signal - fid.signal.mean()
     n = y.size
     if window == "none":
@@ -277,14 +279,14 @@ def spectrum_from_fid(
 class PolarizationModel:
     """Three-term pumping model p(d) = c0 - c1 exp(-(alpha+beta) d)
     + c2 exp(-2 gamma d) for the nuclear polarization after a laser pulse of
-    duration d (microseconds)."""
+    duration d (microseconds).  Only the sum alpha + beta is identifiable:
+    it is `pump_rate_per_us`, and gamma is `gamma_per_us`."""
 
     c0: float
     c1: float
     c2: float
-    alpha: float
-    beta: float
-    gamma: float
+    pump_rate_per_us: float
+    gamma_per_us: float
 
     def __post_init__(self):
         for f in fields(self):
@@ -293,35 +295,31 @@ class PolarizationModel:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         # keeps every term of the curve finite at every finite d >= 0
         for what, value in (
-            ("alpha + beta", self.alpha + self.beta),
-            ("2 gamma", 2.0 * self.gamma),
+            ("2 gamma", 2.0 * self.gamma_per_us),
             ("|c0| + |c1| + |c2|", abs(self.c0) + abs(self.c1) + abs(self.c2)),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{what} must be finite, got {value!r}")
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
+        if self.pump_rate_per_us < 0 or self.gamma_per_us < 0:
             raise ValueError("pumping rates must be non-negative")
-
-    @property
-    def pump_rate(self) -> float:
-        """Combined fast rate alpha + beta (only the sum is identifiable)."""
-        return self.alpha + self.beta
 
 
 def paper_polarization_model() -> PolarizationModel:
     """The fitted pumping model used as the default for the polarize command."""
-    return PolarizationModel(c0=0.31, c1=0.51, c2=0.50, alpha=1.10, beta=0.41, gamma=0.022)
+    # the paper's alpha = 1.10 and beta = 0.41 per us; their sum is exactly the float 1.51
+    return PolarizationModel(c0=0.31, c1=0.51, c2=0.50, pump_rate_per_us=1.51, gamma_per_us=0.022)
 
 
 def polarization_curve(model: PolarizationModel, d_grid) -> np.ndarray:
     """p(d) on a grid of laser durations (microseconds)."""
     d = np.asarray(d_grid, dtype=float)
+    rate, gamma = model.pump_rate_per_us, model.gamma_per_us
     # an exponent beyond float range overflows (a RuntimeWarning, not an error)
     d_end = float(np.max(np.abs(d), initial=0.0))
-    for what, rate in (("(alpha + beta) d", model.pump_rate), ("2 gamma d", 2.0 * model.gamma)):
-        if not math.isfinite(rate * d_end):
+    for what, value in (("(alpha + beta) d", rate), ("2 gamma d", 2.0 * gamma)):
+        if not math.isfinite(value * d_end):
             raise OverflowError(f"{what} overflows at d = {d_end!r} us")
-    return model.c0 - model.c1 * np.exp(-model.pump_rate * d) + model.c2 * np.exp(-2.0 * model.gamma * d)
+    return model.c0 - model.c1 * np.exp(-rate * d) + model.c2 * np.exp(-2.0 * gamma * d)
 
 
 def polarization_curve_max(
@@ -333,10 +331,11 @@ def polarization_curve_max(
     vanishes at most once, at d* = ln(2 gamma c2 / (a c1)) / (2 gamma - a), so
     the maximum lies at d* (when it is inside the range) or at an end.
     """
-    rise, fall = model.pump_rate * model.c1, 2.0 * model.gamma * model.c2
+    rate, gamma = model.pump_rate_per_us, model.gamma_per_us
+    rise, fall = rate * model.c1, 2.0 * gamma * model.c2
     candidates = [d_lo, d_hi]
-    if rise != 0 and fall != 0 and (rise > 0) == (fall > 0) and model.pump_rate != 2.0 * model.gamma:
-        d_star = (math.log(abs(fall)) - math.log(abs(rise))) / (2.0 * model.gamma - model.pump_rate)
+    if rise != 0 and fall != 0 and (rise > 0) == (fall > 0) and rate != 2.0 * gamma:
+        d_star = (math.log(abs(fall)) - math.log(abs(rise))) / (2.0 * gamma - rate)
         if d_lo < d_star < d_hi:
             candidates.append(d_star)
     p_star, d_best = max((float(polarization_curve(model, d)), float(d)) for d in candidates)
@@ -366,8 +365,8 @@ def fit_polarization(data) -> PolarizationModel:
     the two rates alone (variable projection: Golub & Pereyra, SIAM J.
     Numer. Anal. 10, 413 (1973)).  A coarse (rate, gamma) grid picks the
     start, and `optimizer.minimize` polishes it with non-negative rates.
-    Only the sum alpha + beta is identifiable; it is reported in `alpha`
-    with `beta` set to zero.
+    Only the sum alpha + beta is identifiable; it is the model's
+    `pump_rate_per_us`.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 6:
@@ -403,9 +402,7 @@ def fit_polarization(data) -> PolarizationModel:
     if rate < 2.0 * gamma:
         c1, c2 = -c2, -c1
         rate, gamma = 2.0 * gamma, rate / 2.0
-    return PolarizationModel(
-        c0=float(c0), c1=float(c1), c2=float(c2), alpha=float(rate), beta=0.0, gamma=float(gamma)
-    )
+    return PolarizationModel(float(c0), float(c1), float(c2), float(rate), float(gamma))
 
 
 def fit_fid_amplitude(data, nu_mhz: float) -> tuple[float, float, float]:

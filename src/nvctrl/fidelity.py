@@ -61,24 +61,24 @@ MAX_DRIVE_SAMPLES = 1000
 class RobustnessRange:
     """Band of drive amplitudes (MHz) over which fidelity is averaged."""
 
-    omega_lo_mhz: float
-    omega_hi_mhz: float
+    lo_mhz: float
+    hi_mhz: float
     n_samples: int = 5
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_lo_mhz) and math.isfinite(self.omega_hi_mhz)):
+        if not (math.isfinite(self.lo_mhz) and math.isfinite(self.hi_mhz)):
             raise ValueError("drive amplitude band must be finite")
-        if self.omega_lo_mhz < 0:
+        if self.lo_mhz < 0:
             raise ValueError("drive amplitude band must not be negative")
-        if self.omega_lo_mhz > self.omega_hi_mhz:
-            raise ValueError("omega_lo must not exceed omega_hi")
+        if self.lo_mhz > self.hi_mhz:
+            raise ValueError("lo_mhz must not exceed hi_mhz")
         if not 1 <= self.n_samples <= MAX_DRIVE_SAMPLES:
             raise ValueError(f"n_samples must be between 1 and {MAX_DRIVE_SAMPLES}")
 
     def samples(self) -> np.ndarray:
         if self.n_samples == 1:
-            return np.array([(self.omega_lo_mhz + self.omega_hi_mhz) / 2.0])
-        return np.linspace(self.omega_lo_mhz, self.omega_hi_mhz, self.n_samples)
+            return np.array([(self.lo_mhz + self.hi_mhz) / 2.0])
+        return np.linspace(self.lo_mhz, self.hi_mhz, self.n_samples)
 
 
 def rot_half(sigma_half: np.ndarray, angle_rad: float) -> np.ndarray:

@@ -132,8 +132,8 @@ def test_criterion_7_polarization_model(paper, robust_results):
         (fit.c0, model.c0),
         (fit.c1, model.c1),
         (fit.c2, model.c2),
-        (fit.pump_rate, model.pump_rate),
-        (fit.gamma, model.gamma),
+        (fit.pump_rate_per_us, model.pump_rate_per_us),
+        (fit.gamma_per_us, model.gamma_per_us),
     ):
         assert got == pytest.approx(want, rel=0.01)
 
@@ -145,8 +145,8 @@ def test_criterion_7_polarization_model(paper, robust_results):
             (noisy_fit.c0, model.c0),
             (noisy_fit.c1, model.c1),
             (noisy_fit.c2, model.c2),
-            (noisy_fit.pump_rate, model.pump_rate),
-            (noisy_fit.gamma, model.gamma),
+            (noisy_fit.pump_rate_per_us, model.pump_rate_per_us),
+            (noisy_fit.gamma_per_us, model.gamma_per_us),
         ):
             assert got == pytest.approx(want, rel=0.05)
 

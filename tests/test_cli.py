@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -109,14 +110,16 @@ def test_optimize_default_transfer_reaches_high_fidelity(tmp_path):
 
 
 def test_optimize_multistart_without_generations(tmp_path):
-    """The search polishes uniform starts, and the history holds the
-    winner's fitness at its start and after the polish."""
+    """The search polishes uniform starts, the history holds the winner's
+    fitness at its start and after the polish, and no history.csv is
+    written."""
     out = tmp_path / "multistart"
     assert run(["optimize", "--out", out, "--seed", "4",
                 "--set", "optimize.ga.restarts=8", "--set", "optimize.ga.polish_evals=30"]) == 0
     result = json.loads((out / "result.json").read_text())
     assert len(result["history"]) == 2 and result["history"][1] >= result["history"][0]
     assert result["best_fitness"] == result["history"][1]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "result.json", "sequence.json"]
 
 
 def test_optimize_switched_mode(tmp_path):
@@ -132,6 +135,8 @@ def test_optimize_switched_mode(tmp_path):
 
 
 def test_optimize_with_robustness_block(tmp_path):
+    """The `optimize.robust` keys are RobustnessRange's fields."""
+    assert list(cli._BLOCKS["optimize.robust"]) == [f.name for f in fields(nc.RobustnessRange)]
     out = tmp_path / "rob"
     code = run(["optimize", "--out", out, "--seed", "3",
                 "--set", "optimize.target=u_90",
@@ -304,8 +309,33 @@ def test_fit_polarization_command(tmp_path):
     out = tmp_path / "fitp"
     assert run(["fit", "polarization", "--out", out, "--data", data_path]) == 0
     data = json.loads((out / "fit_polarization.json").read_text())
-    assert data["pump_rate_per_us"] == pytest.approx(model.pump_rate, rel=1e-3)
-    assert data["gamma_per_us"] == pytest.approx(model.gamma, rel=1e-3)
+    assert data["pump_rate_per_us"] == pytest.approx(model.pump_rate_per_us, rel=1e-3)
+    assert data["gamma_per_us"] == pytest.approx(model.gamma_per_us, rel=1e-3)
+
+
+def test_fitted_polarization_model_is_a_polarize_block(tmp_path):
+    """`fit polarization` writes the fields of PolarizationModel, which are
+    the model keys of the `polarize` block: a fit of a noisy paper curve,
+    given to `polarize` as its block, draws the fitted model's curve and its
+    maximum."""
+    d = np.concatenate([np.linspace(0.0, 6.0, 60), np.linspace(6.5, 120.0, 140)])
+    paper = nc.paper_polarization_model()
+    p = nc.polarization_curve(paper, d) + np.random.default_rng(7).normal(0.0, 0.01, d.size)
+    write_csv(tmp_path / "pol.csv", ("d_l_us", "p"), (d, p))
+    assert run(["fit", "polarization", "--data", tmp_path / "pol.csv", "--out", tmp_path / "fit"]) == 0
+    fitted = json.loads((tmp_path / "fit" / "fit_polarization.json").read_text())
+    assert set(fitted) == {f.name for f in fields(nc.PolarizationModel)}
+    model = nc.PolarizationModel(**fitted)
+    assert model != paper
+    (tmp_path / "cfg.json").write_text(json.dumps({"polarize": fitted}))
+    assert run(["polarize", "--config", tmp_path / "cfg.json", "--out", tmp_path / "pol"]) == 0
+    block = cli._BLOCKS["polarize"]
+    grid = np.linspace(0.0, block["d_max_us"], block["n_points"])
+    d_out, p_out = read_csv(tmp_path / "pol" / "polarization.csv", ("d_l_us", "p"))
+    assert np.array_equal(d_out, grid) and np.array_equal(p_out, nc.polarization_curve(model, grid))
+    d_star, p_star = nc.polarization_curve_max(model, 0.0, block["d_max_us"])
+    curve_max = json.loads((tmp_path / "pol" / "polarize.json").read_text())["curve_max"]
+    assert curve_max == {"d_l_us": d_star, "p": p_star}
 
 
 def test_fit_missing_data_file(tmp_path):
@@ -546,7 +576,9 @@ MALFORMED = {
         "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.window=bogus",
     ],
     "spectrum-fid-bad-header": ["spectrum", "--set", "spectrum.fid_csv={bad_header_csv}"],
-    "polarize-alpha-negative": ["polarize", "--set", "polarize.alpha=-1"],
+    "polarize-pump-rate-negative": ["polarize", "--set", "polarize.pump_rate_per_us=-1"],
+    # the paper's alpha and beta are not keys: only their sum is identifiable
+    "polarize-alpha-unknown": ["polarize", "--set", "polarize.alpha=1.1"],
     "polarize-points-negative": ["polarize", "--set", "polarize.n_points=-2"],
     "polarize-dmax-nan": ["polarize", "--set", "polarize.d_max_us=NaN"],
     "esr-points-negative": ["esr", "--set", "esr.n_points=-3"],
@@ -562,6 +594,8 @@ MALFORMED = {
     "optimize-penalty-nan": ["optimize", "--set", "optimize.duration_penalty=NaN"],
     "optimize-bounds-nan": ["optimize", "--set", 'optimize.bounds={{"t_max_us": NaN, "tau_max_us": 10}}'],
     "optimize-robust-nan": ["optimize", "--set", 'optimize.robust={{"lo_mhz": NaN, "hi_mhz": 0.52}}'],
+    # an empty band names no drive amplitudes; it is not a nominal search
+    "optimize-robust-empty": ["optimize", *TINY_GA, "--set", "optimize.robust={{}}"],
     "spectrum-peaks-negative": [
         "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.n_peaks=-1",
     ],
@@ -589,8 +623,7 @@ MALFORMED = {
     "fit-sinusoid-no-nu": ["fit", "sinusoid", "--data", "{fid_csv}"],
     "fit-fidelities-missing-ratios": ["fit", "fidelities", "--b0", "0.13"],
     "fit-polarization-key-misspelt": ["fit", "polarization", "--data", "{fid_csv}", "--set", "fit.dta=x"],
-    "polarize-gamma-overflow": ["polarize", "--set", "polarize.gamma=1e308"],
-    "polarize-rates-overflow": ["polarize", "--set", "polarize.alpha=1e308", "--set", "polarize.beta=1e308"],
+    "polarize-gamma-overflow": ["polarize", "--set", "polarize.gamma_per_us=1e308"],
     "esr-key-misspelt": ["esr", "--set", "esr.linewdith_mhz=5"],
     # a top-level key that names no config block, given by --set or by --config
     "root-key-misspelt": ["angles", "--set", "paramz.b_gauss=1"],
@@ -613,7 +646,7 @@ MALFORMED = {
     # count is checked before any sample is built, so both fail fast
     "bloch-samples-fine-step": ["bloch", "--set", "bloch.sequence={long_delay}", "--set", "bloch.dt_us=1e-4"],
     "bloch-samples-huge-delay": ["bloch", "--set", "bloch.sequence={huge_delay}"],
-    "polarize-alpha-overflow": ["polarize", "--set", "polarize.alpha=1e308"],
+    "polarize-pump-rate-overflow": ["polarize", "--set", "polarize.pump_rate_per_us=1e308"],
     "sequence-us-bool": ["bloch", "--set", "bloch.sequence={us_bool}"],
     "sequence-rabi-bool": ["polarize", "--set", "polarize.sequence={rabi_bool}"],
     "sequence-delay-with-phase": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence={delay_phase}"],
@@ -662,6 +695,8 @@ MALFORMED = {
     "spectrum-zerofill-fraction": [
         "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.zerofill_factor=2.5",
     ],
+    # a rate given with another window would be recorded but never applied
+    "spectrum-exp-rate-unused": ["spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.exp_rate=0.5"],
     "spectrum-exp-rate-bool": [
         "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.window=exponential",
         "--set", "spectrum.exp_rate=true",

@@ -247,6 +247,10 @@ def test_spectrum_window_options(paper):
         nc.spectrum_from_fid(trace, window="hamming")
     with pytest.raises(ValueError):
         nc.spectrum_from_fid(trace, window="exponential")
+    # a rate with another window would be recorded beside it but never applied
+    for window in ("none", "hann"):
+        with pytest.raises(ValueError, match="exp_rate"):
+            nc.spectrum_from_fid(trace, window=window, exp_rate=0.01)
 
 
 def test_spectrum_rejects_nonuniform_grid():
@@ -292,11 +296,11 @@ def test_polarization_curve_max_finds_the_peak_at_any_range(d_max):
 @pytest.mark.parametrize(
     "coefficients",
     [
-        (0.31, 0.51, 0.50, 1.10, 0.41, 0.022),  # interior maximum
-        (0.31, 0.51, 0.50, 0.02, 0.0, 0.5),  # stationary point is a minimum
-        (0.31, 0.51, -0.50, 1.10, 0.41, 0.022),  # no stationary point
-        (0.31, 0.0, 0.50, 1.10, 0.41, 0.022),  # one term only
-        (0.31, 0.51, 0.50, 0.5, 0.0, 0.25),  # equal rates
+        (0.31, 0.51, 0.50, 1.51, 0.022),  # interior maximum
+        (0.31, 0.51, 0.50, 0.02, 0.5),  # stationary point is a minimum
+        (0.31, 0.51, -0.50, 1.51, 0.022),  # no stationary point
+        (0.31, 0.0, 0.50, 1.51, 0.022),  # one term only
+        (0.31, 0.51, 0.50, 0.5, 0.25),  # equal rates
     ],
 )
 @pytest.mark.parametrize("d_range", [(0.0, 50.0), (0.0, 1.0), (5.0, 50.0)])
@@ -324,8 +328,8 @@ def test_fit_polarization_recovers_noiseless_parameters():
     assert fit.c0 == pytest.approx(model.c0, rel=0.01)
     assert fit.c1 == pytest.approx(model.c1, rel=0.01)
     assert fit.c2 == pytest.approx(model.c2, rel=0.01)
-    assert fit.pump_rate == pytest.approx(model.pump_rate, rel=0.01)
-    assert fit.gamma == pytest.approx(model.gamma, rel=0.01)
+    assert fit.pump_rate_per_us == pytest.approx(model.pump_rate_per_us, rel=0.01)
+    assert fit.gamma_per_us == pytest.approx(model.gamma_per_us, rel=0.01)
 
 
 def test_fit_polarization_with_noise_twenty_trials():
@@ -339,8 +343,8 @@ def test_fit_polarization_with_noise_twenty_trials():
         assert fit.c0 == pytest.approx(model.c0, rel=0.05)
         assert fit.c1 == pytest.approx(model.c1, rel=0.05)
         assert fit.c2 == pytest.approx(model.c2, rel=0.05)
-        assert fit.pump_rate == pytest.approx(model.pump_rate, rel=0.05)
-        assert fit.gamma == pytest.approx(model.gamma, rel=0.05)
+        assert fit.pump_rate_per_us == pytest.approx(model.pump_rate_per_us, rel=0.05)
+        assert fit.gamma_per_us == pytest.approx(model.gamma_per_us, rel=0.05)
 
 
 def test_fit_polarization_constant_data_degenerates():
@@ -363,7 +367,7 @@ def _trf_from(fit, d, p):
     def resid(x):
         return x[0] - x[1] * np.exp(-x[3] * d) + x[2] * np.exp(-2.0 * x[4] * d) - p
 
-    x0 = np.array([fit.c0, fit.c1, fit.c2, fit.pump_rate, fit.gamma])
+    x0 = np.array([fit.c0, fit.c1, fit.c2, fit.pump_rate_per_us, fit.gamma_per_us])
     trf = least_squares(resid, x0, bounds=([-np.inf] * 3 + [0.0, 0.0], np.inf),
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
     return x0, trf.x, resid(x0), 2.0 * trf.cost

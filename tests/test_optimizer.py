@@ -35,8 +35,8 @@ def test_problem_inputs_reject_non_finite_values(paper, value):
         lambda: nc.ControlProblem(paper, target, duration_penalty=value),
         lambda: nc.RobustnessRange(value, 0.52),
         lambda: nc.RobustnessRange(0.48, value),
-        lambda: nc.PolarizationModel(value, 0.51, 0.50, 1.10, 0.41, 0.022),
-        lambda: nc.PolarizationModel(0.31, 0.51, 0.50, 1.10, 0.41, value),
+        lambda: nc.PolarizationModel(value, 0.51, 0.50, 1.51, 0.022),
+        lambda: nc.PolarizationModel(0.31, 0.51, 0.50, 1.51, value),
     ):
         with pytest.raises(ValueError, match="finite"):
             build()
