@@ -373,9 +373,15 @@ def test_rank_factor_reproduces_initial_state(paper, target):
 def test_first_restarts_do_not_depend_on_the_restart_count(request, problem_name):
     """Restart r draws from the r-th child of the seed, whatever the number
     of restarts: the first 3 polished genomes of a search of 3 restarts and
-    of one of 8 are bitwise the same."""
+    of one of 8 are bitwise the same.  This holds at budgets below
+    `_RACE_AFTER` only: from there the race stops a restart that trails the
+    best of the others, so its result can depend on how many restarts run."""
+    from nvctrl.optimizer import _RACE_AFTER
+
     problem = request.getfixturevalue(problem_name)
-    x3, x8 = (nc.optimize(problem, nc.GaConfig(restarts=r, seed=20260809, polish_evals=20)).polish.x for r in (3, 8))
+    budget = 20
+    assert budget < _RACE_AFTER
+    x3, x8 = (nc.optimize(problem, nc.GaConfig(restarts=r, seed=20260809, polish_evals=budget)).polish.x for r in (3, 8))
     assert x3.shape == (3, genome_bounds(problem)[0].size) and x8.shape[0] == 8
     assert x3.tobytes() == x8[:3].tobytes()
 
@@ -649,7 +655,9 @@ def test_search_makes_one_kernel_pass_per_polish_call(u90_problem, monkeypatch, 
 
 def test_polish_restart_alone_matches_lockstep(up_problem):
     """A restart polished alone reaches bitwise the genome, fitness, status
-    and evaluation count it reaches inside a lockstep batch of 16."""
+    and evaluation count it reaches inside a lockstep batch of 16.  The race
+    stops none of the 16: a raced restart ends where it ends alone at a
+    budget of the evaluations it spent (see the race test below)."""
     from nvctrl.optimizer import _polish
 
     kernel = _FitnessKernel(up_problem)
@@ -657,10 +665,40 @@ def test_polish_restart_alone_matches_lockstep(up_problem):
     starts = np.random.default_rng(37).uniform(lo, hi, size=(16, lo.size))
     lockstep = _polish(kernel, starts, 4000)
     assert len(set(lockstep.evals.tolist())) > 1
+    assert not np.any(lockstep.status == 3)
     for r, start in enumerate(starts):
         alone = _polish(kernel, start[None, :], 4000)
         assert alone.x[0].tobytes() == lockstep.x[r].tobytes()
         assert (alone.f[0], alone.status[0], alone.evals[0]) == (lockstep.f[r], lockstep.status[r], lockstep.evals[r])
+
+
+def test_race_changes_no_row_it_does_not_stop(up_problem, monkeypatch):
+    """The race stops restarts and changes nothing else.  Of 64 starts
+    polished with the race and with an infinite margin, which stops no row,
+    every row the race leaves running ends bitwise the same; each raced row
+    has spent at least `_RACE_AFTER` evaluations, trails the best row by more
+    than `_RACE_MARGIN` and ends bitwise where its start ends polished alone
+    with a budget of the evaluations it spent."""
+    from nvctrl import optimizer
+    from nvctrl.optimizer import _RACE_AFTER, _RACE_MARGIN, _polish
+
+    kernel = _FitnessKernel(up_problem)
+    lo, hi = genome_bounds(up_problem)
+    starts = np.random.default_rng(40).uniform(lo, hi, size=(64, lo.size))
+    raced = _polish(kernel, starts, 300)
+    monkeypatch.setattr(optimizer, "_RACE_MARGIN", np.inf)
+    free = _polish(kernel, starts, 300)
+    stopped = raced.status == 3
+    assert stopped.any() and not np.any(free.status == 3)
+    # some row runs on after the last one the race stops
+    assert raced.evals[~stopped].max() > raced.evals[stopped].max()
+    for name in ("x", "f", "status", "evals"):
+        assert getattr(raced, name)[~stopped].tobytes() == getattr(free, name)[~stopped].tobytes(), name
+    assert np.all(raced.evals[stopped] >= _RACE_AFTER)
+    assert np.all(raced.f[stopped] < raced.f.max() - _RACE_MARGIN)
+    for r in np.flatnonzero(stopped):
+        alone = _polish(kernel, starts[r][None, :], int(raced.evals[r]))
+        assert alone.x[0].tobytes() == raced.x[r].tobytes()
 
 
 FIXTURE_PINS = {

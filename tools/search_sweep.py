@@ -14,9 +14,10 @@ runs with seed seed + i), the 4 robust jobs and the 4 fixture jobs.  Every
 (`polish_budget`, the `GaConfig.polish_evals` it ran with), its best
 fitness, fidelity, duration, wall time, the polish evaluations spent,
 summed over the restarts (`polish_evals`, as in the sweeps before the
-budget was recorded), and the polish's lockstep kernel calls
-(`polish_calls`).  Both counts come from the search result's `polish`, the
-record of the lockstep polish, whose first evaluation scores the starts.
+budget was recorded), the polish's lockstep kernel calls (`polish_calls`)
+and the restarts the race stopped (`raced`, those of status 3).  The
+counts come from the search result's `polish`, the record of the lockstep
+polish, whose first evaluation scores the starts.
 The committed BENCH_search_*.json files were made when the search could
 run a genetic algorithm (GA): they name their designs
 RESTARTSxGENERATIONS[xPOPULATION[xPOLISH]], record each design's GA
@@ -121,6 +122,7 @@ def run_one(task: tuple) -> dict:
         "wall_s": wall,
         "polish_evals": int(result.polish.evals.sum()),
         "polish_calls": result.polish.nfev,
+        "raced": int((result.polish.status == 3).sum()),
     }
 
 
@@ -201,10 +203,16 @@ def choose(summary: dict) -> dict | None:
 
 
 def environment() -> dict:
+    """The versions and settings a sweep ran with; scipy's version is None
+    where it is not installed, as no run needs it."""
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),
+        "scipy": scipy,
         "nproc": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
