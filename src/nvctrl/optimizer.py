@@ -34,13 +34,15 @@ DEFAULT_SEED = 20260809
 # the search box: delays in [0, TAU_MAX_US], pulses in [0, t_max_us] (two
 # Rabi periods), phases in [0, 2pi]
 TAU_MAX_US = 10.0
-# the starts one search draws and scores in one kernel call (about 195 times
-# the default 512)
+# the most starts one search draws (about 195 times the default 512); the
+# polish's first evaluation scores them all, in `_CHUNK` slices
 MAX_RESTARTS = 100_000
 # genomes per kernel pass: a wider batch runs in slices of this size, so its
-# work arrays stay small.  Against one pass per batch (BENCH_chunk.json, with
-# the genetic algorithm the search used then): peak RSS 241 -> 164 MB at 10^5
-# genomes per kernel call
+# work arrays stay small.  At MAX_RESTARTS, MAX_DRIVE_SAMPLES and 3 pulses, one
+# unsliced pass would build about 19 GB of complex drive factors (10^5 x 3 x
+# 1000 x 4 x 16 B).  A robust u_c search (5 samples) at 10^5 restarts peaked
+# at 587 MB RSS in 64 s with slicing, 712 MB in 82 s without (2 cores, numpy
+# 2.4.6, one BLAS thread)
 _CHUNK = 784
 
 _ZDIAG = np.array([0.5, 0.5, -0.5, -0.5])
@@ -192,7 +194,7 @@ def decode(problem: ControlProblem, genome) -> PulseSequence:
     if g.shape != (length,):
         raise ValueError(f"expected genome of length {length}, got shape {g.shape}")
     taus, ts, phis = (a[0] for a in _split(problem, g))
-    return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, np.mod(phis, TWO_PI))
+    return PulseSequence.from_arrays(problem.rabi_mhz, taus, ts, phis)
 
 
 def _weigh(w, h) -> np.ndarray:

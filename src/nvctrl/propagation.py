@@ -85,7 +85,9 @@ class PulseSequence:
             if seg.us < 0:
                 raise ValueError("segment durations must be non-negative")
             if isinstance(seg, Pulse):
-                seg = Pulse(seg.us, seg.phase_rad % TWO_PI)
+                # a phase just below 0 wraps to 2pi itself, which is 0
+                phase = seg.phase_rad % TWO_PI
+                seg = Pulse(seg.us, 0.0 if phase == TWO_PI else phase)
             normalized.append(seg)
         object.__setattr__(self, "segments", tuple(normalized))
 

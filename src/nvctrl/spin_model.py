@@ -24,8 +24,9 @@ import numpy as np
 
 from .signals import Spectrum
 
-# Default physical constants (MHz, mT).  The gyromagnetic ratios are CODATA
-# values; frequency overrides on SystemParams supersede the B*gamma products.
+# Physical constants (MHz, mT); the gyromagnetic ratios are CODATA values.
+# Only the 13C ratio reaches the working manifold (through SystemParams.nu_c);
+# the others enter the 18- and 6-level lab-frame Hamiltonians alone.
 D_SPLITTING_MHZ = 2870.0
 GAMMA_E_MHZ_PER_MT = 28.0249
 GAMMA_C13_MHZ_PER_MT = 0.0107084
@@ -56,49 +57,31 @@ CARBON_IZ = np.kron(E2, SZ2)
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical constants and couplings of one NV / 14N / 13C system.
+    """Static field and 13C hyperfine couplings of one NV / 14N / 13C system.
 
     Defaults describe the register used for all built-in examples: a weakly
     coupled 13C (|A| < 0.2 MHz) in a 14.8 mT field.  Frequencies in MHz,
-    field in mT, gyromagnetic ratios in MHz/mT.
+    field in mT.  The other constants of the register are the module's
+    D_SPLITTING_MHZ, GAMMA_*_MHZ_PER_MT, A_N14_MHZ and P_N14_MHZ.
     """
 
-    d_mhz: float = D_SPLITTING_MHZ
     b_mt: float = 14.8
-    gamma_e: float = GAMMA_E_MHZ_PER_MT
-    gamma_c: float = GAMMA_C13_MHZ_PER_MT
-    a_n: float = A_N14_MHZ
-    p_quad: float = P_N14_MHZ
     a_zz: float = -0.152
     a_zx: float = 0.110
-    nu_e_override: float | None = None
     nu_c_override: float | None = None
-    nu_n_override: float | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if not self.d_mhz > 0:
-            raise ValueError("zero-field splitting must be positive")
         if self.b_mt < 0:
             raise ValueError("static field must be non-negative")
 
     @property
-    def nu_e(self) -> float:
-        """Electron Larmor frequency (MHz)."""
-        return self.gamma_e * self.b_mt if self.nu_e_override is None else self.nu_e_override
-
-    @property
     def nu_c(self) -> float:
         """13C Larmor frequency (MHz)."""
-        return self.gamma_c * self.b_mt if self.nu_c_override is None else self.nu_c_override
-
-    @property
-    def nu_n(self) -> float:
-        """14N Larmor frequency (MHz)."""
-        return GAMMA_N14_MHZ_PER_MT * self.b_mt if self.nu_n_override is None else self.nu_n_override
+        return GAMMA_C13_MHZ_PER_MT * self.b_mt if self.nu_c_override is None else self.nu_c_override
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +142,8 @@ def build_hamiltonian_full(params: SystemParams) -> Hamiltonian:
     system, 18-dimensional, H/2pi in MHz.
 
     Terms: D S_z^2 - nu_e S_z + P (I_z^N)^2 - nu_N I_z^N - nu_C I_z
-    + A_N S_z I_z^N + A_zz S_z I_z + A_zx S_z I_x.
+    + A_N S_z I_z^N + A_zz S_z I_z + A_zx S_z I_x, with nu_e = gamma_e B and
+    nu_N = gamma_N B.
     """
     sz_e = np.kron(np.kron(SZ1, E3), E2)
     sz2_e = sz_e @ sz_e
@@ -168,12 +152,12 @@ def build_hamiltonian_full(params: SystemParams) -> Hamiltonian:
     iz_c = np.kron(np.kron(E3, E3), SZ2)
     ix_c = np.kron(np.kron(E3, E3), SX2)
     h = (
-        params.d_mhz * sz2_e
-        - params.nu_e * sz_e
-        + params.p_quad * izn2
-        - params.nu_n * izn
+        D_SPLITTING_MHZ * sz2_e
+        - GAMMA_E_MHZ_PER_MT * params.b_mt * sz_e
+        + P_N14_MHZ * izn2
+        - GAMMA_N14_MHZ_PER_MT * params.b_mt * izn
         - params.nu_c * iz_c
-        + params.a_n * sz_e @ izn
+        + A_N14_MHZ * sz_e @ izn
         + params.a_zz * sz_e @ iz_c
         + params.a_zx * sz_e @ ix_c
     )
@@ -190,8 +174,8 @@ def build_hamiltonian_ec(params: SystemParams) -> Hamiltonian:
     iz_c = np.kron(E3, SZ2)
     ix_c = np.kron(E3, SX2)
     h = (
-        params.d_mhz * sz_e @ sz_e
-        - (params.nu_e - params.a_n) * sz_e
+        D_SPLITTING_MHZ * sz_e @ sz_e
+        - (GAMMA_E_MHZ_PER_MT * params.b_mt - A_N14_MHZ) * sz_e
         - params.nu_c * iz_c
         + params.a_zz * sz_e @ iz_c
         + params.a_zx * sz_e @ ix_c

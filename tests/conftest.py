@@ -1,7 +1,7 @@
 import pytest
 
 import nvctrl as nc
-from ga_jobs import SEED, fixture_problems, robust_problems
+from search_jobs import SEED, fixture_problems, robust_problems
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def h_sub(paper):
 
 # The searches below are the expensive fixtures; they are shared between the
 # optimizer, experiment and acceptance tests.  Their problems are defined in
-# ga_jobs.py.
+# search_jobs.py.
 
 @pytest.fixture(scope="session")
 def up_short_result(paper):

@@ -2,8 +2,7 @@
 
 conftest.py builds its shared search fixtures from these problems, and
 tools/search_sweep.py runs all 21 of them to size the search budget: the 13
-benchmark table rows, the 4 robust jobs and the 4 fixture jobs.  The module
-keeps the name it had when the search was a genetic algorithm (GA).
+benchmark table rows, the 4 robust jobs and the 4 fixture jobs.
 """
 
 import nvctrl as nc

@@ -564,6 +564,8 @@ MALFORMED = {
     "sequence-no-phase": ["bloch", "--set", "bloch.sequence={no_phase}"],
     "sequence-nan": ["polarize", "--set", "polarize.sequence={nan_delay}"],
     "params-nan": ["angles", "--set", "params.b_mt=NaN"],
+    # the zero-field splitting is a constant of the spin model, not a key
+    "params-d-mhz": ["angles", "--set", "params.d_mhz=2870"],
     "config-not-json": ["angles", "--config", "{not_json}"],
     "optimize-no-pulses": ["optimize", "--set", "optimize.n_pulses=0"],
     # the removed keys of the genetic algorithm are unknown, whatever their value

@@ -120,6 +120,12 @@ def test_decode_clamps_and_wraps(up_problem):
     assert seq.pulses()[0].phase_rad == pytest.approx(math.pi)
 
 
+def test_decode_wraps_a_phase_just_below_zero_to_zero(up_problem):
+    g = np.zeros(9)
+    g[6] = -1e-17
+    assert nc.decode(up_problem, g).pulses()[0].phase_rad == 0.0
+
+
 def test_decode_bad_length(up_problem):
     with pytest.raises(ValueError, match=r"expected genome of length 9, got shape \(7,\)"):
         nc.decode(up_problem, np.zeros(7))
@@ -717,11 +723,11 @@ def test_fixture_best_fitness_is_pinned(request, fixture, best_fitness):
 
 def test_best_known_covers_every_job_and_bounds_the_pins():
     """tools/best_known.json has a value for each of the 21 search jobs of
-    ga_jobs.py, and no pinned fixture optimum lies above its job's best
+    search_jobs.py, and no pinned fixture optimum lies above its job's best
     known value."""
     from pathlib import Path
 
-    from ga_jobs import jobs
+    from search_jobs import jobs
 
     best = json.loads((Path(__file__).resolve().parents[1] / "tools" / "best_known.json").read_text())
     assert list(best) == list(jobs(nc.GaConfig())) and len(best) == 21

@@ -322,6 +322,16 @@ def test_pulse_sequence_validation_and_phases():
     assert seq.total_duration_us == 1.0
 
 
+@pytest.mark.parametrize("phase", [-1e-17, -5e-324, -0.0])
+def test_phase_just_below_zero_wraps_to_zero(phase):
+    """A phase whose remainder mod 2pi rounds up to 2pi is stored as 0.0,
+    which the JSON round trip keeps."""
+    seq = nc.PulseSequence(0.5, (Pulse(1.0, phase),))
+    stored = seq.pulses()[0].phase_rad
+    assert stored == 0.0 and math.copysign(1.0, stored) == 1.0
+    assert nc.PulseSequence.from_json_dict(seq.to_json_dict()).pulses()[0].phase_rad == stored
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_pulse_sequence_rejects_non_finite_values(value):
     for rabi, segments in (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nvctrl as nc
-from ga_jobs import jobs
+from search_jobs import jobs
 
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "search_sweep.py"
 

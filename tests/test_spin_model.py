@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 import nvctrl as nc
 from nvctrl.fidelity import rot_half
 from nvctrl.signals import local_maxima
-from nvctrl.spin_model import SY2, build_hamiltonian_ec, nuclear_block_hamiltonians
+from nvctrl.spin_model import (
+    A_N14_MHZ,
+    D_SPLITTING_MHZ,
+    GAMMA_C13_MHZ_PER_MT,
+    GAMMA_E_MHZ_PER_MT,
+    P_N14_MHZ,
+    SY2,
+    build_hamiltonian_ec,
+    nuclear_block_hamiltonians,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -20,6 +29,12 @@ frequency = st.floats(min_value=1e-3, max_value=1.0, **finite)
 
 def random_params(a_zz, a_zx, nu_c):
     return nc.SystemParams(a_zz=a_zz, a_zx=a_zx, nu_c_override=nu_c)
+
+
+def esr_carrier(p):
+    """The m_S = 0 <-> -1 transition frequency at m_N = +1 with the 13C
+    couplings dropped: D + nu_e - A_N."""
+    return D_SPLITTING_MHZ + GAMMA_E_MHZ_PER_MT * p.b_mt - A_N14_MHZ
 
 
 def axis_frame_blocks(p):
@@ -92,11 +107,18 @@ def test_angles_reported_in_half_open_interval():
 
 
 def test_full_hamiltonian_zero_coupling_spectrum():
-    p = nc.SystemParams(b_mt=0.0, a_zz=0.0, a_zx=0.0, a_n=0.0, p_quad=0.0)
+    """At zero field and zero 13C coupling each level D m_S^2 + P m_N^2 +
+    A_N m_S m_N is doubly degenerate in the 13C spin."""
+    p = nc.SystemParams(b_mt=0.0, a_zz=0.0, a_zx=0.0)
     h = nc.build_hamiltonian_full(p)
     w = np.sort(np.linalg.eigvalsh(h.matrix))
-    assert np.allclose(w[:6], 0.0, atol=1e-9)
-    assert np.allclose(w[6:], p.d_mhz, atol=1e-9)
+    closed_form = sorted(
+        D_SPLITTING_MHZ * m_s**2 + P_N14_MHZ * m_n**2 + A_N14_MHZ * m_s * m_n
+        for m_s in (1, 0, -1)
+        for m_n in (1, 0, -1)
+        for _ in range(2)
+    )
+    assert w == pytest.approx(closed_form, abs=1e-9)
 
 
 def _sector_blocks(h18):
@@ -120,7 +142,7 @@ def test_full_hamiltonian_esr_center_and_offsets(paper):
     w0 = np.linalg.eigvalsh(blocks[0])
     wm = np.linalg.eigvalsh(blocks[-1])
     transitions = [em - e0 for em in wm for e0 in w0]
-    carrier = paper.d_mhz + paper.nu_e - paper.a_n
+    carrier = esr_carrier(paper)
     assert np.mean(transitions) == pytest.approx(carrier, rel=1e-12)
     offsets = sorted(t - carrier for t in transitions)
     expected = sorted(o for o, _ in nc.esr_lines(paper, -1))
@@ -144,7 +166,7 @@ def test_subspace_gaps_match_closed_forms(paper, h_sub):
 
 def test_subspace_matches_full_sector_up_to_uniform_shift(paper, h_sub):
     blocks = _sector_blocks(nc.build_hamiltonian_full(paper))
-    carrier = paper.d_mhz + paper.nu_e - paper.a_n
+    carrier = esr_carrier(paper)
     full = np.sort(
         np.concatenate([np.linalg.eigvalsh(blocks[0]), np.linalg.eigvalsh(blocks[-1]) - carrier])
     )
@@ -199,7 +221,7 @@ def test_esr_lines_match_eigenvector_oracle(paper):
     overlaps of the 6-dim electron-carbon Hamiltonian."""
     h6 = build_hamiltonian_ec(paper)
     m = h6.matrix
-    carrier = paper.d_mhz + paper.nu_e - paper.a_n
+    carrier = esr_carrier(paper)
     w0, v0 = np.linalg.eigh(m[2:4, 2:4])
     wm, vm = np.linalg.eigh(m[4:6, 4:6])
     oracle = []
@@ -327,30 +349,18 @@ def test_params_serialization_round_trip(paper):
     """A params block echoed into a JSON manifest rebuilds the same system."""
     block = json.loads(json.dumps(asdict(paper)))
     assert nc.SystemParams(**block) == paper
-    assert set(block) == {
-        "d_mhz",
-        "b_mt",
-        "gamma_e",
-        "gamma_c",
-        "a_n",
-        "p_quad",
-        "a_zz",
-        "a_zx",
-        "nu_e_override",
-        "nu_c_override",
-        "nu_n_override",
-    }
+    assert set(block) == {"b_mt", "a_zz", "a_zx", "nu_c_override"}
 
 
 def test_params_rejects_unknown_keys():
-    with pytest.raises(TypeError):
-        nc.SystemParams(**{"d_mhz": 2870.0, "bogus": 1.0})
+    # the lab-frame constants are module constants, not fields
+    for key in ("bogus", "d_mhz", "gamma_e", "nu_e_override"):
+        with pytest.raises(TypeError):
+            nc.SystemParams(**{"b_mt": 14.8, key: 1.0})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_values(value):
-    from dataclasses import fields
-
     for f in fields(nc.SystemParams):
         with pytest.raises(ValueError, match=f.name):
             nc.SystemParams(**{f.name: value})
@@ -359,11 +369,29 @@ def test_params_reject_non_finite_values(value):
 
 
 def test_params_overrides_supersede_products():
-    p = nc.SystemParams(nu_c_override=0.3, nu_e_override=100.0)
-    assert p.nu_c == 0.3
-    assert p.nu_e == 100.0
+    assert nc.SystemParams(nu_c_override=0.3).nu_c == 0.3
     q = nc.SystemParams()
-    assert q.nu_c == pytest.approx(q.gamma_c * q.b_mt)
+    assert q.nu_c == GAMMA_C13_MHZ_PER_MT * q.b_mt
+
+
+def test_every_param_reaches_the_working_model(paper):
+    """A change of any field moves the subspace Hamiltonian, the nuclear
+    blocks or the nuclear frequencies: no field is carried unread."""
+
+    def outputs(p):
+        return np.concatenate([
+            nc.build_hamiltonian_subspace(p).matrix.ravel(),
+            np.ravel(nuclear_block_hamiltonians(p)),
+            nc.nuclear_frequencies(p),
+        ])
+
+    def moved(name):
+        value = getattr(paper, name)
+        return replace(paper, **{name: 0.3 if value is None else value * 1.1})
+
+    base = outputs(paper)
+    unread = [f.name for f in fields(nc.SystemParams) if np.array_equal(outputs(moved(f.name)), base)]
+    assert unread == []
 
 
 def test_hamiltonian_rejects_non_hermitian():

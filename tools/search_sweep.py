@@ -8,7 +8,7 @@ Each design is RESTARTS[xPOLISH]: the restarts, each one uniform start, and
 each restart's polish budget in evaluations, by default the `GaConfig`
 default of 300.  A design is named RESTARTSxPOLISH, so the default search
 is 512x300.  The jobs are the 21 searches the tier-1 tests run, as
-tests/ga_jobs.py defines them: the 13 rows of the benchmark tables (row i
+tests/search_jobs.py defines them: the 13 rows of the benchmark tables (row i
 runs with seed seed + i), the 4 robust jobs and the 4 fixture jobs.  Every
 (design, job, seed) run records the design's `restarts` and polish budget
 (`polish_budget`, the `GaConfig.polish_evals` it ran with), its best
@@ -61,7 +61,7 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 import numpy as np  # noqa: E402
 
 import nvctrl as nc  # noqa: E402
-from ga_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
+from search_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
 
 BEST_KNOWN = ROOT / "tools" / "best_known.json"
 HIT_TOL = 1e-6
