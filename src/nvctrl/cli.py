@@ -1,12 +1,12 @@
 """Batch command-line front end.
 
-Every command is a function config -> (files, message) that writes nothing:
-`main` resolves the configuration (file < --set overrides < command options),
-runs the command, and only when it succeeds creates the output directory and
-writes a manifest echoing the configuration plus the command's files (each a
-JSON payload or a writer taking the path).  A command reads only its config
-and the files it names, and changes nothing in the config, so re-running a
-command from its own manifest reproduces the outputs bitwise.
+Every command is a function (config, block) -> (files, message) that writes
+nothing; `block` is its own config block, checked (None for `angles`).  `main`
+resolves the configuration (file < --set overrides < command options), runs
+the command, and only when it succeeds creates the output directory and writes
+a manifest echoing the configuration plus the command's files (each a JSON
+payload or a writer taking the path).  A command reads only its config and the
+files it names and changes nothing in it, so its manifest re-runs it bitwise.
 
 Exit codes: 0 success, 2 usage error (any input the package rejects), 3
 runtime error: an OS error reading an input file or writing an output, a
@@ -35,7 +35,12 @@ from .optimizer import DEFAULT_SEED, ControlProblem, GaConfig
 from .propagation import PulseSequence, trajectory
 from .spin_model import SystemParams
 
-_FID_PROTOCOLS = ("uc", "uc_prime", *experiments.U90_TAGS.values(), "analytic_uc", "analytic_uc_prime")
+# each fid protocol -> the fid keys it reads besides protocol, record_us and dt_us
+_FID_KEYS = {
+    **dict.fromkeys(("uc", "uc_prime"), ("sequence", "sequence_dagger")),
+    **dict.fromkeys(experiments.U90_TAGS.values(), ("sequence", "sequence_readout", "polarization")),
+    **dict.fromkeys(("analytic_uc", "analytic_uc_prime"), ()),
+}
 
 # raised by bad input while a command builds its inputs (exit 2): the package
 # rejects input with ValueError; MemoryError is a size too large to allocate
@@ -179,7 +184,7 @@ def _load_sequence(path: str | None) -> PulseSequence | None:
     return None if path is None else PulseSequence.load(path)
 
 
-def cmd_angles(config):
+def cmd_angles(config, block):
     params = SystemParams(**_block(config, "params"))
     theta_plus, theta_minus = spin_model.quantization_angles(params)
     nu_c, nu_minus, nu_plus = spin_model.nuclear_frequencies(params)
@@ -197,9 +202,8 @@ def cmd_angles(config):
     )
 
 
-def cmd_esr(config):
+def cmd_esr(config, block):
     params = SystemParams(**_block(config, "params"))
-    block = _block(config, "esr")
     branch = block["branch"]
     f_lo, f_hi = block["f_min_mhz"], block["f_max_mhz"]
     if not (math.isfinite(f_hi - f_lo) and f_lo < f_hi):
@@ -217,9 +221,8 @@ def cmd_esr(config):
     return files, f"wrote {len(lines)} ESR lines (branch {branch:+d}) and spectrum"
 
 
-def cmd_optimize(config):
+def cmd_optimize(config, block):
     params = SystemParams(**_block(config, "params"))
-    block = _block(config, "optimize")
     modes = {"free": optimizer.MODE_FREE, "switched": optimizer.MODE_SWITCHED}
     mode = modes.get(block["mode"], block["mode"])
     if mode not in modes.values():
@@ -245,20 +248,21 @@ def cmd_optimize(config):
     )
 
 
-def cmd_fid(config):
+def cmd_fid(config, block):
     params = SystemParams(**_block(config, "params"))
-    block = _block(config, "fid")
     protocol = block["protocol"]
-    if protocol not in _FID_PROTOCOLS:
-        raise UsageError(f"unknown fid protocol {protocol!r}; expected one of {_FID_PROTOCOLS}")
+    if protocol not in _FID_KEYS:
+        raise UsageError(f"unknown fid protocol {protocol!r}; expected one of {tuple(_FID_KEYS)}")
+    read = {"protocol", "record_us", "dt_us", *_FID_KEYS[protocol]}
+    unread = sorted(set(config.get("fid", {})) - read)
+    if unread:
+        raise UsageError(f"fid protocol {protocol!r} reads no keys {unread}; it reads {sorted(read)}")
     default_us = DEFAULT_UC_PRIME_RECORD_US if protocol.endswith("uc_prime") else DEFAULT_UC_RECORD_US
     record = default_us if block["record_us"] is None else block["record_us"]
     step = block["dt_us"]
     tau = experiments.default_tau_grid(record, step)
-    if protocol == "analytic_uc":
-        trace = experiments.analytic_fid("uc", params, tau)
-    elif protocol == "analytic_uc_prime":
-        trace = experiments.analytic_fid("uc_prime", params, tau)
+    if protocol.startswith("analytic_"):
+        trace = experiments.analytic_fid(protocol.removeprefix("analytic_"), params, tau)
     elif protocol in ("uc", "uc_prime"):
         seq = _load_sequence(block["sequence"])
         seq_dag = _load_sequence(block["sequence_dagger"])
@@ -281,8 +285,7 @@ def cmd_fid(config):
     return files, f"wrote {tau.size}-point {trace.protocol} trace"
 
 
-def cmd_spectrum(config):
-    block = _block(config, "spectrum")
+def cmd_spectrum(config, block):
     trace = signals.FidTrace.from_csv(block["fid_csv"])
     spec = experiments.spectrum_from_fid(trace, block["window"], block["zerofill_factor"], block["exp_rate"])
     peaks = signals.top_peaks(spec, block["n_peaks"])
@@ -297,9 +300,8 @@ def cmd_spectrum(config):
     return files, "peaks at " + ", ".join(f"{f:.4f} MHz" for f, _ in peaks)
 
 
-def cmd_bloch(config):
+def cmd_bloch(config, block):
     params = SystemParams(**_block(config, "params"))
-    block = _block(config, "bloch")
     seq = _load_sequence(block["sequence"])
     initial = block["initial"]
     states = {"rho0": rho0_state, "rho_p": rho_p_state}
@@ -322,9 +324,8 @@ def cmd_bloch(config):
     return files, f"final carbon vector ({cx:+.4f}, {cy:+.4f}, {cz:+.4f}) after {t:.2f} us"
 
 
-def cmd_polarize(config):
+def cmd_polarize(config, block):
     params = SystemParams(**_block(config, "params"))
-    block = _block(config, "polarize")
     model = experiments.PolarizationModel(**{key: block[key] for key in _POLARIZATION_MODEL})
     d_max = block["d_max_us"]
     if not d_max > 0:
@@ -353,16 +354,15 @@ def _fit_data(block) -> np.ndarray:
     return np.column_stack(signals.read_csv(block["data"])[:2])
 
 
-def cmd_fit_polarization(config):
-    model = experiments.fit_polarization(_fit_data(_block(config, "fit polarization")))
+def cmd_fit_polarization(config, block):
+    model = experiments.fit_polarization(_fit_data(block))
     return {"fit_polarization.json": asdict(model)}, (
         f"c0 = {model.c0:.4f}, c1 = {model.c1:.4f}, c2 = {model.c2:.4f}, "
         f"alpha+beta = {model.pump_rate_per_us:.4f}/us, gamma = {model.gamma_per_us:.4f}/us"
     )
 
 
-def cmd_fit_sinusoid(config):
-    block = _block(config, "fit sinusoid")
+def cmd_fit_sinusoid(config, block):
     nu = block["nu_mhz"]
     a, b, c = experiments.fit_fid_amplitude(_fit_data(block), nu)
     return {"fit_sinusoid.json": {"a": a, "b": b, "c": c, "nu_mhz": nu}}, (
@@ -370,8 +370,7 @@ def cmd_fit_sinusoid(config):
     )
 
 
-def cmd_fit_fidelities(config):
-    block = _block(config, "fit fidelities")
+def cmd_fit_fidelities(config, block):
     est = experiments.estimate_experimental_fidelities(**block)
     flag = " (unphysical input ratios)" if est.unphysical else ""
     return {"fidelities.json": asdict(est)}, (
@@ -379,9 +378,8 @@ def cmd_fit_fidelities(config):
     )
 
 
-def cmd_tables(config):
+def cmd_tables(config, block):
     params = SystemParams(**_block(config, "params"))
-    block = _block(config, "tables")
     which = block["which"]
     if which not in ("I", "II", "III", "all"):
         raise UsageError(f"unknown table {which!r}; expected I, II, III or all")
@@ -399,6 +397,7 @@ def cmd_tables(config):
     return files, "\n".join(lines)
 
 
+@functools.cache  # one parser per process: parsing changes nothing in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvctrl",
@@ -454,7 +453,7 @@ def _run(args) -> None:
         for key, value in vars(args).items():
             if "." in key and value is not None:
                 _apply_override(config, key, value)
-        files, message = args.func(config)
+        files, message = args.func(config, _block(config, command) if command in _BLOCKS else None)
     except _BAD_INPUT as exc:
         raise UsageError(f"bad {command} input: {exc!r}") from exc
     out = Path(args.out)
@@ -471,15 +470,8 @@ def _run(args) -> None:
     print(message)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on first use and then kept: parsing
-    changes nothing in it, and `build_parser` hands callers a fresh one."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _run(args)
     except UsageError as exc:

@@ -461,9 +461,7 @@ def test_manifest_reproduces_outputs_bitwise(tmp_path):
 def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     """`main` parses with one parser per process; an option or --set given
     to one call is absent from the next, and a repeated call writes the
-    same bytes.  `build_parser` still returns a new parser each time."""
-    assert cli._parser() is cli._parser()
-    assert cli.build_parser() is not cli.build_parser() is not cli._parser()
+    same bytes."""
     tau = np.linspace(0.0, 40.0, 120)
     nc.FidTrace(tau, 0.25 + 0.13 * np.sin(2 * math.pi * 0.1 * tau)).to_csv(tmp_path / "fid.csv")
     fit = ["fit", "sinusoid", "--data", tmp_path / "fid.csv"]
@@ -631,6 +629,14 @@ MALFORMED = {
     "root-key-misspelt": ["angles", "--set", "paramz.b_gauss=1"],
     "config-root-key-unknown": ["angles", "--config", "{unknown_root}"],
     "fid-key-misspelt": ["fid", "--set", "fid.dt=0.5"],
+    # a fid key the protocol does not read would be recorded in the manifest but never used
+    "fid-analytic-uc-sequence": [
+        "fid", "--set", "fid.protocol=analytic_uc", "--set", "fid.sequence=/nonexistent.json",
+        "--set", "fid.polarization=0.3",
+    ],
+    "fid-uc-sequence-readout": ["fid", "--set", "fid.protocol=uc", "--set", "fid.sequence_readout={sequence}"],
+    "fid-uc-polarization": ["fid", "--set", "fid.protocol=uc", "--set", "fid.polarization=0.3"],
+    "fid-u90-ms0-sequence-dagger": ["fid", "--set", "fid.protocol=u90_ms0", "--set", "fid.sequence_dagger={sequence}"],
     "bloch-key-misspelt": ["bloch", "--set", "bloch.sequence={sequence}", "--set", "bloch.dt=0.05"],
     "optimize-ga-key-misspelt": ["optimize", *TINY_GA, "--set", "optimize.ga.populaton=12"],
     # the settings of the removed genetic algorithm and the search box are not config keys
@@ -766,6 +772,22 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_fid_key_the_protocol_does_not_read_is_named(tmp_path, capsys):
+    """For every protocol, each fid key it does not read exits 2 before any
+    file is read, and the usage error names the key."""
+    values = {"sequence": "/nonexistent.json", "sequence_dagger": "/nonexistent.json",
+              "sequence_readout": "/nonexistent.json", "polarization": "0.3"}
+    for protocol, keys in cli._FID_KEYS.items():
+        assert set(keys) <= values.keys()
+        for key in values.keys() - set(keys):
+            out = tmp_path / "out"
+            assert run(["fid", "--set", f"fid.protocol={protocol}", "--set", f"fid.{key}={values[key]}",
+                        "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and repr(key) in err and protocol in err, (protocol, key)
+            assert not out.exists()
 
 
 # each command that runs no search, with every key of the block it reads and the key's declared type

@@ -37,8 +37,9 @@ def test_hit_bounds_cover_every_job_of_the_default_search():
 
 def test_sweep_runs_without_scipy(tmp_path):
     """With numpy the only package on the path, where scipy can be neither
-    imported nor found, a sweep writes its results, records scipy's version
-    as None and counts the restarts the race stopped in each run."""
+    imported nor found, a sweep of two small designs writes one record per
+    design, job and seed with every field the sweep's readers use, records
+    scipy's version as None and counts the restarts the race stopped."""
     site = tmp_path / "site"
     site.mkdir()
     packages = Path(np.__file__).parents[1]
@@ -48,12 +49,25 @@ def test_sweep_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(site))
     probe = subprocess.run([sys.executable, "-S", "-c", "import scipy"], env=env, capture_output=True, timeout=60)
     assert probe.returncode != 0
+    job_names = ("up_free3", "III.0-u_p-0.5MHz-n3", "robust-u_90")
     done = subprocess.run(
-        [sys.executable, "-S", str(SWEEP), "--designs", "2x3", "--seeds", "1", "--jobs", "up_free3", "--tag", "noscipy"],
+        [sys.executable, "-S", str(SWEEP), "--designs", "2x8", "4x20", "--seeds", "1-2", "--jobs", *job_names,
+         "--tag", "noscipy"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     out = json.loads((tmp_path / "BENCH_search_noscipy.json").read_text())
     assert out["environment"]["scipy"] is None and out["environment"]["numpy"] == np.__version__
-    # a budget of 3 evaluations stops before the race can
-    assert [(r["polish_calls"], r["raced"]) for r in out["records"]] == [(3, 0)]
+    records = out["records"]
+    assert sorted((r["design"], r["job"], r["seed"]) for r in records) == sorted(
+        (design, job, seed) for design in ("2x8", "4x20") for job in job_names for seed in (1, 2)
+    )
+    for r in records:
+        assert 0.0 < r["best_fitness"] <= 1.0 and r["duration_us"] > 0.0 and r["wall_s"] > 0.0
+        assert r["polish_budget"] == int(r["design"].split("x")[1])
+        # a lockstep call spends one evaluation on each restart still running
+        assert 0 < r["polish_calls"] <= min(r["polish_budget"], r["polish_evals"])
+        # budgets of 8 and 20 evaluations stop before the race can
+        assert r["raced"] == 0
+    # no restart converges within 8 evaluations, so each such polish runs to its budget
+    assert [r["polish_calls"] for r in records if r["design"] == "2x8"] == [8] * 6

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import nvctrl as nc
 from nvctrl.fidelity import rot_half
@@ -15,9 +16,11 @@ from nvctrl.spin_model import (
     D_SPLITTING_MHZ,
     GAMMA_C13_MHZ_PER_MT,
     GAMMA_E_MHZ_PER_MT,
+    GAMMA_N14_MHZ_PER_MT,
     P_N14_MHZ,
     SY2,
     build_hamiltonian_ec,
+    build_hamiltonian_subspace_plus,
     nuclear_block_hamiltonians,
 )
 
@@ -164,15 +167,23 @@ def test_subspace_gaps_match_closed_forms(paper, h_sub):
     assert wm[1] - wm[0] == pytest.approx(nu_minus, abs=1e-9)
 
 
-def test_subspace_matches_full_sector_up_to_uniform_shift(paper, h_sub):
-    blocks = _sector_blocks(nc.build_hamiltonian_full(paper))
-    carrier = esr_carrier(paper)
-    full = np.sort(
-        np.concatenate([np.linalg.eigvalsh(blocks[0]), np.linalg.eigvalsh(blocks[-1]) - carrier])
-    )
-    sub = np.sort(np.linalg.eigvalsh(h_sub.matrix))
-    shifts = full - sub
-    assert np.ptp(shifts) < 1e-9
+@pytest.mark.parametrize("p", [
+    nc.SystemParams(),
+    nc.SystemParams(nu_c_override=0.3),  # table III
+    nc.SystemParams(b_mt=31.0, a_zz=0.21, a_zx=-0.074),
+], ids=["paper", "table-III", "off-default"])
+@pytest.mark.parametrize("m_s", [-1, +1], ids=["ms-1", "ms+1"])
+def test_subspace_matches_full_sector_up_to_uniform_shift(p, m_s):
+    """The {0, m_S} rotating-frame Hamiltonian is, entry by entry, the m_N = +1
+    sector of the 18-level one with each manifold's electron and 14N energy
+    removed: blockdiag(B_0, B_m - c_m) - c_0, where c_0 = P_N - gamma_N B and
+    c_m = D - m_S (gamma_e B - A_N)."""
+    blocks = _sector_blocks(nc.build_hamiltonian_full(p))
+    c_0 = P_N14_MHZ - GAMMA_N14_MHZ_PER_MT * p.b_mt
+    c_m = D_SPLITTING_MHZ - m_s * (GAMMA_E_MHZ_PER_MT * p.b_mt - A_N14_MHZ)
+    expected = block_diag(blocks[0], blocks[m_s] - c_m * np.eye(2)) - c_0 * np.eye(4)
+    build = nc.build_hamiltonian_subspace if m_s == -1 else build_hamiltonian_subspace_plus
+    assert np.max(np.abs(build(p).matrix - expected)) < 1e-9
 
 
 def test_diagonalizing_transform_identity_when_axes_upright():

@@ -5,7 +5,8 @@ every file they write, byte for byte.
     python3 tools/same_outputs.py OLD/src NEW/src
 
 The commands are `angles`, `esr`, a nominal and a robust `optimize`, `fid`
-for all seven protocols, six `spectrum` runs, `bloch`, `polarize` with a
+for all seven protocols and, with sequence files, for `uc` and for `u90_ms+1`
+with a readout gate, six `spectrum` runs, `bloch`, `polarize` with a
 sequence, the three `fit` commands and `tables --which all`.  Each tree runs
 them in a fresh interpreter with that tree first on PYTHONPATH and one BLAS
 thread, in a temporary directory of its own, under the same relative paths,
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 SEQ = "out/optimize/sequence.json"
+UT = "u_t.json"  # the two-pulse readout gate on the {0, +1} manifold, written by RUNNER
 ROBUST = '{"lo_mhz": 0.48, "hi_mhz": 0.52, "n_samples": 5}'
 FID = ["uc", "uc_prime", "u90_ms0", "u90_ms-1", "u90_ms+1", "analytic_uc", "analytic_uc_prime"]
 # (output directory, argv); later commands read what earlier ones wrote
@@ -37,6 +39,8 @@ COMMANDS = [
     *((f"fid-{p}", ["fid", "--set", f"fid.protocol={p}"]) for p in FID[5:]),
     ("fid-uc-seq", ["fid", "--set", "fid.protocol=uc", "--set", f"fid.sequence={SEQ}",
                     "--set", "fid.record_us=50"]),
+    ("fid-u90_ms+1-seq", ["fid", "--set", "fid.protocol=u90_ms+1", "--set", f"fid.sequence={SEQ}",
+                          "--set", f"fid.sequence_readout={UT}", "--set", "fid.record_us=50"]),
     *((f"spectrum-{p}", ["spectrum", "--set", f"spectrum.fid_csv=out/fid-{p}/fid.csv"]) for p in FID[:3]),
     ("spectrum-none", ["spectrum", "--set", "spectrum.fid_csv=out/fid-analytic_uc/fid.csv",
                        "--set", "spectrum.window=none", "--set", "spectrum.zerofill_factor=2"]),
@@ -52,16 +56,19 @@ COMMANDS = [
 ]
 
 # runs in each tree's directory: writes a noisy paper pumping curve for
-# `fit polarization`, then runs every command through `main`
+# `fit polarization` and the paper's u_t readout gate, then runs every command
+# through `main`
 RUNNER = """
 import json, sys
 import numpy as np
 import nvctrl as nc
 from nvctrl.cli import main
+from nvctrl.fidelity import u_t_sequence
 from nvctrl.signals import write_csv
 d = np.linspace(0.0, 120.0, 200)
 p = nc.polarization_curve(nc.paper_polarization_model(), d) + np.random.default_rng(1).normal(0.0, 0.01, d.size)
 write_csv("pol.csv", ("d_l_us", "p"), (d, p))
+u_t_sequence(nc.SystemParams(), 0.5).save("u_t.json")
 for name, argv in json.loads(sys.argv[1]):
     if main(argv + ["--out", f"out/{name}"]) != 0:
         sys.exit(f"{name} failed")
