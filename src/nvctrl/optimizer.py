@@ -417,17 +417,23 @@ def _dot(a, b) -> np.ndarray:
 
 def _direction(g, free, s_mem, y_mem) -> np.ndarray:
     """-H g in the free coordinates, H the L-BFGS inverse Hessian of each
-    row's memory (oldest pair first) restricted to them; a pair of no
-    positive curvature there, or an empty slot, adds nothing."""
+    row's memory restricted to them.  s_mem and y_mem (B, k, L) hold the
+    last k <= `_MEMORY` slots of the rows' memories, oldest pair first; a
+    pair of no positive curvature there, or an empty slot, adds nothing.
+    The leading `_MEMORY` - k slots, empty in every row, are left out: in
+    the second loop each would add +0.0 to r, which turns a -0.0 entry into
+    +0.0, so r gets that one addition instead."""
     s_mem, y_mem = s_mem * free[:, None], y_mem * free[:, None]
     sy, yy = _dot(s_mem, y_mem), _dot(y_mem, y_mem)
     rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > np.finfo(float).eps * yy)
-    q, a = np.where(free, g, 0.0), np.zeros_like(rho)
-    for j in reversed(range(_MEMORY)):
+    q, a, k = np.where(free, g, 0.0), np.zeros_like(rho), s_mem.shape[1]
+    for j in reversed(range(k)):
         a[:, j] = rho[:, j] * _dot(s_mem[:, j], q)
         q = q - a[:, j, None] * y_mem[:, j]
-    r = np.divide(sy[:, -1], yy[:, -1], out=np.ones_like(q[:, 0]), where=rho[:, -1] > 0)[:, None] * q
-    for j in range(_MEMORY):
+    r = q if not k else np.divide(sy[:, -1], yy[:, -1], out=np.ones_like(q[:, 0]), where=rho[:, -1] > 0)[:, None] * q
+    if k < _MEMORY:
+        r = r + 0.0
+    for j in range(k):
         r = r + (a[:, j] - rho[:, j] * _dot(y_mem[:, j], r))[:, None] * s_mem[:, j]
     return -r
 
@@ -466,7 +472,10 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
     f, g = fun(x)
     f0, rows = f.copy(), len(x)
     nfev, evals, status = 1, np.ones(rows, dtype=np.int64), np.full(rows, _RUNNING)
+    # each row's last `_MEMORY` curved pairs, oldest first (the newest in the
+    # last slot), and how many of its slots hold one
     s_mem, y_mem = np.zeros((2, rows, _MEMORY, x.shape[1]))
+    pairs = np.zeros(rows, dtype=np.int64)
     d, alpha, trials = np.zeros_like(x), np.zeros(rows), np.zeros(rows, dtype=np.int64)
     fresh = np.ones(rows, dtype=bool)
     while True:
@@ -475,12 +484,15 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         xn, gn = x[new], g[new]
         status[new[np.abs(np.clip(xn - gn, lower, upper) - xn).max(axis=1) <= _GTOL]] = 0
         free = ~(((xn <= lower) & (gn > 0)) | ((xn >= upper) & (gn < 0)))
-        dn = _direction(gn, free, s_mem[new], y_mem[new])
+        # the oldest slot any of these rows holds
+        first = _MEMORY - pairs[new].max(initial=0)
+        dn = _direction(gn, free, s_mem[new, first:], y_mem[new, first:])
         uphill = _dot(gn, dn) >= 0
         s_mem[new[uphill]] = y_mem[new[uphill]] = 0.0
+        pairs[new[uphill]] = 0
         dn[uphill] = np.where(free[uphill], -gn[uphill], 0.0)
         d[new], trials[new], fresh[new] = dn, 0, False
-        alpha[new] = np.where(s_mem[new].any(axis=(1, 2)), 1.0, 1.0 / np.maximum(np.sqrt(_dot(dn, dn)), 1.0))
+        alpha[new] = np.where(pairs[new] > 0, 1.0, 1.0 / np.maximum(np.sqrt(_dot(dn, dn)), 1.0))
         status[(status == _RUNNING) & (evals >= budget)] = 1
         # the race, among the rows that would run on
         status[(status == _RUNNING) & (evals >= _RACE_AFTER) & (f > f.min() + _RACE_MARGIN)] = 3
@@ -498,8 +510,10 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         # an accepted step joins the memory when its curvature is positive
         took, s, y = run[ok], step[ok], g_new[ok] - g[run[ok]]
         curved = _dot(s, y) > np.finfo(float).eps * _dot(y, y)
+        stored = took[curved]
         for mem, pair in ((s_mem, s), (y_mem, y)):
-            mem[took[curved]] = np.concatenate([mem[took[curved], 1:], pair[curved, None]], axis=1)
+            mem[stored] = np.concatenate([mem[stored, 1:], pair[curved, None]], axis=1)
+        pairs[stored] = np.minimum(pairs[stored] + 1, _MEMORY)
         x[took], f[took], g[took], fresh[took] = trial[ok], f_new[ok], g_new[ok], True
         scale = np.maximum(np.maximum(np.abs(f_old[ok]), np.abs(f_new[ok])), 1.0)
         status[took[f_old[ok] - f_new[ok] <= _FTOL * scale]] = 0
@@ -510,6 +524,17 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
         trials[back] += 1
         alpha[back] *= np.clip(np.divide(-lin, curve, out=np.zeros_like(lin), where=curve > 0), 0.1, 0.5)
         status[back[trials[back] >= _MAX_TRIALS]] = 2
+
+
+def _starts(lo, hi, seed: int, restarts: int) -> np.ndarray:
+    """The restarts' starts (R, L): row i is a uniform draw in the box
+    [lo, hi] from a generator of its own, seeded with child i of `seed`.
+    Each generator draws its unit doubles u, and the rows scale at once to
+    lo + (hi - lo) * u, which has the bits of the generator's own
+    `uniform(lo, hi)` (it computes low + (high - low) * u) at about half
+    its cost."""
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    return lo + (hi - lo) * np.stack([np.random.default_rng(c).random(lo.size) for c in children])
 
 
 def _polish(kernel, genomes, budget) -> Minimum:
@@ -553,9 +578,7 @@ def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult
     """
     ga = ga or GaConfig()
     kernel = _FitnessKernel(problem)
-    lo, hi = genome_bounds(problem)
-    starts = [np.random.default_rng(s).uniform(lo, hi) for s in np.random.SeedSequence(ga.seed).spawn(ga.restarts)]
-    polish = _polish(kernel, np.stack(starts), ga.polish_evals)
+    polish = _polish(kernel, _starts(*genome_bounds(problem), ga.seed, ga.restarts), ga.polish_evals)
     win = _leader(polish.f, _durations(problem, polish.x), polish.x)
     seq = decode(problem, polish.x[win])
     h = build_hamiltonian_subspace(problem.params)

@@ -392,6 +392,30 @@ def test_first_restarts_do_not_depend_on_the_restart_count(request, problem_name
     assert x3.tobytes() == x8[:3].tobytes()
 
 
+@pytest.mark.parametrize("seed", [20260809, 1, 2])
+def test_starts_are_each_restarts_own_uniform_draw(paper, seed):
+    """The stacked starts equal, bit for bit, the `uniform(lo, hi)` draws of
+    one generator per child of the seed, on the box of every search job and
+    of a 1-pulse switched problem; the first k starts are the same at k and
+    at 4k restarts."""
+    from search_jobs import jobs
+
+    from nvctrl.optimizer import _starts
+
+    one_pulse = nc.ControlProblem(paper, nc.build_target("u_90", paper, 0.5), n_pulses=1, mode=nc.MODE_SWITCHED)
+    problems = [p for p, _ in jobs(nc.GaConfig()).values()] + [one_pulse]
+    assert len({genome_bounds(p)[1].tobytes() for p in problems}) > 5
+    k = 24
+    children = np.random.SeedSequence(seed).spawn(4 * k)
+    for problem in problems:
+        lo, hi = genome_bounds(problem)
+        want = np.stack([np.random.default_rng(c).uniform(lo, hi) for c in children])
+        starts = _starts(lo, hi, seed, 4 * k)
+        assert starts.shape == want.shape == (4 * k, lo.size)
+        assert starts.tobytes() == want.tobytes()
+        assert _starts(lo, hi, seed, k).tobytes() == starts[:k].tobytes()
+
+
 def _oracle_leader(fit, dur, pop) -> int:
     """Plain-Python winner rule: highest fitness, then shortest duration,
     then lowest genome as a tuple; the first on a full tie."""
@@ -586,6 +610,80 @@ def test_minimize_agrees_with_scipy_on_a_boxed_quadratic():
     )
     assert want.x[0] == 1.0 and want.x[1] == 0.0
     assert np.abs(res.x - want.x).max() < 1e-5
+
+
+def _two_loop_oracle(g, free, s_pairs, y_pairs) -> list[float]:
+    """-H g for one row in plain Python: the L-BFGS two-loop recursion over
+    the free coordinates, with the pairs (oldest first) whose curvature
+    there is positive, scaled by the newest pair's s.y / y.y when that pair
+    is one of them, else by 1; zero in the fixed coordinates."""
+    idx = [i for i, f in enumerate(free) if f]
+
+    def dot(a, b):
+        return math.fsum(float(a[i]) * float(b[i]) for i in idx)
+
+    eps = np.finfo(float).eps
+    kept = [(s, y, 1.0 / dot(s, y)) for s, y in zip(s_pairs, y_pairs) if dot(s, y) > eps * dot(y, y)]
+    q = {i: float(g[i]) for i in idx}
+    alphas = []
+    for s, y, rho in reversed(kept):
+        alphas.append(rho * dot(s, q))
+        q = {i: q[i] - alphas[-1] * y[i] for i in idx}
+    newest_kept = bool(s_pairs) and bool(kept) and kept[-1][0] is s_pairs[-1]
+    gamma = dot(s_pairs[-1], y_pairs[-1]) / dot(y_pairs[-1], y_pairs[-1]) if newest_kept else 1.0
+    r = {i: gamma * q[i] for i in idx}
+    for (s, y, rho), alpha in zip(kept, reversed(alphas)):
+        beta = rho * dot(y, r)
+        r = {i: r[i] + (alpha - beta) * s[i] for i in idx}
+    return [-r[i] if i in r else 0.0 for i in range(len(g))]
+
+
+def test_direction_matches_a_two_loop_oracle_and_skips_empty_slots_exactly():
+    """`_direction` gives the plain-Python two-loop direction, within 1e-12
+    relative, on rows holding 0 to `_MEMORY` pairs, with a pair of
+    non-positive curvature under the free mask, coordinates at a bound and
+    -0.0 gradient entries.  Leaving out the leading slots empty in every
+    row changes no bit: each row's direction is bitwise the same alone (its
+    own slots only), in a batch whose other rows hold more pairs, and over
+    the full memory, where a -0.0 entry shows."""
+    from nvctrl.optimizer import _MEMORY, _direction
+
+    rng = np.random.default_rng(17)
+    length, rows = 9, _MEMORY + 1
+    a = rng.normal(size=(length, length))
+    a = a @ a.T + length * np.eye(length)
+    s_mem, y_mem = np.zeros((2, rows, _MEMORY, length))
+    held = np.arange(rows)
+    for r in range(rows):
+        s = rng.normal(size=(held[r], length))
+        s_mem[r, _MEMORY - held[r] :], y_mem[r, _MEMORY - held[r] :] = s, s @ a + 0.1 * rng.normal(size=s.shape)
+    g = rng.normal(size=(rows, length))
+    free = rng.random((rows, length)) > 0.2
+    # row 0, no pairs: a -0.0 gradient entry ends as a -0.0 direction entry
+    g[0, :2], free[0, :2] = -0.0, True
+    # row 3: a pair curved over all coordinates but not over the free ones
+    free[3] = True
+    free[3, 0] = False
+    s_mem[3, -2], y_mem[3, -2] = 0.5, -0.5
+    s_mem[3, -2, 0], y_mem[3, -2, 0] = 10.0, 10.0
+    g[3, 1] = -0.0
+    # row 5: its newest pair has no positive curvature, so it is not the scale
+    s_mem[5, -1], y_mem[5, -1] = 1.0, -1.0
+    g[5, 2:4] = -0.0
+    assert np.dot(s_mem[3, -2], y_mem[3, -2]) > 0 >= np.dot(s_mem[3, -2] * free[3], y_mem[3, -2] * free[3])
+
+    full = _direction(g, free, s_mem, y_mem)
+    # the rows of at most _MEMORY - 1 pairs, without the slot none of them holds
+    batch = _direction(g[:-1], free[:-1], s_mem[:-1, 1:], y_mem[:-1, 1:])
+    assert batch.tobytes() == full[:-1].tobytes()
+    assert np.signbit(full[0, :2]).all() and np.all(full[0, :2] == 0.0)
+    for r in range(rows):
+        start = _MEMORY - held[r]
+        alone = _direction(g[r : r + 1], free[r : r + 1], s_mem[r : r + 1, start:], y_mem[r : r + 1, start:])
+        assert alone.tobytes() == full[r : r + 1].tobytes(), r
+        want = np.array(_two_loop_oracle(g[r], free[r], list(s_mem[r, start:]), list(y_mem[r, start:])))
+        assert np.abs(full[r] - want).max() <= 1e-12 * np.abs(want).max(), r
+        assert np.all(full[r][~free[r]] == 0.0)
 
 
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -71,3 +72,57 @@ def test_sweep_runs_without_scipy(tmp_path):
         assert r["raced"] == 0
     # no restart converges within 8 evaluations, so each such polish runs to its budget
     assert [r["polish_calls"] for r in records if r["design"] == "2x8"] == [8] * 6
+
+
+def _load_sweep(monkeypatch):
+    """tools/search_sweep.py as a module, with the environment and path it
+    changes on import restored afterwards."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("search_sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_choose_reports_count_ratios_and_designs_one_pass_cannot_rank(monkeypatch):
+    """`summarize` sums each design's lockstep calls and polish evaluations
+    over the first pass; `choose` gives their ratios to the baseline next to
+    the time ratio, and after one pass lists every other design whose time
+    ratio lies within TIME_SPREAD of TIME_RATIO.  The choice rule is the
+    time bound alone."""
+    sweep = _load_sweep(monkeypatch)
+    base, jobs_ = sweep.BASELINE, ["a", "b"]
+    # design: (summed wall time over the two jobs, lockstep calls per run, polish evaluations per run)
+    designs = {base: (10.0, 100, 1000), "near": (10.5, 60, 700), "fast": (8.0, 90, 900), "slow": (12.0, 50, 400)}
+    records = [
+        {"design": d, "job": job, "seed": seed, "repeat": 0, "tier1": False, "hit": True, "gap": 0.0,
+         "wall_s": wall / 2, "polish_calls": calls, "polish_evals": evals}
+        for d, (wall, calls, evals) in designs.items() for job in jobs_ for seed in (1, 2)
+    ]
+    summary = sweep.summarize(records, list(designs), jobs_, 1)
+    assert summary["near"]["polish_calls"] == 4 * 60 and summary["near"]["polish_evals"] == 4 * 700
+    assert summary["near"]["per_job"]["a"]["polish_calls"] == 2 * 60
+    choice = sweep.choose(summary)
+    assert choice["calls_ratio"] == {base: 1.0, "near": 0.6, "fast": 0.9, "slow": 0.5}
+    assert choice["evals_ratio"] == {base: 1.0, "near": 0.7, "fast": 0.9, "slow": 0.4}
+    assert choice["too_close_to_rank"] == ["near"]
+    assert choice["ranked"] == ["fast", base] and choice["chosen"] == "fast"
+    # two passes resolve what one cannot
+    again = [dict(r, repeat=1) for r in records]
+    assert sweep.choose(sweep.summarize(records + again, list(designs), jobs_, 2))["too_close_to_rank"] == []
+
+
+def test_same_searches_finds_a_tree_equal_to_itself(tmp_path):
+    """tools/same_searches.py run on this tree against itself, on one job
+    and one seed, hashes the search the same twice and exits 0."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, str(SWEEP.parent / "same_searches.py"), str(src), str(src),
+         "--seeds", "3", "--jobs", "II.1-u_90-10MHz-n2"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "same: 1 searches" and lines[0].startswith("3/II.1-u_90-10MHz-n2 ")

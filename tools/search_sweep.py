@@ -37,8 +37,12 @@ as hits.  When the default design 512x300 is among those run, the summary
 names the design with the most hits among those whose summed mean time
 over the jobs is at most that of 512x300, measured in the same sweep, the
 cheaper one on a tie.  It gives each design's time ratio to 512x300 in
-every pass and the jobs where the chosen design hits less often than
-512x300.
+every pass, its ratios of summed lockstep calls and polish evaluations,
+which do not vary between passes, and the jobs where the chosen design
+hits less often than 512x300.  A single pass cannot rank a design whose
+time ratio lies within 0.13 of the bound (two passes of the same runs
+differed by that much), so with `--repeats 1` the sweep warns about each
+such design.
 
 The results go to BENCH_search_<tag>.json in the current directory.
 """
@@ -66,6 +70,10 @@ from search_jobs import SEED as TIER1_SEED, jobs  # noqa: E402
 BEST_KNOWN = ROOT / "tools" / "best_known.json"
 HIT_TOL = 1e-6
 TIME_RATIO = 1.0
+# the summed mean time of one design moved by this fraction between two
+# passes of the same runs (BENCH_race.json: 5.71 and 6.44 s), so one pass
+# cannot rank a design whose time ratio lies this close to TIME_RATIO
+TIME_SPREAD = 0.13
 JOB_IDS = list(jobs(nc.GaConfig()))
 
 
@@ -144,8 +152,10 @@ def raise_best_known(records: list[dict]) -> dict:
 
 
 def summarize(records: list[dict], designs: list[str], job_ids: list[str], repeats: int) -> dict:
-    """Hits per design and job over the seeds, and the summed mean wall time
-    over the jobs, over all passes and in each."""
+    """Hits per design and job over the seeds, the summed mean wall time
+    over the jobs, over all passes and in each, and the lockstep calls and
+    polish evaluations summed over the seeds and the jobs, which do not
+    vary between passes."""
     summary = {}
     for d in designs:
         per_job, by_repeat = {}, np.zeros(repeats)
@@ -159,6 +169,8 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
                 "seeds": len(first),
                 "mean_wall_s": float(np.mean([r["wall_s"] for r in runs])),
                 "worst_gap": max(r["gap"] for r in first),
+                "polish_calls": sum(r["polish_calls"] for r in first),
+                "polish_evals": sum(r["polish_evals"] for r in first),
             }
             by_repeat += [np.mean([r["wall_s"] for r in runs if r["repeat"] == k]) for k in range(repeats)]
         summary[d] = {
@@ -166,6 +178,8 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
             "job_seeds": sum(j["seeds"] for j in per_job.values()),
             "summed_mean_wall_s": sum(j["mean_wall_s"] for j in per_job.values()),
             "summed_mean_wall_s_by_repeat": by_repeat.tolist(),
+            "polish_calls": sum(j["polish_calls"] for j in per_job.values()),
+            "polish_evals": sum(j["polish_evals"] for j in per_job.values()),
             "per_job": per_job,
         }
     return summary
@@ -173,11 +187,16 @@ def summarize(records: list[dict], designs: list[str], job_ids: list[str], repea
 
 def choose(summary: dict) -> dict | None:
     """The design with the most hits among those at most TIME_RATIO of the
-    baseline's summed mean time; the cheaper one on a tie."""
+    baseline's summed mean time; the cheaper one on a tie.  It gives each
+    design's ratios to the baseline of time, lockstep calls and polish
+    evaluations, and, after one pass, the designs whose time ratio lies
+    within TIME_SPREAD of TIME_RATIO, which that pass cannot rank."""
     if BASELINE not in summary:
         return None
     base = summary[BASELINE]
     budget = TIME_RATIO * base["summed_mean_wall_s"]
+    ratio = {d: s["summed_mean_wall_s"] / base["summed_mean_wall_s"] for d, s in summary.items()}
+    one_pass = len(base["summed_mean_wall_s_by_repeat"]) == 1
     eligible = [d for d, s in summary.items() if s["summed_mean_wall_s"] <= budget]
     ranked = sorted(eligible, key=lambda d: (-summary[d]["hits"], summary[d]["summed_mean_wall_s"]))
     chosen = ranked[0] if ranked else None
@@ -186,7 +205,12 @@ def choose(summary: dict) -> dict | None:
                 "the cheaper on a tie",
         "baseline": BASELINE,
         "budget_s": budget,
-        "time_ratio": {d: s["summed_mean_wall_s"] / base["summed_mean_wall_s"] for d, s in summary.items()},
+        "time_ratio": ratio,
+        "calls_ratio": {d: s["polish_calls"] / base["polish_calls"] for d, s in summary.items()},
+        "evals_ratio": {d: s["polish_evals"] / base["polish_evals"] for d, s in summary.items()},
+        "too_close_to_rank": [
+            d for d in summary if one_pass and d != BASELINE and abs(ratio[d] - TIME_RATIO) <= TIME_SPREAD
+        ],
         "time_ratio_by_repeat": {
             d: [t / b for t, b in zip(s["summed_mean_wall_s_by_repeat"], base["summed_mean_wall_s_by_repeat"])]
             for d, s in summary.items()
@@ -287,9 +311,14 @@ def main(argv=None) -> int:
     Path(f"BENCH_search_{args.tag}.json").write_text(json.dumps(out, indent=1) + "\n")
     for d in designs:
         s = summary[d]
-        print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s")
+        print(f"{d:>10}: {s['hits']}/{s['job_seeds']} hits, summed mean time {s['summed_mean_wall_s']:.2f} s, "
+              f"{s['polish_calls']} lockstep calls, {s['polish_evals']} polish evaluations")
     if out["choice"]:
         print(f"chosen: {out['choice']['chosen']}")
+        for d in out["choice"]["too_close_to_rank"]:
+            print(f"warning: {d}'s time ratio {out['choice']['time_ratio'][d]:.3f} lies within {TIME_SPREAD} of "
+                  f"{TIME_RATIO}, which one pass cannot rank; see its calls_ratio "
+                  f"{out['choice']['calls_ratio'][d]:.3f} or run --repeats 2", file=sys.stderr)
     return 0
 
 
