@@ -392,12 +392,20 @@ def test_first_restarts_do_not_depend_on_the_restart_count(request, problem_name
     assert x3.tobytes() == x8[:3].tobytes()
 
 
-@pytest.mark.parametrize("seed", [20260809, 1, 2])
+def _numpy_draws(seed, restarts, draw):
+    """The oracle: one numpy generator per child of the seed, stacked."""
+    return np.stack([draw(np.random.default_rng(c)) for c in np.random.SeedSequence(seed).spawn(restarts)])
+
+
+# 0 and 2**32 - 1 are one seed word, 2**32 two, 2**64 three, all padded to the
+# pool's four; 2**128 + 12345 is five words, so no padding
+@pytest.mark.parametrize("seed", [20260809, 1, 2, 0, 2**32 - 1, 2**32, 2**64, 2**128 + 12345])
 def test_starts_are_each_restarts_own_uniform_draw(paper, seed):
     """The stacked starts equal, bit for bit, the `uniform(lo, hi)` draws of
-    one generator per child of the seed, on the box of every search job and
-    of a 1-pulse switched problem; the first k starts are the same at k and
-    at 4k restarts."""
+    one numpy generator per child of the seed: on the box of every search
+    job and of a 1-pulse switched problem, and at 1, 2 and 1000 restarts of
+    genomes 1 and 15 long.  The first k starts are the same at k and at 4k
+    restarts."""
     from search_jobs import jobs
 
     from nvctrl.optimizer import _starts
@@ -406,14 +414,29 @@ def test_starts_are_each_restarts_own_uniform_draw(paper, seed):
     problems = [p for p, _ in jobs(nc.GaConfig()).values()] + [one_pulse]
     assert len({genome_bounds(p)[1].tobytes() for p in problems}) > 5
     k = 24
-    children = np.random.SeedSequence(seed).spawn(4 * k)
     for problem in problems:
         lo, hi = genome_bounds(problem)
-        want = np.stack([np.random.default_rng(c).uniform(lo, hi) for c in children])
+        want = _numpy_draws(seed, 4 * k, lambda g: g.uniform(lo, hi))
         starts = _starts(lo, hi, seed, 4 * k)
         assert starts.shape == want.shape == (4 * k, lo.size)
         assert starts.tobytes() == want.tobytes()
         assert _starts(lo, hi, seed, k).tobytes() == starts[:k].tobytes()
+    for length in (1, 15):
+        lo, hi = np.linspace(-3.0, 0.0, length), np.linspace(1.0, 2.0 * np.pi, length)
+        for restarts in (1, 2, 1000):
+            want = _numpy_draws(seed, restarts, lambda g: g.uniform(lo, hi))
+            assert _starts(lo, hi, seed, restarts).tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**160 - 1), st.integers(1, 64), st.integers(1, 15))
+@settings(max_examples=80, deadline=None)
+def test_unit_draws_are_numpys_streams(seed, restarts, length):
+    """Row i of the vectorized draw is `default_rng(child_i).random(L)` bit
+    for bit, for seeds of one to five 32-bit words."""
+    from nvctrl.optimizer import _unit_draws
+
+    want = _numpy_draws(seed, restarts, lambda g: g.random(length))
+    assert _unit_draws(seed, restarts, length).tobytes() == want.tobytes()
 
 
 def _oracle_leader(fit, dur, pop) -> int:

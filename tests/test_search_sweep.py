@@ -126,3 +126,20 @@ def test_same_searches_finds_a_tree_equal_to_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "same: 1 searches" and lines[0].startswith("3/II.1-u_90-10MHz-n2 ")
+
+
+def test_same_outputs_names_a_tree_that_cannot_run(tmp_path):
+    """tools/same_outputs.py given a tree whose package fails to import
+    exits 2 and names that tree, with no traceback, instead of reporting a
+    difference.  The broken package shadows any installed one."""
+    broken = tmp_path / "broken" / "src"
+    (broken / "nvctrl").mkdir(parents=True)
+    (broken / "nvctrl" / "__init__.py").write_text('raise ImportError("a broken tree")\n')
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, str(SWEEP.parent / "same_outputs.py"), str(broken), str(src)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2
+    assert f"{broken} failed to run: ImportError: a broken tree" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

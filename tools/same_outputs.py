@@ -12,7 +12,8 @@ them in a fresh interpreter with that tree first on PYTHONPATH and one BLAS
 thread, in a temporary directory of its own, under the same relative paths,
 so the manifests compare too.  When every file is the same it says so and
 exits 0; otherwise it lists each file that differs or that only one tree
-wrote, and exits 1.
+wrote, and exits 1.  A tree that fails to run exits 2, naming the tree and
+the last line of its error.
 """
 
 from __future__ import annotations
@@ -77,8 +78,12 @@ for name, argv in json.loads(sys.argv[1]):
 
 def run_tree(src: Path, work: Path) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", RUNNER, json.dumps(COMMANDS)], cwd=work, env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    done = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(COMMANDS)], cwd=work, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if done.returncode:
+        error = done.stderr.strip().splitlines() or [f"exit {done.returncode}"]
+        print(f"{src} failed to run: {error[-1]}", file=sys.stderr)
+        raise SystemExit(2)
     return {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
 
 
