@@ -41,7 +41,9 @@ class Target:
             u = np.asarray(self.unitary, dtype=complex)
             if u.shape != (4, 4):
                 raise ValueError("target unitary must be 4x4")
-            if np.linalg.norm(u @ u.conj().T - np.eye(4)) > 1e-10:
+            if not np.isfinite(u).all():
+                raise ValueError("target unitary has a non-finite entry")
+            if not np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-10:
                 raise ValueError("target matrix is not unitary")
             object.__setattr__(self, "unitary", u)
         elif self.kind == "state":

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation
-from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI
+from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI, _hermitian_error
 
 # tolerance of the unitarity, trace and Hermiticity checks
 _INVARIANT_TOL = 1e-10
@@ -155,11 +155,14 @@ class DensityState:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix must be finite")
+        trace = np.trace(m)
+        if not (abs(trace.real - 1.0) <= 1e-10 and abs(trace.imag) <= 1e-10):
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.norm(m - m.conj().T) > 1e-10 * max(np.linalg.norm(m), 1.0):
+        if not _hermitian_error(m) <= 1e-10:
             raise ValueError("density matrix must be Hermitian")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
+        if not np.linalg.eigvalsh(m).min() >= -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -84,6 +84,14 @@ class SystemParams:
         return GAMMA_C13_MHZ_PER_MT * self.b_mt if self.nu_c_override is None else self.nu_c_override
 
 
+def _hermitian_error(m: np.ndarray) -> float:
+    """|m - m^dag| / max(|m|, 1) in the Frobenius norm, computed on m divided
+    by its largest real or imaginary part, so that no finite m overflows."""
+    scale = max(np.abs(m.real).max(initial=1.0), np.abs(m.imag).max(initial=1.0))
+    a = m / scale
+    return np.linalg.norm(a - a.conj().T) / max(np.linalg.norm(a), 1.0 / scale)
+
+
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Square Hermitian operator, stored as H/2pi in MHz."""
@@ -94,8 +102,9 @@ class Hamiltonian:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix shape {m.shape} is not square")
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
+        if not _hermitian_error(m) <= 1e-12:
             raise ValueError("matrix is not Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -133,6 +133,15 @@ def test_u_t_target_is_unitary(paper):
     assert seq.total_duration_us == pytest.approx(2 * t90 + 1.0 / (2 * abs(paper.a_zz)))
 
 
+def test_target_rejects_a_non_finite_or_non_unitary_matrix():
+    nan_entry = np.eye(4, dtype=complex)
+    nan_entry[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        nc.Target("x", "unitary", unitary=nan_entry)
+    with pytest.raises(ValueError, match="not unitary"):
+        nc.Target("x", "unitary", unitary=2.0 * np.eye(4))
+
+
 def test_build_target_unknown_name(paper):
     with pytest.raises(ValueError, match="unknown target 'u_bogus'"):
         nc.build_target("u_bogus", paper)

@@ -297,11 +297,22 @@ def test_trajectory_sample_bound(monkeypatch, h_sub):
 
 
 def test_density_state_validation():
-    with pytest.raises(ValueError):
-        nc.DensityState(np.diag([0.7, 0.5, 0.0, 0.0]).astype(complex))
-    bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        nc.DensityState(bad)
+    def mixed(off_diagonal):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = off_diagonal
+        return m
+
+    # the last has purity 0.5 if its Hermiticity error, which overflows, goes unseen
+    for bad, message in (
+        (np.diag([0.7, 0.5, 0.0, 0.0]), "trace"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "positive"),
+        (np.diag([np.nan, 1.0]), "finite"),
+        (mixed(np.nan), "finite"),
+        (mixed(np.inf), "finite"),
+        ([[0.5, 1e200], [0, 0.5]], "Hermitian"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            nc.DensityState(bad)
 
 
 def test_non_unitary_core_fails_the_postcondition(monkeypatch, h_sub):

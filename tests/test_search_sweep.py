@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,9 @@ import nvctrl as nc
 from search_jobs import jobs
 
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "search_sweep.py"
+SAME = SWEEP.parent / "same.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
+ONE_SEARCH = ["--seeds", "3", "--jobs", "II.1-u_90-10MHz-n2"]
 
 
 @pytest.mark.parametrize("seeds", ["5-1", "-3", "1-x"])
@@ -114,32 +118,53 @@ def test_choose_reports_count_ratios_and_designs_one_pass_cannot_rank(monkeypatc
     assert sweep.choose(sweep.summarize(records + again, list(designs), jobs_, 2))["too_close_to_rank"] == []
 
 
-def test_same_searches_finds_a_tree_equal_to_itself(tmp_path):
-    """tools/same_searches.py run on this tree against itself, on one job
+def same(cwd, *args):
+    return subprocess.run([sys.executable, str(SAME), *map(str, args)],
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
+def test_same_finds_a_search_equal_to_itself(tmp_path):
+    """tools/same.py searches run on this tree against itself, on one job
     and one seed, hashes the search the same twice and exits 0."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, str(SWEEP.parent / "same_searches.py"), str(src), str(src),
-         "--seeds", "3", "--jobs", "II.1-u_90-10MHz-n2"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
+    done = same(tmp_path, "searches", SRC, SRC, *ONE_SEARCH)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "same: 1 searches" and lines[0].startswith("3/II.1-u_90-10MHz-n2 ")
 
 
-def test_same_outputs_names_a_tree_that_cannot_run(tmp_path):
-    """tools/same_outputs.py given a tree whose package fails to import
-    exits 2 and names that tree, with no traceback, instead of reporting a
-    difference.  The broken package shadows any installed one."""
+def test_same_finds_a_search_that_differs(tmp_path):
+    """A copy of this tree whose `OptimResult.to_json_dict` adds a key hashes
+    the search differently: tools/same.py searches names it and exits 1."""
+    changed = tmp_path / "changed" / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    optimizer = changed / "nvctrl" / "optimizer.py"
+    line = '"sequence": self.best_sequence.to_json_dict(),'
+    assert optimizer.read_text().count(line) == 1
+    optimizer.write_text(optimizer.read_text().replace(line, f'"changed": True, {line}'))
+    done = same(tmp_path, "searches", SRC, changed, *ONE_SEARCH)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["differs: 3/II.1-u_90-10MHz-n2", "1 of 1 searches differ"]
+
+
+@pytest.mark.parametrize("mode", ["outputs", "searches"])
+def test_same_names_a_tree_that_cannot_run(tmp_path, mode):
+    """tools/same.py given a tree whose package fails to import exits 2 and
+    names that tree, with no traceback, instead of reporting a difference.
+    The broken tree goes first, so the other never runs; its package
+    shadows any installed one."""
     broken = tmp_path / "broken" / "src"
     (broken / "nvctrl").mkdir(parents=True)
     (broken / "nvctrl" / "__init__.py").write_text('raise ImportError("a broken tree")\n')
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, str(SWEEP.parent / "same_outputs.py"), str(broken), str(src)],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
+    done = same(tmp_path, mode, broken, SRC)
     assert done.returncode == 2
     assert f"{broken} failed to run: ImportError: a broken tree" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_same_names_the_tree_given_an_unknown_job(tmp_path):
+    """An unknown job id exits 2 before any search, naming the first tree
+    and listing the known jobs."""
+    done = same(tmp_path, "searches", SRC, SRC, "--jobs", "II.1-u_90-10MHz-n2", "no-such-job")
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"{SRC} failed to run: unknown jobs ['no-such-job']; known: ")
     assert "Traceback" not in done.stderr and done.stdout == ""

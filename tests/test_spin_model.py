@@ -408,8 +408,12 @@ def test_every_param_reaches_the_working_model(paper):
 def test_hamiltonian_rejects_non_hermitian():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        nc.Hamiltonian(m)
+    # the last is far from Hermitian, though its Frobenius norm overflows
+    for bad, message in ((m, "Hermitian"), (np.diag([np.nan, 0, 0, 0]), "non-finite"),
+                         (np.diag([np.inf, 0, 0, 0]), "non-finite"), ([[1e308, 1e308], [0, 1e308]], "Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            nc.Hamiltonian(bad)
     with pytest.raises(ValueError, match="square"):
         nc.Hamiltonian(np.zeros((4, 3)))
     assert nc.Hamiltonian(np.eye(6)).dim == 6
+    assert nc.Hamiltonian([[1e308, 1e308], [1e308, -1e308]]).dim == 2
