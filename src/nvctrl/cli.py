@@ -111,9 +111,10 @@ def _checked(key: str, value, decl):
     raise UsageError(f"{key} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
-def _at_least(value: int, minimum: int, what: str) -> int:
-    if value < minimum:
-        raise UsageError(f"{what} must be at least {minimum}, got {value!r}")
+def _grid_points(value: int, what: str) -> int:
+    if value < 2:
+        raise UsageError(f"{what} must be at least 2, got {value!r}")
+    experiments.check_grid_size(value, what)
     return value
 
 
@@ -208,7 +209,7 @@ def cmd_esr(config, block):
     f_lo, f_hi = block["f_min_mhz"], block["f_max_mhz"]
     if not (math.isfinite(f_hi - f_lo) and f_lo < f_hi):
         raise UsageError(f"esr.f_min_mhz < esr.f_max_mhz must bound a finite window, got {f_lo!r}, {f_hi!r}")
-    n = _at_least(block["n_points"], 2, "esr.n_points")
+    n = _grid_points(block["n_points"], "esr.n_points")
     lines = spin_model.esr_lines(params, branch)
     spec = spin_model.esr_spectrum(lines, block["linewidth_mhz"], np.linspace(f_lo, f_hi, n))
     files = {
@@ -330,7 +331,7 @@ def cmd_polarize(config, block):
     d_max = block["d_max_us"]
     if not d_max > 0:
         raise UsageError(f"polarize.d_max_us must be positive, got {d_max!r}")
-    n = _at_least(block["n_points"], 2, "polarize.n_points")
+    n = _grid_points(block["n_points"], "polarize.n_points")
     grid = np.linspace(0.0, d_max, n)
     curve = experiments.polarization_curve(model, grid)
     seq = _load_sequence(block["sequence"])

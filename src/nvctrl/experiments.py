@@ -45,15 +45,28 @@ DEFAULT_UC_RECORD_US = 200.0
 DEFAULT_UC_PRIME_RECORD_US = 300.0
 DEFAULT_STEP_US = 1.0
 
+# most samples one FID delay grid or ESR or polarization grid may hold; the
+# count is checked before the grid is built
+MAX_GRID_SAMPLES = 10**6
+
 # 6-level basis order: (+1,up), (+1,down), (0,up), (0,down), (-1,up), (-1,down)
 # _SWAP_01: ideal 180-degree swap of the m_S = 0 and +1 populations
 _SWAP_01 = np.eye(6, dtype=complex)[[2, 3, 0, 1, 4, 5]]
 
 
+def check_grid_size(count: float, what: str) -> None:
+    """Raise ValueError when a grid of `count` samples would hold more than
+    MAX_GRID_SAMPLES."""
+    if not count <= MAX_GRID_SAMPLES:
+        shown = math.ceil(count) if math.isfinite(count) else count
+        raise ValueError(f"{what} asks for {shown} samples, more than the {MAX_GRID_SAMPLES} a grid may hold")
+
+
 def default_tau_grid(record_us: float, step_us: float = DEFAULT_STEP_US) -> np.ndarray:
-    # checked here: np.arange divides by the step
+    # checked here: np.arange divides by the step, and holds ceil(record / step) samples
     if not step_us > 0:
         raise ValueError(f"tau step must be positive, got {step_us!r}")
+    check_grid_size(record_us / step_us, "a record_us / dt_us delay grid")
     return np.arange(0.0, record_us, step_us)
 
 

@@ -77,8 +77,9 @@ class Spectrum:
 def write_csv(path, header, columns) -> None:
     """Write columns of floats with a header row; repr() keeps full precision.
     Columns of different lengths are a ValueError, and nothing is written."""
-    rows = np.column_stack(columns).astype(float, copy=False).tolist()
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    table = np.column_stack(columns).astype(float, copy=False)
+    cells = [map(repr, col) for col in table.T.tolist()]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -89,8 +90,12 @@ def read_csv(path, expected_header=None) -> list[np.ndarray]:
     header = tuple(text[0].split(","))
     if expected_header is not None and header != tuple(expected_header):
         raise ValueError(f"unexpected CSV header {header!r} in {path}")
-    rows = [[float(v) for v in line.split(",")] for line in text[1:]]
-    data = np.array(rows, dtype=float)
+    rows = text[1:]
+    width = rows[0].count(",") + 1
+    if any(row.count(",") != width - 1 for row in rows):
+        raise ValueError(f"rows of different lengths in {path}")
+    fields = ",".join(rows).split(",")
+    data = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(len(rows), width)
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite value in {path}")
     return [data[:, j] for j in range(data.shape[1])]

@@ -690,10 +690,15 @@ MALFORMED = {
         "optimize", *TINY_GA, "--set", "optimize.target=u_90", "--set", "optimize.n_pulses=2",
         "--set", 'optimize.robust={{"lo_mhz": -0.5, "hi_mhz": 0.52}}',
     ],
-    # sizes no machine can allocate (10^15 points) fail with MemoryError at once
+    # grids above MAX_GRID_SAMPLES fail before any sample is built: 10^9
+    # samples (8 GB a grid, which may be granted and then exhaust memory) and
+    # 10^15 (more than any machine can allocate)
     "esr-points-huge": ["esr", "--set", "esr.n_points=1000000000000000"],
     "polarize-points-huge": ["polarize", "--set", "polarize.n_points=1000000000000000"],
     "fid-record-huge": ["fid", "--set", "fid.record_us=1e15"],
+    "esr-points-1e9": ["esr", "--set", "esr.n_points=1000000000"],
+    "polarize-points-1e9": ["polarize", "--set", "polarize.n_points=1000000000"],
+    "fid-record-1e9": ["fid", "--set", "fid.protocol=analytic_uc", "--set", "fid.record_us=1e9"],
     "seed-bool": ["angles", "--set", "seed=true"],
     "esr-branch-bool": ["esr", "--set", "esr.branch=true"],
     "esr-points-fraction": ["esr", "--set", "esr.n_points=3.9"],
@@ -735,6 +740,21 @@ def test_drive_sample_cap_is_inclusive():
     assert nc.RobustnessRange(0.4, 0.5, MAX_DRIVE_SAMPLES).samples().size == MAX_DRIVE_SAMPLES
     with pytest.raises(ValueError, match="n_samples"):
         nc.RobustnessRange(0.4, 0.5, MAX_DRIVE_SAMPLES + 1)
+
+
+def test_grid_cap_is_inclusive(tmp_path, capsys):
+    """A grid of exactly MAX_GRID_SAMPLES samples is accepted; one more is
+    the usage error above, and the message names the count and the cap."""
+    from nvctrl.experiments import MAX_GRID_SAMPLES, default_tau_grid
+
+    assert default_tau_grid(MAX_GRID_SAMPLES, 1.0).size == MAX_GRID_SAMPLES
+    with pytest.raises(ValueError, match=f"{MAX_GRID_SAMPLES + 1} samples, more than the {MAX_GRID_SAMPLES}"):
+        default_tau_grid(MAX_GRID_SAMPLES + 0.5, 1.0)
+    for command in ("esr", "polarize"):
+        out = tmp_path / command
+        assert run([command, "--set", f"{command}.n_points={MAX_GRID_SAMPLES + 1}", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{command}.n_points asks for {MAX_GRID_SAMPLES + 1} samples" in err and not out.exists()
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())

@@ -77,3 +77,45 @@ def test_write_csv_rejects_columns_of_different_lengths(tmp_path, lengths):
     with pytest.raises(ValueError):
         write_csv(path, ("a", "b"), [np.zeros(n) for n in lengths])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [
+    "1.0,2.0\n3.0\n",          # a short row
+    "1.0,2.0\n3.0,4.0,5.0\n",  # a long row
+    "1.0,2.0,3.0\n4.0\n5.0,6.0\n",  # fields that add up to whole rows
+    "1.0,2.0\n\n3.0,4.0\n",    # an empty line
+])
+def test_read_csv_rejects_rows_of_different_lengths(tmp_path, rows):
+    path = tmp_path / "x.csv"
+    path.write_text("a,b\n" + rows)
+    with pytest.raises(ValueError):
+        read_csv(path)
+
+
+def test_read_csv_takes_every_field_that_float_takes(tmp_path):
+    """Fields are parsed by `float`, so underscores, padding and any case of
+    an exponent are accepted, and a field `float` refuses is a ValueError."""
+    path = tmp_path / "x.csv"
+    path.write_text("a,b\n1_000, 2.5 \n-1E3,7\n")
+    a, b = read_csv(path, ("a", "b"))
+    assert a.tolist() == [1000.0, -1000.0] and b.tolist() == [2.5, 7.0]
+    for field in ("1__0", "", "0x10", "1.0.0"):
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{field}\n")
+        with pytest.raises(ValueError):
+            read_csv(path)
+
+
+def test_csv_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(7)
+    columns = [rng.standard_normal(301) * 10.0 ** rng.integers(-300, 300, 301) for _ in range(7)]
+    columns[0][:3] = [-0.0, 5e-324, np.nextafter(1.0, 2.0)]
+    header = tuple("abcdefg")
+    path = tmp_path / "x.csv"
+    write_csv(path, header, columns)
+    back = read_csv(path, header)
+    assert len(back) == 7
+    for col, got in zip(columns, back):
+        assert got.tobytes() == col.tobytes()
+    # one column is a file of one field per line
+    write_csv(path, ("a",), columns[:1])
+    assert read_csv(path)[0].tobytes() == columns[0].tobytes()
