@@ -49,6 +49,10 @@ DEFAULT_STEP_US = 1.0
 # count is checked before the grid is built
 MAX_GRID_SAMPLES = 10**6
 
+# delay samples the FID core evolves at once; each takes about 2 kB of
+# propagators and states
+_FID_CHUNK = 4096
+
 # 6-level basis order: (+1,up), (+1,down), (0,up), (0,down), (-1,up), (-1,down)
 # _SWAP_01: ideal 180-degree swap of the m_S = 0 and +1 populations
 _SWAP_01 = np.eye(6, dtype=complex)[[2, 3, 0, 1, 4, 5]]
@@ -131,10 +135,15 @@ _MS0_UP = np.diag([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 def _fid(params, tau, rho6, pre, read, observable, protocol) -> FidTrace:
     """The one FID core: prepare pre rho6 pre^dag, precess freely for every
-    delay in `tau`, and report Re Tr[(read^dag O read) rho(tau)]."""
+    delay in `tau`, and report Re Tr[(read^dag O read) rho(tau)].  Delays
+    are evolved _FID_CHUNK at a time, which bounds the memory a long record
+    takes and changes no bit of the signal."""
     tau = _validate_grid(tau)
-    rho_tau = _evolve(_free_propagators_6(params, tau), pre @ rho6 @ pre.conj().T)
-    signal = np.einsum("ij,tji->t", read.conj().T @ observable @ read, rho_tau).real
+    rho, seen = pre @ rho6 @ pre.conj().T, read.conj().T @ observable @ read
+    signal = np.concatenate([
+        np.einsum("ij,tji->t", seen, _evolve(_free_propagators_6(params, tau[i : i + _FID_CHUNK]), rho)).real
+        for i in range(0, tau.size, _FID_CHUNK)
+    ])
     return FidTrace(tau, signal, protocol)
 
 
@@ -359,6 +368,12 @@ def polarization_curve_max(
 # from its best point spends at most _POLISH_EVALS evaluations
 _GRID_SIDE = 8
 _POLISH_EVALS = 200
+_RATES = np.geomspace(1e-2, 30.0, _GRID_SIDE)
+_GAMMAS = np.geomspace(1e-4, 3.0, _GRID_SIDE)
+# a grid point whose Gram matrix is worse conditioned than this is scored by
+# lstsq: below it n eps cond stays under 0.03 up to a million samples, where
+# the first-order error bound of the normal equations holds
+_GRAM_COND = 1e8
 
 
 def _amplitudes(d, p, rate, gamma):
@@ -370,33 +385,109 @@ def _amplitudes(d, p, rate, gamma):
     return coef, design @ coef - p, fast, slow
 
 
+def _grid_score(d, p, k: int) -> float:
+    """The squared residual of grid point k's lstsq amplitudes."""
+    resid = _amplitudes(d, p, _RATES[k // _GRID_SIDE], _GAMMAS[k % _GRID_SIDE])[1]
+    return resid @ resid
+
+
+def _batched_grid_norms(d, p):
+    """Every grid point's residual norm from the normal equations, in one
+    pass, with a first-order bound on how far it may lie from the norm
+    `_grid_score` gives, and whether the point is well conditioned enough
+    for either to hold (both are 0 where it is not); points are flat grid
+    indices.
+
+    The bound adds the worst-case errors of forming and solving the Gram
+    matrix and of lstsq itself: 8 n eps (1 + 2 kappa) (|p| + |A|_F |c|),
+    with kappa the design's condition number."""
+    n = d.size
+    fast = np.exp(-_RATES[:, None] * d)
+    slow = np.exp(-2.0 * _GAMMAS[:, None] * d)
+    # Gram matrices of the designs [1, -fast, slow], indexed (rate, gamma, ...)
+    gram = np.empty((_GRID_SIDE, _GRID_SIDE, 3, 3))
+    gram[..., 0, 0] = n
+    gram[..., 0, 1] = gram[..., 1, 0] = -fast.sum(axis=1)[:, None]
+    gram[..., 0, 2] = gram[..., 2, 0] = slow.sum(axis=1)
+    gram[..., 1, 1] = np.einsum("ij,ij->i", fast, fast)[:, None]
+    gram[..., 1, 2] = gram[..., 2, 1] = -(fast @ slow.T)
+    gram[..., 2, 2] = np.einsum("ij,ij->i", slow, slow)
+    lam, vec = np.linalg.eigh(gram)
+    good = lam[..., 0] * _GRAM_COND > lam[..., 2]
+    lam = np.where(good[..., None], lam, 1.0)
+    # a huge p may overflow from here on; such a point is then not finite and
+    # is scored by lstsq, which warns as it always did
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.empty((_GRID_SIDE, _GRID_SIDE, 3))
+        rhs[..., 0] = p.sum()
+        rhs[..., 1] = -(fast @ p)[:, None]
+        rhs[..., 2] = slow @ p
+        coef = np.einsum("...ij,...j->...i", vec, np.einsum("...ji,...j->...i", vec, rhs) / lam)
+        resid = coef[..., 0, None] - coef[..., 1, None] * fast[:, None] + coef[..., 2, None] * slow - p
+        norm = np.sqrt(np.einsum("...i,...i", resid, resid))
+        kappa = np.sqrt(lam[..., 2] / lam[..., 0])
+        size = math.sqrt(p @ p) + np.sqrt(lam.sum(axis=-1) * np.einsum("...i,...i", coef, coef))
+        bound = 8.0 * n * np.finfo(float).eps * (1.0 + 2.0 * kappa) * size
+    good &= np.isfinite(norm) & np.isfinite(bound)
+    norm[~good] = bound[~good] = 0.0
+    return norm.ravel(), bound.ravel(), good.ravel()
+
+
+def _grid_start(d, p) -> int:
+    """The flat index of the grid point with the smallest `_grid_score`, as
+    np.argmin over all of them picks it.
+
+    Well-conditioned points are scored at once by `_batched_grid_norms`; the
+    rest by lstsq.  When several points' bounds overlap the best one's,
+    lstsq scores those again and picks, so the pick is lstsq's on any input;
+    when a lstsq score is not finite, lstsq scores the whole grid."""
+    norm, bound, good = _batched_grid_norms(d, p)
+    exact = {int(k): _grid_score(d, p, k) for k in np.flatnonzero(~good)}
+    lo, hi = norm - bound, norm + bound
+    for k, score in exact.items():
+        lo[k] = hi[k] = math.sqrt(score)
+    if not np.isfinite(hi).all():
+        return int(np.argmin([_grid_score(d, p, k) for k in range(_GRID_SIDE**2)]))
+    near = np.flatnonzero(lo <= hi.min())
+    if near.size == 1:
+        return int(near[0])
+    return int(near[np.argmin([exact[k] if k in exact else _grid_score(d, p, k) for k in near])])
+
+
+def _fit_samples(data, names: tuple[str, str], least: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of at least `least` finite samples, checked before any
+    of them reaches LAPACK."""
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < least:
+        raise ValueError(f"need at least {least} ({names[0]}, {names[1]}) samples")
+    for name, column in zip(names, arr.T):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"the {name} column holds {float(column[i])!r} at sample {i}; samples must be finite")
+    return arr[:, 0], arr[:, 1]
+
+
 def fit_polarization(data) -> PolarizationModel:
     """Least-squares fit of the three-term pumping model to (d, p) samples.
 
     The model is linear in the amplitudes given the rates, so the fit
     minimizes half the squared residual of the least-squares amplitudes over
     the two rates alone (variable projection: Golub & Pereyra, SIAM J.
-    Numer. Anal. 10, 413 (1973)).  A coarse (rate, gamma) grid picks the
+    Numer. Anal. 10, 413 (1973)).  A coarse (rate, gamma) grid, scored in
+    one batched pass that falls back to lstsq (`_grid_start`), picks the
     start, and `optimizer.minimize` polishes it with non-negative rates.
     Only the sum alpha + beta is identifiable; it is the model's
     `pump_rate_per_us`.
     """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 6:
-        raise ValueError("need at least 6 (d, p) samples")
-    d, p = arr[:, 0], arr[:, 1]
+    d, p = _fit_samples(data, ("d", "p"), 6)
     if np.any(d < 0) or d.max() <= d.min():
         raise ValueError("laser durations must be non-negative and span a range")
 
-    grid = [
-        (rate, gamma)
-        for rate in np.geomspace(1e-2, 30.0, _GRID_SIDE)
-        for gamma in np.geomspace(1e-4, 3.0, _GRID_SIDE)
-    ]
-    resids = [_amplitudes(d, p, rate, gamma)[1] for rate, gamma in grid]
+    start = _grid_start(d, p)
     # the polish sees the rates in units of the best grid point, which evens
     # out their curvatures (and halves its evaluations on the paper's curve)
-    scale = np.array(grid[int(np.argmin([r @ r for r in resids]))])
+    scale = np.array([_RATES[start // _GRID_SIDE], _GAMMAS[start % _GRID_SIDE]])
 
     def objective(x):
         rate, gamma = x[0] * scale
@@ -424,20 +515,17 @@ def fit_fid_amplitude(data, nu_mhz: float) -> tuple[float, float, float]:
     Linear in (a, b cos c, b sin c); b is reported non-negative with c
     adjusted accordingly.
     """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 5:
-        raise ValueError("need at least 5 (tau, P) samples")
+    tau, y = _fit_samples(data, ("tau", "P"), 5)
     if nu_mhz <= 0:
         raise ValueError("frequency must be positive")
-    tau, y = arr[:, 0], arr[:, 1]
     # Python floats overflow to inf without the RuntimeWarning numpy prints
     if not math.isfinite(TWO_PI * nu_mhz * float(np.max(np.abs(tau)))):
         raise ValueError(f"phase 2 pi nu tau is not finite at nu = {nu_mhz!r} MHz")
     phase = TWO_PI * nu_mhz * tau
     design = np.column_stack([np.ones_like(tau), np.sin(phase), np.cos(phase)])
-    if np.linalg.matrix_rank(design) < 3:
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 3:
         raise ValueError("design matrix is rank deficient; cannot separate amplitude and phase")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     a, u, v = coef
     b = math.hypot(u, v)
     c = math.atan2(v, u) if b > 1e-15 else 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
+from nvctrl import experiments
 from nvctrl.errors import NoConvergence
 from nvctrl.experiments import default_tau_grid, ideal_reset
 from nvctrl.fidelity import u_t_sequence
@@ -199,6 +201,25 @@ def test_fid_protocols_match_expm_oracle(protocol):
                 p = float(rng.uniform(-1.0, 1.0))
                 got = nc.fid_u90(params, protocol, prep, read, tau, initial_polarization=p).signal
             assert np.abs(got - oracle_fid(params, protocol, tau, prep, read, p)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("protocol", ["uc", "uc_prime", 0, -1, +1])
+def test_fid_evolved_in_chunks_is_bitwise_the_whole_grid(monkeypatch, paper, protocol):
+    """Chunks of 1, 3 and 7 delays (the last one short) give the same bits
+    as one pass over the whole grid, with and without sequences."""
+    rng = np.random.default_rng(41)
+    tau = np.sort(rng.uniform(0.0, 60.0, 31))
+    prep, read = random_sequence(rng), random_sequence(rng)
+    if protocol in ("uc", "uc_prime"):
+        fid = nc.fid_uc if protocol == "uc" else nc.fid_uc_prime
+        runs = [lambda: fid(paper, None, None, tau), lambda: fid(paper, prep, read, tau)]
+    else:
+        runs = [lambda: nc.fid_u90(paper, protocol, None, None, tau, initial_polarization=0.3),
+                lambda: nc.fid_u90(paper, protocol, prep, read, tau, initial_polarization=-0.6)]
+    whole = [run().signal.tobytes() for run in runs]
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(experiments, "_FID_CHUNK", chunk)
+        assert [run().signal.tobytes() for run in runs] == whole
 
 
 def test_spectrum_pure_cosine_peak_location():
@@ -424,6 +445,93 @@ def test_fit_polarization_degenerate_data_fails_or_is_a_minimum(case):
     assert r @ r - after <= 2.0 * np.linalg.norm(r) * roundoff + roundoff**2
 
 
+def _grid_oracle(d, p):
+    """The squared residual of each start-grid point's amplitudes, solved by
+    lstsq one point at a time, in (rate, gamma) row-major order."""
+    scores = []
+    for rate in np.geomspace(1e-2, 30.0, 8):
+        for gamma in np.geomspace(1e-4, 3.0, 8):
+            design = np.column_stack([np.ones_like(d), -np.exp(-rate * d), np.exp(-2.0 * gamma * d)])
+            r = design @ np.linalg.lstsq(design, p, rcond=None)[0] - p
+            scores.append(r @ r)
+    return np.array(scores)
+
+
+def _grid_cases():
+    """The fit datasets, the degenerate ones and 100 more noisy paper curves
+    on FIT_DESIGN, which are perfbench's readout delays."""
+    cases = {case: (FIT_DESIGN, p) for case, p in _FIT_DATASETS.items()} | _degenerate_cases()
+    clean = nc.polarization_curve(nc.paper_polarization_model(), FIT_DESIGN)
+    rng = np.random.default_rng(34)
+    for k in range(100):
+        cases[f"readout-{k}"] = (FIT_DESIGN, clean + rng.normal(0.0, 0.01, FIT_DESIGN.size))
+    return cases
+
+
+_GRID_CASES = _grid_cases()
+
+
+def test_grid_start_is_the_per_point_lstsq_argmin():
+    """The batched grid picks np.argmin of the per-point lstsq scores on 155
+    datasets; on FIT_DESIGN every point is batched, and the batched residual
+    norms lie within their stated bound of lstsq's."""
+    for case, (d, p) in _GRID_CASES.items():
+        scores = _grid_oracle(d, p)
+        assert experiments._grid_start(d, p) == np.argmin(scores), case
+        norm, bound, good = experiments._batched_grid_norms(d, p)
+        if d is FIT_DESIGN:
+            assert good.all(), case
+        assert np.all(np.abs(norm - np.sqrt(scores))[good] <= bound[good]), case
+
+
+@pytest.mark.parametrize("gram_cond", [1.0, 1e4])
+def test_grid_start_with_the_lstsq_fallback_forced(monkeypatch, gram_cond):
+    """With no point batched (bound 1), or only the better-conditioned ones
+    (1e4), the pick is still the per-point lstsq argmin."""
+    monkeypatch.setattr(experiments, "_GRAM_COND", gram_cond)
+    batched = []
+    for case, (d, p) in _GRID_CASES.items():
+        batched.append(experiments._batched_grid_norms(d, p)[2].sum())
+        assert experiments._grid_start(d, p) == np.argmin(_grid_oracle(d, p)), case
+    if gram_cond == 1.0:
+        assert max(batched) == 0
+    else:
+        assert any(0 < n < 64 for n in batched)
+
+
+@pytest.mark.parametrize("scale", [1e200, -1.7e308])
+def test_grid_start_past_float_range_is_the_lstsq_argmin(scale):
+    """Residuals that overflow leave no batched point and a non-finite lstsq
+    score, so lstsq scores the whole grid; the batched pass itself warns of
+    nothing."""
+    p = scale * _FIT_DATASETS["noisy-0"]
+    with pytest.warns(RuntimeWarning):
+        scores = _grid_oracle(FIT_DESIGN, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not experiments._batched_grid_norms(FIT_DESIGN, p)[2].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert experiments._grid_start(FIT_DESIGN, p) == np.argmin(scores)
+
+
+@pytest.mark.parametrize("fit", ["polarization", "sinusoid"])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fits_reject_a_non_finite_sample_before_lapack(capfd, fit, column, bad):
+    """A NaN or inf sample is a ValueError that names its column, and LAPACK
+    prints nothing."""
+    data = np.column_stack([FIT_DESIGN, _FIT_DATASETS["noisy-0"]])
+    data[17, column] = bad
+    name = {"polarization": ("d", "p"), "sinusoid": ("tau", "P")}[fit][column]
+    with pytest.raises(ValueError, match=f"^the {name} column holds {bad!r} at sample 17"):
+        if fit == "polarization":
+            nc.fit_polarization(data)
+        else:
+            nc.fit_fid_amplitude(data, 0.158)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_fit_polarization_needs_enough_points():
     with pytest.raises(ValueError):
         nc.fit_polarization(np.array([[0.0, 0.3], [1.0, 0.4]]))
@@ -471,6 +579,12 @@ def test_fit_fid_amplitude_nonnegative_b():
     _, b, c = nc.fit_fid_amplitude(data, 0.158)
     assert b == pytest.approx(0.1, abs=1e-9)
     assert math.sin(c) == pytest.approx(math.sin(math.pi), abs=1e-6) or b >= 0
+
+
+@pytest.mark.parametrize("tau", [np.full(8, 2.5), np.repeat([0.0, 1.5], 4)], ids=["one-delay", "two-delays"])
+def test_fit_fid_amplitude_rejects_a_rank_deficient_design(tau):
+    with pytest.raises(ValueError, match="rank deficient"):
+        nc.fit_fid_amplitude(np.column_stack([tau, np.linspace(0.2, 0.3, 8)]), 0.158)
 
 
 @pytest.mark.filterwarnings("error")

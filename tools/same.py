@@ -4,7 +4,7 @@
     python3 tools/same.py outputs OLD/src NEW/src
     python3 tools/same.py searches OLD/src NEW/src [--seeds 20260809 1 2] [--jobs JOB ...]
 
-`outputs` hashes every file that COMMANDS, 27 nvctrl commands from `angles`
+`outputs` hashes every file that COMMANDS, 28 nvctrl commands from `angles`
 to `tables --which all`, write under the same relative paths, so the
 manifests compare too.  `searches` hashes the 21 searches of
 tests/search_jobs.py (table row i runs with seed + i) at each seed: the
@@ -58,13 +58,15 @@ COMMANDS = [
     ("bloch", ["bloch", "--set", f"bloch.sequence={SEQ}", "--set", "bloch.dt_us=0.05"]),
     ("polarize", ["polarize", "--set", f"polarize.sequence={SEQ}"]),
     ("fit-polarization", ["fit", "polarization", "--data", "pol.csv"]),
+    # a 0.5 us span, where most of the fit's start grid is too ill-conditioned to batch
+    ("fit-polarization-short", ["fit", "polarization", "--data", "pol_short.csv"]),
     ("fit-sinusoid", ["fit", "sinusoid", "--data", "out/fid-analytic_uc/fid.csv", "--nu", "0.158"]),
     ("fit-fidelities", ["fit", "fidelities", "--b0", "0.13", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7"]),
     ("tables", ["tables", "--which", "all"]),
 ]
 
-# writes a noisy paper pumping curve for `fit polarization` and the paper's u_t
-# readout gate, runs every command through `main` and hashes every file written
+# writes two noisy paper pumping curves for `fit polarization` and the paper's
+# u_t readout gate, runs every command through `main` and hashes every file written
 OUTPUTS = """
 import hashlib, json, sys
 from pathlib import Path
@@ -76,6 +78,9 @@ from nvctrl.signals import write_csv
 d = np.linspace(0.0, 120.0, 200)
 p = nc.polarization_curve(nc.paper_polarization_model(), d) + np.random.default_rng(1).normal(0.0, 0.01, d.size)
 write_csv("pol.csv", ("d_l_us", "p"), (d, p))
+d = np.linspace(0.0, 0.5, 20)
+p = nc.polarization_curve(nc.paper_polarization_model(), d) + np.random.default_rng(2).normal(0.0, 0.01, d.size)
+write_csv("pol_short.csv", ("d_l_us", "p"), (d, p))
 u_t_sequence(nc.SystemParams(), 0.5).save("u_t.json")
 for name, argv in json.loads(sys.argv[1]):
     if main(argv + ["--out", f"out/{name}"]) != 0:
