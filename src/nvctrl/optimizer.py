@@ -3,16 +3,16 @@
 The genome packs the free parameters of an n-pulse sequence as flat blocks
 [tau_1..tau_n | t_1..t_n | phi_1..phi_n] (free flip angles) or
 [tau_1..tau_n | phi_1..phi_n] (switched mode, every flip angle fixed at 180
-degrees).  Each restart draws one uniform genome in the search box from its
-own generator's stream, and a projected L-BFGS on exact gradients polishes
-it.  The restarts run in lockstep, with fitness evaluated for all of them at
-once, so results are bitwise reproducible for a given seed.
+degrees).  The restarts' starts are uniform genomes in the search box, the
+rows of one generator seeded by the search's seed, and a projected L-BFGS on
+exact gradients polishes each of them.  The restarts run in lockstep, with
+fitness evaluated for all of them at once, so results are bitwise
+reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -95,18 +95,16 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Search budget and seed.  Restart i draws one uniform genome from the
-    stream of its own generator, numpy's `default_rng` of child i of
-    `SeedSequence(seed)`; `_starts` reproduces those streams bit for bit for
-    every restart in one vectorized pass, and tier-1 checks it against numpy
-    itself.  polish_evals (at least 1) is each restart's evaluation budget
-    in a deterministic projected L-BFGS refinement of that start; one
-    evaluation is the fitness and its exact gradient, the first one scores
-    the start, and one kernel call evaluates every restart still polishing,
-    in lockstep.  A restart can stop before
-    its budget: when it converges, or when, after 50 evaluations, its
-    fitness trails the best restart's by more than 0.1 (the race of
-    `minimize`).  The defaults, 512 restarts and 300 polish evaluations,
+    """Search budget and seed.  Restart i starts from row i of one uniform
+    draw in the search box from `default_rng(seed)` (see `_starts`), so the
+    first k starts do not depend on the restart count.  polish_evals (at
+    least 1) is each restart's evaluation budget in a deterministic
+    projected L-BFGS refinement of that start; one evaluation is the fitness
+    and its exact gradient, the first one scores the start, and one kernel
+    call evaluates every restart still polishing, in lockstep.  A restart can
+    stop before its budget: when it converges, or when, after 50
+    evaluations, its fitness trails the best restart's by more than 0.1 (the
+    race of `minimize`).  The defaults, 512 restarts and 300 polish evaluations,
     come from the hit-rate sweep BENCH_search_multistart.json (see the
     README).
     """
@@ -378,8 +376,9 @@ class _FitnessKernel:
 # (1) or with a failed line search (2), as scipy's L-BFGS-B numbers them, or
 # stopped by the race (3).  The race's evaluations and margin come from a
 # replay of every row's value after each lockstep call, for the 21 search
-# jobs of the tests at seeds 1-10 and the default search: they kept 191 of
-# 191 hits at 0.78 x the lockstep calls.
+# jobs of the tests at seeds 1-10 and the default search, when each restart
+# drew its start from a generator of its own: they kept 191 of 191 hits at
+# 0.78 x the lockstep calls.
 _FTOL = 1e-13
 _GTOL = 1e-10
 _RACE_AFTER = 50
@@ -531,108 +530,11 @@ def minimize(fun, x0, lower, upper, budget: int) -> Minimum:
 
 
 def _starts(lo, hi, seed: int, restarts: int) -> np.ndarray:
-    """The restarts' starts (R, L): row i is a uniform draw in the box
-    [lo, hi] from a generator of its own, `default_rng(child_i)` with
-    child_i = `SeedSequence(seed).spawn(R)[i]`.  `_unit_draws` gives every
-    row's unit doubles u in one vectorized pass, with the bits of each
-    generator's `random(L)`, and the rows scale at once to
-    lo + (hi - lo) * u, which has the bits of the generator's own
-    `uniform(lo, hi)` (it computes low + (high - low) * u).  At 512 x 9 the
-    pass takes about 0.4 ms, against about 6 ms for the 512 generators."""
-    return lo + (hi - lo) * _unit_draws(seed, restarts, lo.size)
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
-# (initial, factor) multipliers of its entropy hash and of `generate_state`,
-# and the two factors of its word mix
-_M32 = 0xFFFF_FFFF
-_HASH_MIX, _HASH_STATE = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# the 128-bit LCG multiplier of PCG64 as (high, low) 64-bit words (O'Neill,
-# "PCG: A Family of Simple Fast Space-Efficient Statistically Good Algorithms
-# for Random Number Generation", HMC-CS-2014-0905 (2014))
-_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
-def _hasher(initial: int, factor: int):
-    """SeedSequence's hashmix: each call xors the value with the running
-    multiplier, advances the multiplier and multiplies by it.  Words are
-    32-bit, held in Python ints or uint64 arrays, masked after each
-    product."""
-    const = initial
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * factor & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words."""
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _mulhi(a, b):
-    """The high 64 bits of the 128-bit products a * b of uint64 words, from
-    their 32-bit halves."""
-    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    u = (t & _M32) + a0 * b1
-    return a1 * b1 + (t >> 32) + (u >> 32)
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """a + b mod 2**128 on (high, low) uint64 words, with the low word's carry."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's LCG step, state * multiplier + increment mod 2**128, on
-    (high, low) uint64 words."""
-    return _add128(_mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO, lo * _PCG_LO, inc_hi, inc_lo)
-
-
-def _unit_draws(seed: int, restarts: int, length: int) -> np.ndarray:
-    """Row i (of R) is `np.random.default_rng(child_i).random(length)` with
-    child_i the i-th of `SeedSequence(seed).spawn(R)`, bit for bit, computed
-    for all the children at once by following numpy's stream: the child's
-    entropy pool, `generate_state(4, uint64)`, the PCG64 seeding and
-    XSL-RR output, and `random`'s (x >> 11) * 2**-53."""
-    seed = operator.index(seed)
-    words = [seed >> 32 * k & _M32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
-    # a spawned child pads its seed to the pool size, then appends its spawn
-    # key (i,); all but that last word mix the same way for every child
-    words += [0] * (4 - len(words))
-    hashmix = _hasher(*_HASH_MIX)
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:] + [np.arange(restarts, dtype=np.uint64)]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    hashmix = _hasher(*_HASH_STATE)
-    state = [hashmix(pool[k % 4]) for k in range(8)]
-    # the four little-endian uint64 words: the initial state and the stream,
-    # each (high, low); the increment is the stream shifted left, made odd
-    s_hi, s_lo, q_hi, q_lo = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
-    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    # seeding: step from 0 (giving the increment), add the initial state, step
-    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
-    out = np.empty((restarts, length), dtype=np.uint64)
-    for k in range(length):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR: the xor of the two halves, rotated right by the top 6 bits
-        x, rot = hi ^ lo, hi >> 58
-        out[:, k] = x >> rot | x << (64 - rot & 63)
-    return (out >> 11) * 2.0**-53
+    """The restarts' starts (R, L), uniform in the box [lo, hi]: the rows of
+    one generator's `default_rng(seed).random((R, L))`, scaled.  The
+    generator fills the rows in order, so the first k starts are the same at
+    any R >= k."""
+    return lo + (hi - lo) * np.random.default_rng(seed).random((restarts, lo.size))
 
 
 def _polish(kernel, genomes, budget) -> Minimum:
@@ -664,9 +566,9 @@ def _polish(kernel, genomes, budget) -> Minimum:
 
 
 def optimize(problem: ControlProblem, ga: GaConfig | None = None) -> OptimResult:
-    """Best-of-restarts search (see `GaConfig`): each restart draws one
-    uniform genome from its own generator, and `_polish` refines the starts
-    in lockstep.  `history` is the winner's fitness at its start and after
+    """Best-of-restarts search (see `GaConfig`): each restart starts from
+    one row of a uniform draw from one generator, and `_polish` refines the
+    starts in lockstep.  `history` is the winner's fitness at its start and after
     the polish.
 
     The reported fidelity (and robust fidelity, when a robustness range is

@@ -74,13 +74,21 @@ class Spectrum:
         write_csv(path, ("freq_mhz", "amplitude"), (self.freq_mhz, self.amplitude))
 
 
+# rows per block of `write_csv`: only one block's text is held at once
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header, columns) -> None:
     """Write columns of floats with a header row; repr() keeps full precision.
-    Columns of different lengths are a ValueError, and nothing is written."""
+    Columns of different lengths are a ValueError, and nothing is written.
+    The rows go out `_CSV_BLOCK_ROWS` at a time, so a long table never holds
+    its whole text in memory."""
     table = np.column_stack(columns).astype(float, copy=False)
-    cells = [map(repr, col) for col in table.T.tolist()]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            cells = [map(repr, col) for col in table[start : start + _CSV_BLOCK_ROWS].T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path, expected_header=None) -> list[np.ndarray]:

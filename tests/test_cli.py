@@ -674,7 +674,7 @@ MALFORMED = {
     "tables-seed-negative": ["tables", "--which", "III", *TINY_TABLES_GA, "--seed", "-1"],
     # a finite penalty whose term overflows on the longest sequence
     "optimize-penalty-overflow": ["optimize", *TINY_GA, "--set", "optimize.duration_penalty=1e308"],
-    # restarts above the bound fail before any generator is spawned
+    # restarts above the bound fail before any start is drawn
     "optimize-ga-restarts-huge": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=100000000000"],
     # the polish's first evaluation scores the starts, so a search spends at least one
     "optimize-ga-polish-zero": ["optimize", *TINY_GA, "--set", "optimize.ga.polish_evals=0"],

@@ -61,8 +61,8 @@ def test_duration_penalty_bound_follows_the_mode(paper):
 
 def test_ga_config_bounds_genomes_per_generation():
     """The one kernel call before the polish scores one genome per restart,
-    so the restart count is capped, and a huge one fails before one
-    generator per restart is spawned."""
+    so the restart count is capped, and a huge one fails before any start
+    is drawn."""
     from nvctrl.optimizer import MAX_RESTARTS
 
     nc.GaConfig(restarts=MAX_RESTARTS)
@@ -377,7 +377,7 @@ def test_rank_factor_reproduces_initial_state(paper, target):
 
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
 def test_first_restarts_do_not_depend_on_the_restart_count(request, problem_name):
-    """Restart r draws from the r-th child of the seed, whatever the number
+    """Restart r starts from row r of the seed's draw, whatever the number
     of restarts: the first 3 polished genomes of a search of 3 restarts and
     of one of 8 are bitwise the same.  This holds at budgets below
     `_RACE_AFTER` only: from there the race stops a restart that trails the
@@ -392,20 +392,14 @@ def test_first_restarts_do_not_depend_on_the_restart_count(request, problem_name
     assert x3.tobytes() == x8[:3].tobytes()
 
 
-def _numpy_draws(seed, restarts, draw):
-    """The oracle: one numpy generator per child of the seed, stacked."""
-    return np.stack([draw(np.random.default_rng(c)) for c in np.random.SeedSequence(seed).spawn(restarts)])
-
-
-# 0 and 2**32 - 1 are one seed word, 2**32 two, 2**64 three, all padded to the
-# pool's four; 2**128 + 12345 is five words, so no padding
+# 0 and 2**32 - 1 are one 32-bit seed word, 2**32 two, 2**64 three and
+# 2**128 + 12345 five
 @pytest.mark.parametrize("seed", [20260809, 1, 2, 0, 2**32 - 1, 2**32, 2**64, 2**128 + 12345])
 def test_starts_are_each_restarts_own_uniform_draw(paper, seed):
-    """The stacked starts equal, bit for bit, the `uniform(lo, hi)` draws of
-    one numpy generator per child of the seed: on the box of every search
-    job and of a 1-pulse switched problem, and at 1, 2 and 1000 restarts of
-    genomes 1 and 15 long.  The first k starts are the same at k and at 4k
-    restarts."""
+    """The first k starts are bitwise the same at k and at 4k restarts, so a
+    restart's start does not depend on how many restarts run, and every
+    start lies in the box [lo, hi]: on the box of every search job and of a
+    1-pulse switched problem."""
     from search_jobs import jobs
 
     from nvctrl.optimizer import _starts
@@ -416,27 +410,12 @@ def test_starts_are_each_restarts_own_uniform_draw(paper, seed):
     k = 24
     for problem in problems:
         lo, hi = genome_bounds(problem)
-        want = _numpy_draws(seed, 4 * k, lambda g: g.uniform(lo, hi))
         starts = _starts(lo, hi, seed, 4 * k)
-        assert starts.shape == want.shape == (4 * k, lo.size)
-        assert starts.tobytes() == want.tobytes()
+        assert starts.shape == (4 * k, lo.size)
         assert _starts(lo, hi, seed, k).tobytes() == starts[:k].tobytes()
-    for length in (1, 15):
-        lo, hi = np.linspace(-3.0, 0.0, length), np.linspace(1.0, 2.0 * np.pi, length)
-        for restarts in (1, 2, 1000):
-            want = _numpy_draws(seed, restarts, lambda g: g.uniform(lo, hi))
-            assert _starts(lo, hi, seed, restarts).tobytes() == want.tobytes()
-
-
-@given(st.integers(0, 2**160 - 1), st.integers(1, 64), st.integers(1, 15))
-@settings(max_examples=80, deadline=None)
-def test_unit_draws_are_numpys_streams(seed, restarts, length):
-    """Row i of the vectorized draw is `default_rng(child_i).random(L)` bit
-    for bit, for seeds of one to five 32-bit words."""
-    from nvctrl.optimizer import _unit_draws
-
-    want = _numpy_draws(seed, restarts, lambda g: g.random(length))
-    assert _unit_draws(seed, restarts, length).tobytes() == want.tobytes()
+        assert np.all((lo <= starts) & (starts <= hi))
+        # distinct rows: no restart repeats another's start
+        assert len({row.tobytes() for row in starts}) == 4 * k
 
 
 def _oracle_leader(fit, dur, pop) -> int:
@@ -448,7 +427,7 @@ def _oracle_leader(fit, dur, pop) -> int:
 @pytest.mark.parametrize("problem_name", ["u90_problem", "up_problem"])
 def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
     """The search's polish record equals, bitwise, an oracle built restart by
-    restart: one uniform draw of its own generator, the polish of those
+    restart: row i of one generator's uniform draw, the polish of those
     draws, and the fitness of each draw scored alone, at the genome the
     polish's scaling by the box widths gives back.  The polish gains on
     some restart."""
@@ -459,8 +438,8 @@ def test_multistart_polishes_each_restarts_best_draw(request, problem_name):
     ga = nc.GaConfig(restarts=6, seed=11, polish_evals=40)
     polish = nc.optimize(problem, ga).polish
     lo, hi = genome_bounds(problem)
-    seeds = np.random.SeedSequence(ga.seed).spawn(ga.restarts)
-    draws = np.array([np.random.default_rng(s).uniform(lo, hi) for s in seeds])
+    rng = np.random.default_rng(ga.seed)
+    draws = np.array([rng.uniform(lo, hi) for _ in range(ga.restarts)])
     want = _polish(kernel, draws, ga.polish_evals)
     width = hi - lo
     start_fit = np.array([kernel.gradient((d / width * width)[None, :])[0][0] for d in draws])

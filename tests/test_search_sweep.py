@@ -168,3 +168,66 @@ def test_same_names_the_tree_given_an_unknown_job(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith(f"{SRC} failed to run: unknown jobs ['no-such-job']; known: ")
     assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def _sweep_file(path, fitness):
+    """A hand-made sweep file: one first-pass record per (job, seed) ->
+    fitness, each with a stale `hit` of True, plus a tier-1 run and a second
+    pass that pairing must leave out."""
+    records = [
+        {"design": "512x300", "job": job, "seed": seed, "repeat": 0, "tier1": False, "best_fitness": f, "hit": True}
+        for (job, seed), f in fitness.items()
+    ]
+    records += [dict(r, seed=20260809, tier1=True, best_fitness=2.0) for r in records[:1]]
+    records += [dict(r, repeat=1, best_fitness=-1.0) for r in records[:1]]
+    path.write_text(json.dumps({"records": records}))
+    return path
+
+
+def paired(cwd, *args):
+    return subprocess.run([sys.executable, str(SWEEP), "--paired", *map(str, args)],
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_paired_report_counts_discordant_pairs_against_one_reference(tmp_path):
+    """A hits u90 at all 10 seeds, 1e-5 above its best known; B hits only
+    seeds 9 and 10 there and sits at the best known itself elsewhere, which
+    the one reference (the best either file holds) counts as a miss, whatever
+    the records' own `hit` says.  That is 8 pairs to 0, p = 2 / 2**8; the
+    tier-1 run and the second pass do not count.  A file paired with itself
+    has no discordant pair, p = 1, and exits 0."""
+    best = json.loads((SWEEP.parent / "best_known.json").read_text())["u90"]
+    top = best + 1e-5
+    a = _sweep_file(tmp_path / "a.json", {("u90", s): top for s in range(1, 11)})
+    b = _sweep_file(tmp_path / "b.json", {("u90", s): top if s > 8 else best for s in range(1, 11)})
+    done = paired(tmp_path, a, b, "--tag", "ab")
+    assert done.returncode == 1, done.stderr
+    report = json.loads((tmp_path / "BENCH_ab.json").read_text())
+    assert report["reference"] == {"u90": top}
+    job = report["per_job"]["u90"]
+    assert (job["pairs"], job["hits_a"], job["hits_b"]) == (10, 10, 2)
+    assert job["a_only"] == list(range(1, 9)) and job["b_only"] == []
+    assert job["p"] == report["total"]["p"] == 0.0078125
+    assert report["unpaired"] == {"a": 0, "b": 0}
+    assert "discordant pairs: 8 A hits and B misses, 0 the reverse" in done.stdout
+    done = paired(tmp_path, a, a, "--tag", "aa")
+    assert done.returncode == 0, done.stderr
+    total = json.loads((tmp_path / "BENCH_aa.json").read_text())["total"]
+    assert (total["a_only"], total["b_only"], total["p"]) == (0, 0, 1.0)
+
+
+def test_paired_report_refuses_files_it_cannot_pair(tmp_path):
+    """A missing file, a file of two designs and a report that would
+    overwrite its input are usage errors, exit 2, with no traceback."""
+    a = _sweep_file(tmp_path / "a.json", {("u90", 1): 0.5})
+    records = json.loads(a.read_text())["records"]
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"records": records + [dict(r, design="8x8", seed=2) for r in records]}))
+    bench = _sweep_file(tmp_path / "BENCH_x.json", {("u90", 1): 0.5})
+    for args, message in (
+        ((tmp_path / "none.json", a), "not a sweep file"),
+        ((a, two), "holds 2 designs"),
+        ((a, bench, "--tag", "x"), "would overwrite an input"),
+    ):
+        done = paired(tmp_path, *args)
+        assert done.returncode == 2 and message in done.stderr and "Traceback" not in done.stderr, done.stderr

@@ -45,6 +45,21 @@ differed by that much), so with `--repeats 1` the sweep warns about each
 such design.
 
 The results go to BENCH_search_<tag>.json in the current directory.
+
+    python3 tools/search_sweep.py --paired A.json B.json --tag NAME
+
+compares two such sweep files run by run.  It pairs the first-pass runs of
+each (job, seed) that both files hold, outside the tier-1 seed, and judges
+every run against one reference per job: the larger of
+tools/best_known.json and the best fitness either file holds for the job,
+within 1e-6.  A record's own `hit` cannot serve, as it was judged against a
+best known that its sweep may have raised partway through.  Per job and in
+total it prints the hits in A and in B, the seeds that A hits and B misses
+and the reverse, and the exact two-sided sign-test p-value of those
+discordant pairs (McNemar, Psychometrika 12, 153 (1947)).  The report goes
+to BENCH_<tag>.json.  It exits 0 when no pair is discordant, 1 when some
+pair is, and 2 on a file it cannot pair: unreadable, or holding more than
+one design.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ from __future__ import annotations
 import argparse
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import sys
@@ -226,6 +242,99 @@ def choose(summary: dict) -> dict | None:
     }
 
 
+def sign_test(a_only: int, b_only: int) -> float:
+    """The exact two-sided sign-test p-value of a_only pairs one way and
+    b_only the other: twice the binomial(n, 1/2) tail of the smaller count,
+    at most 1.  No discordant pair gives 1."""
+    n = a_only + b_only
+    tail = sum(math.comb(n, k) for k in range(min(a_only, b_only) + 1))
+    return min(1.0, 2.0 * tail / 2**n)
+
+
+def paired_runs(path: str) -> dict:
+    """The first-pass best fitness of each (job, seed) of a sweep file,
+    outside the tier-1 seed; a ValueError names a file that cannot be read
+    or that holds more than one design."""
+    try:
+        records = json.loads(Path(path).read_text())["records"]
+        runs = [r for r in records if r["repeat"] == 0 and not r["tier1"]]
+        designs = sorted({r["design"] for r in runs})
+        fitness = {(r["job"], r["seed"]): r["best_fitness"] for r in runs}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a sweep file ({type(exc).__name__}: {exc})") from None
+    if len(designs) > 1:
+        raise ValueError(f"{path} holds {len(designs)} designs {designs}; pair files of one design")
+    return fitness
+
+
+def paired_report(a: dict, b: dict, best_known: dict) -> dict:
+    """Hits of the runs a and b (job, seed) -> best fitness on the pairs
+    both hold, each job's run judged against the larger of its best known
+    and the best fitness in a or b, within HIT_TOL; per job and in total,
+    the hits, the seeds one hits and the other misses, each way, and the
+    sign test of those."""
+    order = {job: i for i, job in enumerate(JOB_IDS)}
+    keys = sorted(a.keys() & b.keys(), key=lambda k: (order.get(k[0], len(order)), k))
+    job_ids = list(dict.fromkeys(job for job, _ in keys))
+    reference = {
+        job: max([best_known.get(job, -math.inf)] + [f[k] for f in (a, b) for k in f if k[0] == job])
+        for job in job_ids
+    }
+    per_job = {}
+    for job in job_ids:
+        seeds = [seed for j, seed in keys if j == job]
+        hit_a, hit_b = ({s: reference[job] - f[job, s] <= HIT_TOL for s in seeds} for f in (a, b))
+        a_only = [s for s in seeds if hit_a[s] and not hit_b[s]]
+        b_only = [s for s in seeds if hit_b[s] and not hit_a[s]]
+        per_job[job] = {
+            "pairs": len(seeds),
+            "hits_a": sum(hit_a.values()),
+            "hits_b": sum(hit_b.values()),
+            "a_only": a_only,
+            "b_only": b_only,
+            "p": sign_test(len(a_only), len(b_only)),
+        }
+    total = {k: sum(j[k] for j in per_job.values()) for k in ("pairs", "hits_a", "hits_b")}
+    total["a_only"], total["b_only"] = (sum(len(j[k]) for j in per_job.values()) for k in ("a_only", "b_only"))
+    total["p"] = sign_test(total["a_only"], total["b_only"])
+    return {
+        "hit_tolerance": HIT_TOL,
+        "reference": reference,
+        "unpaired": {"a": len(a.keys() - b.keys()), "b": len(b.keys() - a.keys())},
+        "per_job": per_job,
+        "total": total,
+    }
+
+
+def paired_main(p: argparse.ArgumentParser, args, command: str) -> int:
+    out_path = Path(f"BENCH_{args.tag}.json")
+    if any(out_path.resolve() == Path(f).resolve() for f in args.paired):
+        p.error(f"--tag {args.tag}: the report {out_path} would overwrite an input")
+    try:
+        a, b = (paired_runs(f) for f in args.paired)
+    except ValueError as exc:
+        p.error(str(exc))
+    best_known = json.loads(BEST_KNOWN.read_text()) if BEST_KNOWN.exists() else {}
+    report = paired_report(a, b, best_known)
+    report = {
+        "tag": args.tag,
+        "command": command,
+        "a": args.paired[0],
+        "b": args.paired[1],
+        **report,
+    }
+    out_path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"A: {args.paired[0]}\nB: {args.paired[1]}")
+    print(f"{'job':<26} {'pairs':>5} {'A hits':>6} {'B hits':>6}  {'p':>9}  seeds A hits and B misses | the reverse")
+    for job, j in [*report["per_job"].items(), ("total", report["total"])]:
+        seeds = "" if job == "total" else f"  {j['a_only']} | {j['b_only']}"
+        print(f"{job:<26} {j['pairs']:>5} {j['hits_a']:>6} {j['hits_b']:>6}  {j['p']:>9.3g}{seeds}")
+    t = report["total"]
+    print(f"discordant pairs: {t['a_only']} A hits and B misses, {t['b_only']} the reverse; "
+          f"unpaired runs: {report['unpaired']['a']} in A, {report['unpaired']['b']} in B")
+    return 1 if t["a_only"] + t["b_only"] else 0
+
+
 def environment() -> dict:
     """The versions and settings a sweep ran with; scipy's version is None
     where it is not installed, as no run needs it."""
@@ -244,16 +353,24 @@ def environment() -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--designs", nargs="+", type=parse_design, required=True,
+    p.add_argument("--designs", nargs="+", type=parse_design,
                    help=f"R[xE] designs: R restarts, polish budget E (default {nc.GaConfig.polish_evals}); "
                         f"the default search is {BASELINE}")
-    p.add_argument("--seeds", nargs="+", type=parse_seeds, required=True,
+    p.add_argument("--seeds", nargs="+", type=parse_seeds,
                    help="non-negative seeds or ranges LO-HI, e.g. 1-10 42")
     p.add_argument("--tier1", action="store_true", help=f"also run each design at seed {TIER1_SEED}")
     p.add_argument("--jobs", nargs="+", help="job ids to run (default: all 21)")
     p.add_argument("--repeats", type=int, default=1, help="passes over every run (default 1)")
-    p.add_argument("--tag", default="sweep", help="the output is BENCH_search_<tag>.json")
+    p.add_argument("--tag", default="sweep",
+                   help="the output is BENCH_search_<tag>.json, or BENCH_<tag>.json with --paired")
+    p.add_argument("--paired", nargs=2, metavar=("A", "B"),
+                   help="compare the hits of two sweep files run by run, in place of a sweep")
     args = p.parse_args(argv)
+    command = "python3 tools/search_sweep.py " + " ".join(sys.argv[1:] if argv is None else argv)
+    if args.paired:
+        return paired_main(p, args, command)
+    if not (args.designs and args.seeds):
+        p.error("a sweep needs --designs and --seeds")
     job_ids = args.jobs or JOB_IDS
     unknown = sorted(set(job_ids) - set(JOB_IDS))
     if unknown:
@@ -294,7 +411,7 @@ def main(argv=None) -> int:
     } if args.tier1 else None
     out = {
         "tag": args.tag,
-        "command": "python3 tools/search_sweep.py " + " ".join(sys.argv[1:] if argv is None else argv),
+        "command": command,
         "hit_tolerance": HIT_TOL,
         "seeds": seeds,
         "repeats": args.repeats,
