@@ -29,7 +29,6 @@ from .propagation import (
     DensityState,
     Pulse,
     PulseSequence,
-    bloch_vector,
     sequence_propagator,
     trajectory,
 )
@@ -37,7 +36,6 @@ from .signals import FidTrace, Spectrum
 from .spin_model import (
     Hamiltonian,
     SystemParams,
-    build_hamiltonian_full,
     build_hamiltonian_subspace,
     esr_lines,
     esr_spectrum,
@@ -66,9 +64,9 @@ __all__ = [
     "InvariantViolation", "NoConvergence", "NvctrlError",
     "RobustnessRange", "Target", "build_target", "gate_fidelity", "robust_fidelity",
     "sequence_fidelity", "state_fidelity",
-    "Delay", "DensityState", "Pulse", "PulseSequence", "bloch_vector", "sequence_propagator", "trajectory",
+    "Delay", "DensityState", "Pulse", "PulseSequence", "sequence_propagator", "trajectory",
     "FidTrace", "Spectrum",
-    "Hamiltonian", "SystemParams", "build_hamiltonian_full", "build_hamiltonian_subspace", "esr_lines",
+    "Hamiltonian", "SystemParams", "build_hamiltonian_subspace", "esr_lines",
     "esr_spectrum", "nuclear_frequencies", "quantization_angles",
     *_LAZY_NAME,
 ]

@@ -45,8 +45,8 @@ DEFAULT_UC_RECORD_US = 200.0
 DEFAULT_UC_PRIME_RECORD_US = 300.0
 DEFAULT_STEP_US = 1.0
 
-# most samples one FID delay grid or ESR or polarization grid may hold; the
-# count is checked before the grid is built
+# most samples one FID delay grid, ESR or polarization grid, or spectrum
+# frequency grid may hold; the count is checked before the grid is built
 MAX_GRID_SAMPLES = 10**6
 
 # delay samples the FID core evolves at once; each takes about 2 kB of
@@ -265,6 +265,8 @@ def spectrum_from_fid(
         raise ValueError("tau grid must be uniformly spaced")
     if zerofill_factor < 1:
         raise ValueError("zerofill_factor must be at least 1")
+    n_fft = int(tau.size * zerofill_factor)
+    check_grid_size(n_fft // 2 + 1, f"zerofill_factor {zerofill_factor!r} on {tau.size} FID samples")
     if exp_rate is not None and window != "exponential":
         raise ValueError(f"exp_rate applies only to the exponential window, not to {window!r}")
     y = fid.signal - fid.signal.mean()
@@ -281,7 +283,6 @@ def spectrum_from_fid(
             w = np.exp(-exp_rate * (tau - tau[0]))
     else:
         raise ValueError("window must be 'none', 'hann' or 'exponential'")
-    n_fft = int(n * zerofill_factor)
     amp = np.abs(np.fft.rfft(y * w, n=n_fft))
     freq = np.fft.rfftfreq(n_fft, d=dt)
     meta = {

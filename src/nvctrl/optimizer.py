@@ -38,6 +38,11 @@ TAU_MAX_US = 10.0
 # the most starts one search draws (about 195 times the default 512); the
 # polish's first evaluation scores them all, in `_CHUNK` slices
 MAX_RESTARTS = 100_000
+# the most pulses one sequence may hold: twice the 5 of the longest table
+# rows.  At this bound one kernel slice of `_CHUNK` genomes peaked at 8 MB of
+# numpy work arrays with one drive sample and 76 MB with 100 (tracemalloc),
+# about 0.7 MB more per sample, so 0.7 GB at MAX_DRIVE_SAMPLES
+MAX_PULSES = 10
 # genomes per kernel pass: a wider batch runs in slices of this size, so its
 # work arrays stay small.  At MAX_RESTARTS, MAX_DRIVE_SAMPLES and 3 pulses, one
 # unsliced pass would build about 19 GB of complex drive factors (10^5 x 3 x
@@ -66,6 +71,8 @@ class ControlProblem:
     def __post_init__(self):
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
+        if self.n_pulses > MAX_PULSES:
+            raise ValueError(f"n_pulses must not exceed {MAX_PULSES}")
         if not 0 < self.rabi_mhz < math.inf:
             raise ValueError("Rabi frequency must be positive and finite")
         if not math.isfinite(self.t_max_us):

@@ -237,7 +237,8 @@ def _evolve(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _bloch(rhos: np.ndarray, subsystem: str) -> np.ndarray:
     """(T, 3) Bloch components of one spin for a batch of 4-dim states, taken
     from the reduced 2x2 state; the reshaped index order is (electron, carbon,
-    electron', carbon')."""
+    electron', carbon').  The electron z-component is the population
+    difference P(|0>) - P(|-1>), i.e. |0> is pseudo-spin up."""
     r = rhos.reshape(-1, 2, 2, 2, 2)
     if subsystem == "electron":
         sub = r[:, :, 0, :, 0] + r[:, :, 1, :, 1]
@@ -248,17 +249,6 @@ def _bloch(rhos: np.ndarray, subsystem: str) -> np.ndarray:
     return np.stack(
         [2.0 * sub[:, 0, 1].real, 2.0 * sub[:, 1, 0].imag, (sub[:, 0, 0] - sub[:, 1, 1]).real], axis=1
     )
-
-
-def bloch_vector(rho: DensityState, subsystem: str) -> np.ndarray:
-    """Bloch components (x, y, z) of the electron pseudo-spin or the 13C spin.
-
-    The electron z-component is the population difference P(|0>) - P(|-1>),
-    i.e. |0> is pseudo-spin up.
-    """
-    if rho.dim != 4:
-        raise ValueError("bloch_vector expects a 4-dim state")
-    return _bloch(rho.matrix, subsystem)[0]
 
 
 def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: float = 0.01) -> np.ndarray:

@@ -130,23 +130,3 @@ def top_peaks(spectrum: Spectrum, n: int) -> list[tuple[float, float]]:
     order = idx[np.argsort(-spectrum.amplitude[idx], kind="stable")][:n]
     return [(float(spectrum.freq_mhz[i]), float(spectrum.amplitude[i])) for i in order]
 
-
-def fwhm(spectrum: Spectrum, freq: float) -> float:
-    """Full width at half maximum of the peak nearest `freq`, by interpolation."""
-    f, a = spectrum.freq_mhz, spectrum.amplitude
-    i = int(np.argmin(np.abs(f - freq)))
-    # climb to the local top in case freq sits on a shoulder
-    while 0 < i < f.size - 1 and (a[i + 1] > a[i] or a[i - 1] > a[i]):
-        i += 1 if a[i + 1] > a[i] else -1
-    half = a[i] / 2.0
-    lo = i
-    while lo > 0 and a[lo] > half:
-        lo -= 1
-    hi = i
-    while hi < a.size - 1 and a[hi] > half:
-        hi += 1
-    def cross(j, k):
-        if a[j] == a[k]:
-            return f[j]
-        return f[j] + (half - a[j]) * (f[k] - f[j]) / (a[k] - a[j])
-    return float(cross(hi - 1, hi) - cross(lo + 1, lo)) if hi > lo else 0.0

@@ -24,15 +24,9 @@ import numpy as np
 
 from .signals import Spectrum
 
-# Physical constants (MHz, mT); the gyromagnetic ratios are CODATA values.
-# Only the 13C ratio reaches the working manifold (through SystemParams.nu_c);
-# the others enter the 18- and 6-level lab-frame Hamiltonians alone.
-D_SPLITTING_MHZ = 2870.0
-GAMMA_E_MHZ_PER_MT = 28.0249
+# 13C gyromagnetic ratio (MHz/mT, CODATA): the one constant of the register
+# besides SystemParams that reaches the working manifold, through nu_c
 GAMMA_C13_MHZ_PER_MT = 0.0107084
-GAMMA_N14_MHZ_PER_MT = 0.0030766
-A_N14_MHZ = -2.16
-P_N14_MHZ = -4.95
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,9 +36,6 @@ SY2 = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 SZ2 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 E2 = np.eye(2, dtype=complex)
 E3 = np.eye(3, dtype=complex)
-
-# Spin-1 z operator in the basis m = +1, 0, -1
-SZ1 = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 # Electron pseudo-spin-1/2 operators on the {|0>, |-1>} manifold, extended to
 # the 4-dimensional working space (electron index times 13C index).
@@ -61,8 +52,7 @@ class SystemParams:
 
     Defaults describe the register used for all built-in examples: a weakly
     coupled 13C (|A| < 0.2 MHz) in a 14.8 mT field.  Frequencies in MHz,
-    field in mT.  The other constants of the register are the module's
-    D_SPLITTING_MHZ, GAMMA_*_MHZ_PER_MT, A_N14_MHZ and P_N14_MHZ.
+    field in mT.
     """
 
     b_mt: float = 14.8
@@ -144,52 +134,6 @@ def quantization_angles(params: SystemParams) -> tuple[float, float]:
     theta_plus = _axis_angle_deg(params.a_zx, params.a_zz - nu_c)
     theta_minus = _axis_angle_deg(params.a_zx, params.a_zz + nu_c)
     return theta_plus, theta_minus
-
-
-def build_hamiltonian_full(params: SystemParams) -> Hamiltonian:
-    """Static Hamiltonian of the full electron (S=1) x 14N (I=1) x 13C (I=1/2)
-    system, 18-dimensional, H/2pi in MHz.
-
-    Terms: D S_z^2 - nu_e S_z + P (I_z^N)^2 - nu_N I_z^N - nu_C I_z
-    + A_N S_z I_z^N + A_zz S_z I_z + A_zx S_z I_x, with nu_e = gamma_e B and
-    nu_N = gamma_N B.
-    """
-    sz_e = np.kron(np.kron(SZ1, E3), E2)
-    sz2_e = sz_e @ sz_e
-    izn = np.kron(np.kron(E3, SZ1), E2)
-    izn2 = izn @ izn
-    iz_c = np.kron(np.kron(E3, E3), SZ2)
-    ix_c = np.kron(np.kron(E3, E3), SX2)
-    h = (
-        D_SPLITTING_MHZ * sz2_e
-        - GAMMA_E_MHZ_PER_MT * params.b_mt * sz_e
-        + P_N14_MHZ * izn2
-        - GAMMA_N14_MHZ_PER_MT * params.b_mt * izn
-        - params.nu_c * iz_c
-        + A_N14_MHZ * sz_e @ izn
-        + params.a_zz * sz_e @ iz_c
-        + params.a_zx * sz_e @ ix_c
-    )
-    return Hamiltonian(h)
-
-
-def build_hamiltonian_ec(params: SystemParams) -> Hamiltonian:
-    """Electron-13C Hamiltonian at fixed m_N = +1, 6-dimensional.
-
-    H/2pi = D S_z^2 - (nu_e - A_N) S_z - nu_C I_z + A_zz S_z I_z + A_zx S_z I_x
-    over (m_S = +1, 0, -1) x (up, down).
-    """
-    sz_e = np.kron(SZ1, E2)
-    iz_c = np.kron(E3, SZ2)
-    ix_c = np.kron(E3, SX2)
-    h = (
-        D_SPLITTING_MHZ * sz_e @ sz_e
-        - (GAMMA_E_MHZ_PER_MT * params.b_mt - A_N14_MHZ) * sz_e
-        - params.nu_c * iz_c
-        + params.a_zz * sz_e @ iz_c
-        + params.a_zx * sz_e @ ix_c
-    )
-    return Hamiltonian(h)
 
 
 def build_hamiltonian_subspace(params: SystemParams) -> Hamiltonian:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import nvctrl as nc
-from nvctrl.signals import fwhm, top_peaks
+from nvctrl.signals import top_peaks
+from tests_support import fwhm, random_hamiltonian, random_sequence, trotter_sequence
 
 
 def report(n, text):
@@ -168,8 +169,6 @@ def test_criterion_8_property_suites(paper):
         assert np.linalg.norm(m - m.conj().T) <= 1e-12 * max(np.linalg.norm(m), 1.0)
 
     # Unitarity of randomized sequence propagators
-    from tests_support import random_hamiltonian, random_sequence, trotter_sequence
-
     for _ in range(100):
         h = random_hamiltonian(rng)
         seq = random_sequence(rng)

@@ -18,6 +18,7 @@ import nvctrl as nc
 from nvctrl import cli, propagation
 from nvctrl.cli import main
 from nvctrl.signals import read_csv, write_csv
+from tests_support import oracle_bloch
 
 TINY_GA = [
     "--set", "optimize.ga.restarts=8",
@@ -219,7 +220,7 @@ def test_bloch_command(tmp_path):
     from nvctrl.fidelity import rho0_state
 
     u = nc.sequence_propagator(h, seq)
-    expect = nc.bloch_vector(nc.DensityState(u @ rho0_state().matrix @ u.conj().T), "carbon")
+    expect = oracle_bloch(nc.DensityState(u @ rho0_state().matrix @ u.conj().T), "carbon")
     assert final["carbon"]["z"] == pytest.approx(expect[2], abs=1e-9)
 
 
@@ -663,6 +664,9 @@ MALFORMED = {
     "optimize-ga-restarts-fraction": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=1.9"],
     "optimize-ga-restarts-bool": ["optimize", *TINY_GA, "--set", "optimize.ga.restarts=true"],
     "optimize-pulses-fraction": ["optimize", *TINY_GA, "--set", "optimize.n_pulses=2.5"],
+    # pulse counts above MAX_PULSES fail before the search box is built
+    "optimize-pulses-above-cap": ["optimize", *TINY_GA, "--set", "optimize.n_pulses=11"],
+    "optimize-pulses-1e12": ["optimize", *TINY_GA, "--set", "optimize.n_pulses=1000000000000"],
     "optimize-robust-samples-fraction": [
         "optimize", *TINY_GA, "--set", 'optimize.robust={{"lo_mhz": 0.48, "hi_mhz": 0.52, "n_samples": 2.9}}',
     ],
@@ -699,6 +703,14 @@ MALFORMED = {
     "esr-points-1e9": ["esr", "--set", "esr.n_points=1000000000"],
     "polarize-points-1e9": ["polarize", "--set", "polarize.n_points=1000000000"],
     "fid-record-1e9": ["fid", "--set", "fid.protocol=analytic_uc", "--set", "fid.record_us=1e9"],
+    # zero-filling the 4-sample FID 500000 times asks for 10^6 + 1 frequency
+    # bins, one over the cap, and 10^12 times for about 2 x 10^12
+    "spectrum-zerofill-above-cap": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.zerofill_factor=500000",
+    ],
+    "spectrum-zerofill-1e12": [
+        "spectrum", "--set", "spectrum.fid_csv={fid_csv}", "--set", "spectrum.zerofill_factor=1000000000000",
+    ],
     "seed-bool": ["angles", "--set", "seed=true"],
     "esr-branch-bool": ["esr", "--set", "esr.branch=true"],
     "esr-points-fraction": ["esr", "--set", "esr.n_points=3.9"],
@@ -742,6 +754,18 @@ def test_drive_sample_cap_is_inclusive():
         nc.RobustnessRange(0.4, 0.5, MAX_DRIVE_SAMPLES + 1)
 
 
+def test_pulse_cap_is_inclusive(paper):
+    """A search of exactly MAX_PULSES pulses is accepted; one more is the
+    usage error above."""
+    from nvctrl.optimizer import MAX_PULSES, genome_bounds
+
+    target = nc.build_target("u_90", paper, 0.5)
+    problem = nc.ControlProblem(paper, target, n_pulses=MAX_PULSES)
+    assert genome_bounds(problem)[0].size == 3 * MAX_PULSES
+    with pytest.raises(ValueError, match=f"n_pulses must not exceed {MAX_PULSES}"):
+        nc.ControlProblem(paper, target, n_pulses=MAX_PULSES + 1)
+
+
 def test_grid_cap_is_inclusive(tmp_path, capsys):
     """A grid of exactly MAX_GRID_SAMPLES samples is accepted; one more is
     the usage error above, and the message names the count and the cap."""
@@ -750,6 +774,11 @@ def test_grid_cap_is_inclusive(tmp_path, capsys):
     assert default_tau_grid(MAX_GRID_SAMPLES, 1.0).size == MAX_GRID_SAMPLES
     with pytest.raises(ValueError, match=f"{MAX_GRID_SAMPLES + 1} samples, more than the {MAX_GRID_SAMPLES}"):
         default_tau_grid(MAX_GRID_SAMPLES + 0.5, 1.0)
+    # a 3-sample FID zero-filled f times has 3f // 2 + 1 frequency bins
+    fid = nc.FidTrace(np.arange(3.0), np.array([0.5, 0.75, 0.25]), "uc")
+    assert nc.spectrum_from_fid(fid, "none", 666666).freq_mhz.size == MAX_GRID_SAMPLES
+    with pytest.raises(ValueError, match=f"{MAX_GRID_SAMPLES + 1} samples, more than the {MAX_GRID_SAMPLES}"):
+        nc.spectrum_from_fid(fid, "none", 666667)
     for command in ("esr", "polarize"):
         out = tmp_path / command
         assert run([command, "--set", f"{command}.n_points={MAX_GRID_SAMPLES + 1}", "--out", out]) == 2

@@ -11,9 +11,9 @@ from nvctrl import experiments
 from nvctrl.errors import NoConvergence
 from nvctrl.experiments import default_tau_grid, ideal_reset
 from nvctrl.fidelity import u_t_sequence
-from nvctrl.signals import fwhm, top_peaks
+from nvctrl.signals import top_peaks
 from nvctrl.spin_model import nuclear_block_hamiltonians
-from tests_support import oracle_fid, random_sequence
+from tests_support import fwhm, oracle_fid, random_sequence
 
 finite = dict(allow_nan=False, allow_infinity=False)
 

@@ -27,11 +27,11 @@ EXPORTS = {
         "reproduce_tables",
     ],
     "propagation": [
-        "Delay", "DensityState", "Pulse", "PulseSequence", "bloch_vector", "sequence_propagator", "trajectory",
+        "Delay", "DensityState", "Pulse", "PulseSequence", "sequence_propagator", "trajectory",
     ],
     "signals": ["FidTrace", "Spectrum"],
     "spin_model": [
-        "Hamiltonian", "SystemParams", "build_hamiltonian_full", "build_hamiltonian_subspace", "esr_lines",
+        "Hamiltonian", "SystemParams", "build_hamiltonian_subspace", "esr_lines",
         "esr_spectrum", "nuclear_frequencies", "quantization_angles",
     ],
 }
@@ -73,7 +73,7 @@ def test_every_name_is_the_submodules_own_object(module):
 
 def test_all_star_import_and_dir_list_the_exports():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 50
+    assert len(names) == 48
     assert sorted(nc.__all__) == sorted(names)
     star = {}
     exec("from nvctrl import *", star)

@@ -10,7 +10,7 @@ from nvctrl import propagation
 from nvctrl.errors import InvariantViolation
 from nvctrl.propagation import Delay, Pulse, _evolve, _propagators
 from nvctrl.spin_model import TWO_PI
-from tests_support import random_hamiltonian, random_sequence, trotter_sequence
+from tests_support import build_hamiltonian_ec, oracle_bloch, random_hamiltonian, random_sequence, trotter_sequence
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -68,8 +68,6 @@ def test_pulse_propagator_matches_fine_step_oracle(h_sub):
 def test_pulse_propagator_dimension_mismatch(paper):
     """The drive acts on the 4-dim subspace: a pulse under the 6-dim
     electron-carbon Hamiltonian is refused, while a delay propagates."""
-    from nvctrl.spin_model import build_hamiltonian_ec
-
     h6 = build_hamiltonian_ec(paper)
     with pytest.raises(ValueError, match="pulse propagation requires the 4-dim subspace Hamiltonian"):
         one_segment(h6, Pulse(1.0, 0.0))
@@ -177,37 +175,34 @@ def test_evolve_optimized_coherence_transfer(paper, robust_results):
     assert nc.state_fidelity(rho, rho_c_state(paper)) >= 0.95
 
 
-def test_bloch_vector_reference_states(paper):
+def test_trajectory_start_row_of_reference_states(paper, h_sub):
+    """The t = 0 row of a trajectory holds the initial state's Bloch
+    components: the closed forms, and the trace oracle's values."""
     from nvctrl.fidelity import rho0_state, rho_c_state, rho_p_state
 
-    e = nc.bloch_vector(rho0_state(), "electron")
-    c = nc.bloch_vector(rho0_state(), "carbon")
-    assert tuple(e) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
-    assert tuple(c) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    def start(rho):
+        row = nc.trajectory(h_sub, nc.PulseSequence(0.5, ()), rho)[0]
+        assert row[1:4] == pytest.approx(oracle_bloch(rho, "electron"), abs=1e-12)
+        assert row[4:7] == pytest.approx(oracle_bloch(rho, "carbon"), abs=1e-12)
+        return tuple(row[1:4]), tuple(row[4:7])
 
-    e = nc.bloch_vector(rho_p_state(), "electron")
-    c = nc.bloch_vector(rho_p_state(), "carbon")
-    assert tuple(e) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
-    assert tuple(c) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+    e, c = start(rho0_state())
+    assert e == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+    assert c == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+
+    e, c = start(rho_p_state())
+    assert e == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    assert c == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     # tracing the coherence state gives (-cos(theta)/2, 1/2, sin(theta)/2):
     # norm sqrt(1/2) regardless of the tilt angle
     theta = math.radians(nc.quantization_angles(paper)[1])
-    x, y, z = nc.bloch_vector(rho_c_state(paper), "carbon")
+    _, (x, y, z) = start(rho_c_state(paper))
     assert (x, y, z) == pytest.approx(
         (-math.cos(theta) / 2.0, 0.5, math.sin(theta) / 2.0), abs=1e-12
     )
     assert math.hypot(x, math.hypot(y, z)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert y > 0 and z > 0
-
-
-def test_bloch_vector_dimension_check():
-    rho6 = nc.DensityState(np.eye(6, dtype=complex) / 6.0)
-    with pytest.raises(ValueError, match="bloch_vector expects a 4-dim state"):
-        nc.bloch_vector(rho6, "carbon")
-    rho4 = nc.DensityState(np.eye(4, dtype=complex) / 4.0)
-    with pytest.raises(ValueError):
-        nc.bloch_vector(rho4, "proton")
 
 
 def test_trajectory_empty_sequence(h_sub):
@@ -231,8 +226,8 @@ def test_trajectory_endpoint_matches_sequence_propagator(h_sub):
     assert np.all(np.linalg.norm(rows[:, 4:7], axis=1) <= 1.0 + 1e-9)
     u = nc.sequence_propagator(h_sub, seq)
     final = nc.DensityState(u @ rho0_state().matrix @ u.conj().T)
-    assert rows[-1, 1:4] == pytest.approx(nc.bloch_vector(final, "electron"), abs=1e-10)
-    assert rows[-1, 4:7] == pytest.approx(nc.bloch_vector(final, "carbon"), abs=1e-10)
+    assert rows[-1, 1:4] == pytest.approx(oracle_bloch(final, "electron"), abs=1e-10)
+    assert rows[-1, 4:7] == pytest.approx(oracle_bloch(final, "carbon"), abs=1e-10)
 
 
 def test_trajectory_endpoint_matches_trotter_oracle(h_sub):
@@ -245,8 +240,8 @@ def test_trajectory_endpoint_matches_trotter_oracle(h_sub):
         u = trotter_sequence(h_sub, seq)
         final = nc.DensityState(u @ rho0_state().matrix @ u.conj().T)
         assert end[0] == pytest.approx(seq.total_duration_us, abs=1e-9)
-        assert end[1:4] == pytest.approx(nc.bloch_vector(final, "electron"), abs=1e-9)
-        assert end[4:7] == pytest.approx(nc.bloch_vector(final, "carbon"), abs=1e-9)
+        assert end[1:4] == pytest.approx(oracle_bloch(final, "electron"), abs=1e-9)
+        assert end[4:7] == pytest.approx(oracle_bloch(final, "carbon"), abs=1e-9)
 
 
 def test_trajectory_carbon_precession_frequency(paper, h_sub):

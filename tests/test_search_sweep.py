@@ -118,6 +118,22 @@ def test_choose_reports_count_ratios_and_designs_one_pass_cannot_rank(monkeypatc
     assert sweep.choose(sweep.summarize(records + again, list(designs), jobs_, 2))["too_close_to_rank"] == []
 
 
+def test_round_off_tie_leaves_best_known_alone(monkeypatch, tmp_path):
+    """A run 4.4e-15 above a job's best known value is a round-off tie and
+    leaves the file byte-identical; one 1e-9 above raises the value."""
+    sweep = _load_sweep(monkeypatch)
+    path = tmp_path / "best_known.json"
+    shutil.copy(sweep.BEST_KNOWN, path)
+    monkeypatch.setattr(sweep, "BEST_KNOWN", path)
+    before = path.read_bytes()
+    job, stored = next(iter(json.loads(before).items()))
+    record = {"job": job, "design": "512x300", "seed": 1}
+    assert sweep.raise_best_known([dict(record, best_fitness=stored + 4.4e-15)])[job] == stored
+    assert path.read_bytes() == before
+    assert sweep.raise_best_known([dict(record, best_fitness=stored + 1e-9)])[job] == stored + 1e-9
+    assert json.loads(path.read_text())[job] == stored + 1e-9
+
+
 def same(cwd, *args):
     return subprocess.run([sys.executable, str(SAME), *map(str, args)],
                           cwd=cwd, capture_output=True, text=True, timeout=300)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nvctrl as nc
-from nvctrl.signals import fwhm, local_maxima, read_csv, top_peaks, write_csv
+from nvctrl.signals import local_maxima, read_csv, top_peaks, write_csv
+from tests_support import fwhm
 
 
 def test_fid_trace_validation():

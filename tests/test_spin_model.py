@@ -12,16 +12,19 @@ import nvctrl as nc
 from nvctrl.fidelity import rot_half
 from nvctrl.signals import local_maxima
 from nvctrl.spin_model import (
+    GAMMA_C13_MHZ_PER_MT,
+    SY2,
+    build_hamiltonian_subspace_plus,
+    nuclear_block_hamiltonians,
+)
+from tests_support import (
     A_N14_MHZ,
     D_SPLITTING_MHZ,
-    GAMMA_C13_MHZ_PER_MT,
     GAMMA_E_MHZ_PER_MT,
     GAMMA_N14_MHZ_PER_MT,
     P_N14_MHZ,
-    SY2,
     build_hamiltonian_ec,
-    build_hamiltonian_subspace_plus,
-    nuclear_block_hamiltonians,
+    build_hamiltonian_full,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -113,7 +116,7 @@ def test_full_hamiltonian_zero_coupling_spectrum():
     """At zero field and zero 13C coupling each level D m_S^2 + P m_N^2 +
     A_N m_S m_N is doubly degenerate in the 13C spin."""
     p = nc.SystemParams(b_mt=0.0, a_zz=0.0, a_zx=0.0)
-    h = nc.build_hamiltonian_full(p)
+    h = build_hamiltonian_full(p)
     w = np.sort(np.linalg.eigvalsh(h.matrix))
     closed_form = sorted(
         D_SPLITTING_MHZ * m_s**2 + P_N14_MHZ * m_n**2 + A_N14_MHZ * m_s * m_n
@@ -135,13 +138,13 @@ def _sector_blocks(h18):
 
 
 def test_full_hamiltonian_ms0_gap_is_nu_c(paper):
-    blocks = _sector_blocks(nc.build_hamiltonian_full(paper))
+    blocks = _sector_blocks(build_hamiltonian_full(paper))
     w = np.linalg.eigvalsh(blocks[0])
     assert w[1] - w[0] == pytest.approx(paper.nu_c, abs=1e-9)
 
 
 def test_full_hamiltonian_esr_center_and_offsets(paper):
-    blocks = _sector_blocks(nc.build_hamiltonian_full(paper))
+    blocks = _sector_blocks(build_hamiltonian_full(paper))
     w0 = np.linalg.eigvalsh(blocks[0])
     wm = np.linalg.eigvalsh(blocks[-1])
     transitions = [em - e0 for em in wm for e0 in w0]
@@ -178,7 +181,7 @@ def test_subspace_matches_full_sector_up_to_uniform_shift(p, m_s):
     sector of the 18-level one with each manifold's electron and 14N energy
     removed: blockdiag(B_0, B_m - c_m) - c_0, where c_0 = P_N - gamma_N B and
     c_m = D - m_S (gamma_e B - A_N)."""
-    blocks = _sector_blocks(nc.build_hamiltonian_full(p))
+    blocks = _sector_blocks(build_hamiltonian_full(p))
     c_0 = P_N14_MHZ - GAMMA_N14_MHZ_PER_MT * p.b_mt
     c_m = D_SPLITTING_MHZ - m_s * (GAMMA_E_MHZ_PER_MT * p.b_mt - A_N14_MHZ)
     expected = block_diag(blocks[0], blocks[m_s] - c_m * np.eye(2)) - c_0 * np.eye(4)
@@ -291,7 +294,7 @@ def test_esr_spectrum_bad_grid():
 @settings(max_examples=100, deadline=None)
 def test_builders_are_hermitian(a_zz, a_zx, nu_c):
     p = random_params(a_zz, a_zx, nu_c)
-    for build in (nc.build_hamiltonian_subspace, build_hamiltonian_ec, nc.build_hamiltonian_full):
+    for build in (nc.build_hamiltonian_subspace, build_hamiltonian_ec, build_hamiltonian_full):
         m = build(p).matrix
         assert np.linalg.norm(m - m.conj().T) <= 1e-12 * max(np.linalg.norm(m), 1.0)
 
