@@ -114,7 +114,7 @@ def _checked(key: str, value, decl):
 def _grid_points(value: int, what: str) -> int:
     if value < 2:
         raise UsageError(f"{what} must be at least 2, got {value!r}")
-    experiments.check_grid_size(value, what)
+    signals.check_grid_size(value, what)
     return value
 
 

@@ -27,7 +27,7 @@ from . import optimizer
 from .errors import NoConvergence
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
 from .propagation import PulseSequence, _evolve, _propagators, sequence_propagator
-from .signals import FidTrace, Spectrum
+from .signals import FidTrace, Spectrum, check_grid_size, checked_grid
 from .spin_model import (
     E2,
     E3,
@@ -45,10 +45,6 @@ DEFAULT_UC_RECORD_US = 200.0
 DEFAULT_UC_PRIME_RECORD_US = 300.0
 DEFAULT_STEP_US = 1.0
 
-# most samples one FID delay grid, ESR or polarization grid, or spectrum
-# frequency grid may hold; the count is checked before the grid is built
-MAX_GRID_SAMPLES = 10**6
-
 # delay samples the FID core evolves at once; each takes about 2 kB of
 # propagators and states
 _FID_CHUNK = 4096
@@ -56,14 +52,6 @@ _FID_CHUNK = 4096
 # 6-level basis order: (+1,up), (+1,down), (0,up), (0,down), (-1,up), (-1,down)
 # _SWAP_01: ideal 180-degree swap of the m_S = 0 and +1 populations
 _SWAP_01 = np.eye(6, dtype=complex)[[2, 3, 0, 1, 4, 5]]
-
-
-def check_grid_size(count: float, what: str) -> None:
-    """Raise ValueError when a grid of `count` samples would hold more than
-    MAX_GRID_SAMPLES."""
-    if not count <= MAX_GRID_SAMPLES:
-        shown = math.ceil(count) if math.isfinite(count) else count
-        raise ValueError(f"{what} asks for {shown} samples, more than the {MAX_GRID_SAMPLES} a grid may hold")
 
 
 def default_tau_grid(record_us: float, step_us: float = DEFAULT_STEP_US) -> np.ndarray:
@@ -74,17 +62,18 @@ def default_tau_grid(record_us: float, step_us: float = DEFAULT_STEP_US) -> np.n
     return np.arange(0.0, record_us, step_us)
 
 
-def _validate_grid(tau_grid) -> np.ndarray:
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau.size == 0 or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau grid must be non-empty and strictly increasing")
-    return tau
+def _phase(nu_mhz: float, tau: np.ndarray) -> np.ndarray:
+    """2 pi nu tau, refused when not finite at the longest delay: Python
+    floats overflow to inf without the RuntimeWarning numpy prints."""
+    if not math.isfinite(TWO_PI * nu_mhz * float(np.max(np.abs(tau)))):
+        raise ValueError(f"phase 2 pi nu tau is not finite at nu = {nu_mhz!r} MHz")
+    return TWO_PI * nu_mhz * tau
 
 
 def analytic_fid(kind: str, params: SystemParams, tau_grid) -> FidTrace:
     """Closed-form FID signals: mean 1/4 plus two cosines at the pair of
     transition frequencies probed by the protocol."""
-    tau = _validate_grid(tau_grid)
+    tau = checked_grid(tau_grid, "tau grid")
     nu_c, nu_m, nu_p = nuclear_frequencies(params)
     if kind == "uc":
         pair = (nu_c, nu_m)
@@ -92,7 +81,7 @@ def analytic_fid(kind: str, params: SystemParams, tau_grid) -> FidTrace:
         pair = (nu_m, nu_p)
     else:
         raise ValueError("kind must be 'uc' or 'uc_prime'")
-    signal = 0.25 + (np.cos(TWO_PI * pair[0] * tau) + np.cos(TWO_PI * pair[1] * tau)) / 8.0
+    signal = 0.25 + (np.cos(_phase(pair[0], tau)) + np.cos(_phase(pair[1], tau))) / 8.0
     return FidTrace(tau, signal, "analytic")
 
 
@@ -138,7 +127,7 @@ def _fid(params, tau, rho6, pre, read, observable, protocol) -> FidTrace:
     delay in `tau`, and report Re Tr[(read^dag O read) rho(tau)].  Delays
     are evolved _FID_CHUNK at a time, which bounds the memory a long record
     takes and changes no bit of the signal."""
-    tau = _validate_grid(tau)
+    tau = checked_grid(tau, "tau grid")
     rho, seen = pre @ rho6 @ pre.conj().T, read.conj().T @ observable @ read
     signal = np.concatenate([
         np.einsum("ij,tji->t", seen, _evolve(_free_propagators_6(params, tau[i : i + _FID_CHUNK]), rho)).real
@@ -519,10 +508,7 @@ def fit_fid_amplitude(data, nu_mhz: float) -> tuple[float, float, float]:
     tau, y = _fit_samples(data, ("tau", "P"), 5)
     if nu_mhz <= 0:
         raise ValueError("frequency must be positive")
-    # Python floats overflow to inf without the RuntimeWarning numpy prints
-    if not math.isfinite(TWO_PI * nu_mhz * float(np.max(np.abs(tau)))):
-        raise ValueError(f"phase 2 pi nu tau is not finite at nu = {nu_mhz!r} MHz")
-    phase = TWO_PI * nu_mhz * tau
+    phase = _phase(nu_mhz, tau)
     design = np.column_stack([np.ones_like(tau), np.sin(phase), np.cos(phase)])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 3:

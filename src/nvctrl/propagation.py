@@ -23,15 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import signals
 from .errors import InvariantViolation
 from .spin_model import Hamiltonian, PSEUDO_SX, PSEUDO_SY, TWO_PI, _hermitian_error
 
 # tolerance of the unitarity, trace and Hermiticity checks
 _INVARIANT_TOL = 1e-10
-
-# most samples one trajectory may hold; the count is checked before any state
-# is built, since every sample costs a 4x4 propagator and a state
-_MAX_TRAJECTORY_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -258,19 +255,16 @@ def trajectory(h: Hamiltonian, seq: PulseSequence, rho0: DensityState, dt_us: fl
     Returns a (T, 7) array whose rows are (time_us, e_x, e_y, e_z, c_x, c_y,
     c_z): the electron and carbon Bloch components at each sample time.  The
     default step resolves the fastest nuclear precession comfortably.  More
-    than `_MAX_TRAJECTORY_SAMPLES` samples raise ValueError before any is built.
+    than `signals.MAX_GRID_SAMPLES` samples raise ValueError before any is
+    built, since every sample costs a 4x4 propagator and a state.
     """
     if dt_us <= 0:
         raise ValueError("dt must be positive")
     # whole steps per segment, capped so that a huge ratio stays a small int
-    n_steps = [math.floor(min(seg.us / dt_us + 1e-12, _MAX_TRAJECTORY_SAMPLES)) for seg in seq.segments]
+    n_steps = [math.floor(min(seg.us / dt_us + 1e-12, signals.MAX_GRID_SAMPLES)) for seg in seq.segments]
     # the initial state, the steps, and each segment's end when no step hits it
     n_samples = 1 + sum(n + (n == 0 or dt_us * n < seg.us) for n, seg in zip(n_steps, seq.segments))
-    if n_samples > _MAX_TRAJECTORY_SAMPLES:
-        raise ValueError(
-            f"trajectory would hold {n_samples} samples, more than {_MAX_TRAJECTORY_SAMPLES}; "
-            f"raise dt_us or shorten the sequence"
-        )
+    signals.check_grid_size(n_samples, f"a trajectory at dt_us = {dt_us!r}")
     times, states = [np.zeros(1)], [rho0.matrix[None]]
     state, t0 = rho0.matrix, 0.0
     for seg, n in zip(seq.segments, n_steps):

@@ -1,5 +1,9 @@
 """Sampled signals: FID traces and magnitude spectra, with CSV/JSON round trips.
 
+It owns the sampled grids: `check_grid_size` caps every grid and trajectory
+at MAX_GRID_SAMPLES before it is built, and `checked_grid` is the one check
+of a grid's values.  Traces and spectra hold only finite values.
+
 CSV files are the plotting interface: one header row, then `repr(float)`
 columns so that reading a file back reproduces the arrays bit-exactly.
 """
@@ -7,10 +11,34 @@ columns so that reading a file back reproduces the arrays bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+# most samples one grid may hold; the count is checked before the grid is built
+MAX_GRID_SAMPLES = 10**6
+
+
+def check_grid_size(count: float, what: str) -> None:
+    """Raise ValueError when a grid of `count` samples would hold more than
+    MAX_GRID_SAMPLES."""
+    if not count <= MAX_GRID_SAMPLES:
+        shown = math.ceil(count) if math.isfinite(count) else count
+        raise ValueError(f"{what} asks for {shown} samples, more than the {MAX_GRID_SAMPLES} a grid may hold")
+
+
+def checked_grid(values, what: str) -> np.ndarray:
+    """`values` as a float array: 1-D, non-empty, finite, strictly increasing."""
+    grid = np.asarray(values, dtype=float)
+    finite = np.isfinite(grid).all()
+    # compared, not subtracted: the difference of two huge values overflows
+    if grid.ndim != 1 or grid.size == 0 or (finite and np.any(grid[1:] <= grid[:-1])):
+        raise ValueError(f"{what} must be non-empty and strictly increasing")
+    if not finite:
+        raise ValueError(f"{what} must be finite")
+    return grid
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -28,14 +56,13 @@ class FidTrace:
     protocol: str | None = None  # None: not known, as for a trace read from CSV
 
     def __post_init__(self):
-        tau = _frozen_array(self.tau_us)
+        tau = checked_grid(_frozen_array(self.tau_us), "tau grid")
         sig = _frozen_array(self.signal)
-        if tau.ndim != 1 or tau.size == 0 or np.any(np.diff(tau) <= 0):
-            raise ValueError("tau grid must be non-empty and strictly increasing")
         if sig.shape != tau.shape:
             raise ValueError("signal and tau grid must have the same length")
-        if np.any(sig < -1e-9) or np.any(sig > 1 + 1e-9):
-            raise ValueError("signal values must lie in [0, 1]")
+        # a NaN fails both comparisons
+        if not np.all((sig >= -1e-9) & (sig <= 1 + 1e-9)):
+            raise ValueError("signal values must be finite and lie in [0, 1]")
         object.__setattr__(self, "tau_us", tau)
         object.__setattr__(self, "signal", sig)
 
@@ -57,12 +84,12 @@ class Spectrum:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        freq = _frozen_array(self.freq_mhz)
+        freq = checked_grid(_frozen_array(self.freq_mhz), "frequency grid")
         amp = _frozen_array(self.amplitude)
-        if freq.ndim != 1 or freq.size == 0 or np.any(np.diff(freq) <= 0):
-            raise ValueError("frequency grid must be non-empty and strictly increasing")
         if amp.shape != freq.shape:
             raise ValueError("amplitude and frequency grid must have the same length")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitude values must be finite")
         object.__setattr__(self, "freq_mhz", freq)
         object.__setattr__(self, "amplitude", amp)
 

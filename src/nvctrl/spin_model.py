@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .signals import Spectrum
+from .signals import Spectrum, checked_grid
 
 # 13C gyromagnetic ratio (MHz/mT, CODATA): the one constant of the register
 # besides SystemParams that reaches the working manifold, through nu_c
@@ -209,10 +209,11 @@ def esr_spectrum(lines, linewidth: float, grid) -> Spectrum:
     peak heights are proportional to the line probabilities."""
     if linewidth <= 0:
         raise ValueError("linewidth must be positive")
-    f = np.asarray(grid, dtype=float)
-    if f.ndim != 1 or f.size == 0 or np.any(np.diff(f) <= 0):
-        raise ValueError("grid must be non-empty and strictly increasing")
     hwhm = linewidth / 2.0
+    # at a line center hwhm^2 / hwhm^2 is 0 / 0 once the square underflows
+    if hwhm * hwhm < np.finfo(float).tiny:
+        raise ValueError(f"linewidth {linewidth!r} MHz is too narrow: its half width squared underflows")
+    f = checked_grid(grid, "frequency grid")
     # the Lorentzian squares the detunings and the half width; beyond float
     # range its wings would silently read as zeros
     reach = max(abs(float(f[0])), abs(float(f[-1]))) + max((abs(c) for c, _ in lines), default=0.0)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nvctrl as nc
 from nvctrl import cli, propagation
 from nvctrl.cli import main
-from nvctrl.signals import read_csv, write_csv
+from nvctrl.signals import MAX_GRID_SAMPLES, read_csv, write_csv
 from tests_support import oracle_bloch
 
 TINY_GA = [
@@ -625,6 +625,16 @@ MALFORMED = {
     "fit-fidelities-missing-ratios": ["fit", "fidelities", "--b0", "0.13"],
     "fit-polarization-key-misspelt": ["fit", "polarization", "--data", "{fid_csv}", "--set", "fit.dta=x"],
     "polarize-gamma-overflow": ["polarize", "--set", "polarize.gamma_per_us=1e308"],
+    # a closed-form FID phase 2 pi nu tau beyond float range, refused before np.cos
+    "fid-analytic-phase-overflow": ["fid", "--set", "params.b_mt=1e308", "--set", "fid.protocol=analytic_uc"],
+    # ESR linewidths whose half width squared underflows: the grid's first
+    # point is a line center, where the Lorentzian is 0 / 0, and at 1e-170
+    # every amplitude would be written as 0
+    "esr-linewidth-underflow-nan": [
+        "esr", "--set", "esr.linewidth_mhz=1e-200", "--set", "esr.f_min_mhz=0.13433763714164568",
+        "--set", "esr.f_max_mhz=0.2", "--set", "esr.n_points=3",
+    ],
+    "esr-linewidth-underflow-zero": ["esr", "--set", "esr.linewidth_mhz=1e-170"],
     "esr-key-misspelt": ["esr", "--set", "esr.linewdith_mhz=5"],
     # a top-level key that names no config block, given by --set or by --config
     "root-key-misspelt": ["angles", "--set", "paramz.b_gauss=1"],
@@ -769,7 +779,7 @@ def test_pulse_cap_is_inclusive(paper):
 def test_grid_cap_is_inclusive(tmp_path, capsys):
     """A grid of exactly MAX_GRID_SAMPLES samples is accepted; one more is
     the usage error above, and the message names the count and the cap."""
-    from nvctrl.experiments import MAX_GRID_SAMPLES, default_tau_grid
+    from nvctrl.experiments import default_tau_grid
 
     assert default_tau_grid(MAX_GRID_SAMPLES, 1.0).size == MAX_GRID_SAMPLES
     with pytest.raises(ValueError, match=f"{MAX_GRID_SAMPLES + 1} samples, more than the {MAX_GRID_SAMPLES}"):
@@ -819,7 +829,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run([a.format(**paths) for a in argv] + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "Traceback" not in err
+    # the usage-error line alone: no traceback and no printed warning
+    assert err.startswith("usage error:") and err.count("\n") == 1
     assert not out.exists()
 
 

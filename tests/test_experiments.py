@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -593,6 +594,16 @@ def test_fit_fid_amplitude_rejects_a_phase_past_float_range(nu):
     tau = np.linspace(0.0, 40.0, 100)
     with pytest.raises(ValueError, match="not finite"):
         nc.fit_fid_amplitude(np.column_stack([tau, np.full(100, 0.3)]), nu)
+
+
+@pytest.mark.parametrize("kind", ["uc", "uc_prime"])
+@pytest.mark.parametrize("field, value, nu", [("b_mt", 1e308, 1.07084e306), ("a_zz", 1e306, 1e306)])
+def test_analytic_fid_rejects_a_phase_past_float_range(kind, field, value, nu):
+    """At a_zz = 1e306 only the second frequency of the uc pair (nu_C,
+    nu_minus) leaves float range; either one is refused before np.cos."""
+    params = nc.SystemParams(**{field: value})
+    with pytest.raises(ValueError, match=re.escape(f"not finite at nu = {nu!r} MHz")):
+        nc.analytic_fid(kind, params, np.arange(200.0))
 
 
 @pytest.mark.filterwarnings("error")

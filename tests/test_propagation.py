@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvctrl as nc
-from nvctrl import propagation
+from nvctrl import propagation, signals
 from nvctrl.errors import InvariantViolation
 from nvctrl.propagation import Delay, Pulse, _evolve, _propagators
 from nvctrl.spin_model import TWO_PI
@@ -278,7 +278,7 @@ def test_trajectory_sample_bound(monkeypatch, h_sub):
     count would not fit in memory."""
     from nvctrl.fidelity import rho0_state
 
-    monkeypatch.setattr(propagation, "_MAX_TRAJECTORY_SAMPLES", 11)
+    monkeypatch.setattr(signals, "MAX_GRID_SAMPLES", 11)
     rows = nc.trajectory(h_sub, nc.PulseSequence(0.5, (Delay(1.0),)), rho0_state(), dt_us=0.1)
     assert rows.shape == (11, 7)
     for seq, dt in (

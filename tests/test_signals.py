@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nvctrl as nc
-from nvctrl.signals import local_maxima, read_csv, top_peaks, write_csv
+from nvctrl.signals import checked_grid, local_maxima, read_csv, top_peaks, write_csv
 from tests_support import fwhm
 
 
@@ -11,6 +11,55 @@ def test_fid_trace_validation():
         nc.FidTrace([0.0, 0.0, 1.0], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         nc.FidTrace([0.0, 1.0], [0.5, 1.5])
+
+
+# grids every caller of `checked_grid` refuses, and the end of its message
+BAD_GRIDS = {
+    "nan": ([0.0, np.nan, 2.0], "must be finite"),
+    "inf": ([0.0, 1.0, np.inf], "must be finite"),
+    "-inf": ([-np.inf, 0.0, 1.0], "must be finite"),
+    "repeated": ([0.0, 1.0, 1.0, 2.0], "must be non-empty and strictly increasing"),
+    "empty": ([], "must be non-empty and strictly increasing"),
+    "2-d": ([[0.0, 1.0], [2.0, 3.0]], "must be non-empty and strictly increasing"),
+}
+# each caller, with the name its message gives the grid
+GRID_CALLERS = {
+    "FidTrace": (lambda grid: nc.FidTrace(grid, np.full(np.shape(grid), 0.5)), "tau grid"),
+    "Spectrum": (lambda grid: nc.Spectrum(grid, np.ones(np.shape(grid))), "frequency grid"),
+    "analytic_fid": (lambda grid: nc.analytic_fid("uc", nc.SystemParams(), grid), "tau grid"),
+    "_fid": (lambda grid: nc.fid_u90(nc.SystemParams(), 0, tau_grid=grid), "tau grid"),
+    "esr_spectrum": (lambda grid: nc.esr_spectrum([(0.0, 1.0)], 0.05, grid), "frequency grid"),
+}
+
+
+@pytest.mark.parametrize("caller", GRID_CALLERS.values(), ids=GRID_CALLERS.keys())
+@pytest.mark.parametrize("bad", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+def test_every_grid_goes_through_the_one_check(caller, bad):
+    build, what = caller
+    grid, message = bad
+    with pytest.raises(ValueError, match=f"^{what} {message}$"):
+        build(np.array(grid))
+
+
+def test_checked_grid_is_a_float_array_and_compares_without_overflow():
+    grid = checked_grid([0, 1, 3], "grid")
+    assert grid.dtype == float and list(grid) == [0.0, 1.0, 3.0]
+    # np.diff of these ends would overflow to inf with a RuntimeWarning
+    assert list(checked_grid([-1e308, 1e308], "grid")) == [-1e308, 1e308]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        checked_grid([1e308, -1e308], "grid")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fid_trace_refuses_a_non_finite_signal(bad):
+    with pytest.raises(ValueError, match=r"signal values must be finite and lie in \[0, 1\]"):
+        nc.FidTrace([0.0, 1.0, 2.0], [0.5, bad, 0.25])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_refuses_a_non_finite_amplitude(bad):
+    with pytest.raises(ValueError, match="amplitude values must be finite"):
+        nc.Spectrum([0.0, 0.1, 0.2], [1.0, bad, 0.5])
 
 
 def test_fid_trace_csv_round_trip(tmp_path):

@@ -290,6 +290,23 @@ def test_esr_spectrum_bad_grid():
         nc.esr_spectrum([(0.0, 1.0)], 0.05, np.array([0.0, 0.0, 1.0]))
 
 
+def test_esr_spectrum_rejects_a_linewidth_whose_square_leaves_float_range(paper):
+    """Below a linewidth of 2 sqrt(float min), about 2.98e-154 MHz, hwhm^2 is
+    subnormal or 0: the Lorentzian at a line center is then 0 / 0 (nan), and
+    at 1e-170 every amplitude would read 0.  A square that overflows is
+    named as such."""
+    lines = nc.esr_lines(paper, -1)
+    center = lines[0][0]
+    grid = np.linspace(center, 0.2, 3)
+    for linewidth in (1e-200, 1e-170, 2.9e-154):
+        with pytest.raises(ValueError, match="half width squared underflows"):
+            nc.esr_spectrum(lines, linewidth, grid)
+    spec = nc.esr_spectrum(lines, 3.0e-154, grid)
+    assert spec.amplitude[0] == pytest.approx(lines[0][1], rel=1e-12)
+    with pytest.raises(OverflowError, match=r"Lorentzian of width 1e\+300 MHz overflows"):
+        nc.esr_spectrum(lines, 1e300, grid)
+
+
 @given(coupling, coupling, frequency)
 @settings(max_examples=100, deadline=None)
 def test_builders_are_hermitian(a_zz, a_zx, nu_c):
