@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import optimizer
 from .errors import NoConvergence
 from .fidelity import ideal_uc_unitary, rho0_state, rot_half, u90_gate
 from .propagation import PulseSequence, _evolve, _propagators, sequence_propagator
@@ -364,20 +363,25 @@ _GAMMAS = np.geomspace(1e-4, 3.0, _GRID_SIDE)
 # lstsq: below it n eps cond stays under 0.03 up to a million samples, where
 # the first-order error bound of the normal equations holds
 _GRAM_COND = 1e8
+# the polish's tolerances on the change of half the squared residual
+# (relative to max(|f|, 1)) and on the projected gradient, the same as the
+# search's polish in `optimizer`; its damping starts at _DAMPING times the
+# largest diagonal entry of the Gauss-Newton matrix
+_FTOL = 1e-13
+_GTOL = 1e-10
+_DAMPING = 1e-3
 
 
-def _amplitudes(d, p, rate, gamma):
-    """The least-squares (c0, c1, c2) of the pumping model at fixed rates,
-    its residual model - p, and the two exponentials."""
-    fast, slow = np.exp(-rate * d), np.exp(-2.0 * gamma * d)
-    design = np.column_stack([np.ones_like(d), -fast, slow])
-    coef = np.linalg.lstsq(design, p, rcond=None)[0]
-    return coef, design @ coef - p, fast, slow
+def _design(d, rate, gamma):
+    """The pumping model's design [1, -exp(-rate d), exp(-2 gamma d)], whose
+    product with (c0, c1, c2) is the curve."""
+    return np.column_stack([np.ones_like(d), -np.exp(-rate * d), np.exp(-2.0 * gamma * d)])
 
 
 def _grid_score(d, p, k: int) -> float:
     """The squared residual of grid point k's lstsq amplitudes."""
-    resid = _amplitudes(d, p, _RATES[k // _GRID_SIDE], _GAMMAS[k % _GRID_SIDE])[1]
+    design = _design(d, _RATES[k // _GRID_SIDE], _GAMMAS[k % _GRID_SIDE])
+    resid = design @ np.linalg.lstsq(design, p, rcond=None)[0] - p
     return resid @ resid
 
 
@@ -458,6 +462,83 @@ def _fit_samples(data, names: tuple[str, str], least: int) -> tuple[np.ndarray, 
     return arr[:, 0], arr[:, 1]
 
 
+def _varpro(d, p, x, scale):
+    """Half the squared residual f of the least-squares amplitudes at the
+    rates x * scale, its gradient over x, the Gauss-Newton matrix of
+    Kaufman's Jacobian, the amplitudes (c0, c1, c2) and the round-off of f.
+
+    One SVD of the design gives the amplitudes, lstsq's minimum-norm
+    solution with its default cutoff, and an orthonormal basis U of the
+    design's columns.  With the amplitudes optimal, J^T r is the exact
+    gradient, J being the derivative of the curve at fixed amplitudes;
+    Kaufman's Jacobian is J less its projection U U^T J (Kaufman, BIT 15,
+    49 (1975)).  The round-off is |r| |8 eps t|, t the sum of the magnitudes
+    of the terms that make up each residual."""
+    design = _design(d, *(x * scale))
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > d.size * np.finfo(float).eps * s[0]
+    u = u[:, keep]
+    coef = vt[keep].T @ ((u.T @ p) / s[keep])
+    resid = design @ coef - p
+    jac = -d[:, None] * design[:, 1:] * (coef[1:] * np.array([1.0, 2.0]) * scale)
+    kaufman = jac - u @ (u.T @ jac)
+    terms = np.abs(design) @ np.abs(coef) + np.abs(p)
+    roundoff = 8.0 * np.finfo(float).eps * math.sqrt(resid @ resid) * math.sqrt(terms @ terms)
+    return 0.5 * (resid @ resid), jac.T @ resid, kaufman.T @ kaufman, coef, roundoff
+
+
+def _polish(d, p, scale):
+    """Projected Levenberg-Marquardt on `_varpro` from x = (1, 1), with the
+    rates x * scale >= 0: the rates and amplitudes where it ends.
+
+    Each step solves (H + mu max(diag H) I) dx = -g on the coordinates not
+    held at 0 by a gradient pointing out of the box, and projects the trial
+    onto x >= 0.  A trial that lowers f is taken and mu shrinks by the gain
+    ratio; otherwise mu grows by a factor that doubles with each rejection
+    in a row (Nielsen, IMM-REP-1999-05).  The polish converges when the
+    projected gradient is at most _GTOL in each coordinate, a zero gradient
+    included, or when a trial changes f, up or down, by at most _FTOL
+    relative to max(|f|, 1) or by at most the two points' round-off.  It
+    raises NoConvergence after _POLISH_EVALS evaluations, or when the
+    damping leaves no step: a trial that is the current point or not
+    finite."""
+    x = np.ones(2)
+    f, g, h, coef, roundoff = _varpro(d, p, x, scale)
+    evals, mu, grow = 1, _DAMPING, 2.0
+    while np.abs(np.maximum(x - g, 0.0) - x).max() > _GTOL:
+        if evals >= _POLISH_EVALS:
+            raise NoConvergence(f"polarization fit did not converge in {_POLISH_EVALS} evaluations")
+        free = (x > 0) | (g <= 0)
+        damping = mu * h.diagonal().max()
+        step = np.zeros(2)
+        # a singular or overflowing damped system leaves no step
+        if damping < math.inf:
+            try:
+                step[free] = np.linalg.solve((h + damping * np.eye(2))[np.ix_(free, free)], -g[free])
+            except np.linalg.LinAlgError:
+                pass
+        trial = np.maximum(x + step, 0.0)
+        if not np.isfinite(trial).all() or np.array_equal(trial, x):
+            raise NoConvergence("polarization fit did not converge: no damped step lowers the residual")
+        f_trial, g_trial, h_trial, c_trial, r_trial = _varpro(d, p, trial, scale)
+        evals += 1
+        flat = abs(f - f_trial) <= max(_FTOL * max(abs(f), abs(f_trial), 1.0), roundoff + r_trial)
+        if f_trial < f:
+            step = trial - x
+            predicted, decrease = -(g @ step + 0.5 * step @ h @ step), f - f_trial
+            # the factor is 1/3 at every gain ratio of 1 or more
+            gain = 0.0 if predicted <= 0 else 1.0 if decrease >= predicted else decrease / predicted
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            grow = 2.0
+            x, f, g, h, coef, roundoff = trial, f_trial, g_trial, h_trial, c_trial, r_trial
+        else:
+            mu *= grow
+            grow *= 2.0
+        if flat:
+            break
+    return x * scale, coef
+
+
 def fit_polarization(data) -> PolarizationModel:
     """Least-squares fit of the three-term pumping model to (d, p) samples.
 
@@ -466,31 +547,24 @@ def fit_polarization(data) -> PolarizationModel:
     the two rates alone (variable projection: Golub & Pereyra, SIAM J.
     Numer. Anal. 10, 413 (1973)).  A coarse (rate, gamma) grid, scored in
     one batched pass that falls back to lstsq (`_grid_start`), picks the
-    start, and `optimizer.minimize` polishes it with non-negative rates.
-    Only the sum alpha + beta is identifiable; it is the model's
-    `pump_rate_per_us`.
+    start; `_polish` refines it by Levenberg-Marquardt on Kaufman's
+    Gauss-Newton matrix, with non-negative rates in units of the start, and
+    raises NoConvergence when it does not converge.  Only the sum
+    alpha + beta is identifiable; it is the model's `pump_rate_per_us`.
     """
     d, p = _fit_samples(data, ("d", "p"), 6)
     if np.any(d < 0) or d.max() <= d.min():
         raise ValueError("laser durations must be non-negative and span a range")
+    # the squared residual sums squares of about the samples' size
+    peak = float(np.abs(p).max())
+    if not math.isfinite(peak * peak * p.size):
+        raise OverflowError(f"the squared residual overflows: |p| reaches {peak!r}")
 
     start = _grid_start(d, p)
     # the polish sees the rates in units of the best grid point, which evens
-    # out their curvatures (and halves its evaluations on the paper's curve)
+    # out their curvatures
     scale = np.array([_RATES[start // _GRID_SIDE], _GAMMAS[start % _GRID_SIDE]])
-
-    def objective(x):
-        rate, gamma = x[0] * scale
-        (_, c1, c2), resid, fast, slow = _amplitudes(d, p, rate, gamma)
-        # the amplitudes are optimal, so only the exponentials' derivatives count
-        grad = np.array([c1 * (resid @ (d * fast)), -2.0 * c2 * (resid @ (d * slow))])
-        return np.array([0.5 * (resid @ resid)]), (grad * scale)[None]
-
-    polish = optimizer.minimize(objective, np.ones((1, 2)), 0.0, np.inf, _POLISH_EVALS)
-    if polish.status[0] != 0:
-        raise NoConvergence(f"polarization fit did not converge (polish status {polish.status[0]})")
-    rate, gamma = polish.x[0] * scale
-    c0, c1, c2 = _amplitudes(d, p, rate, gamma)[0]
+    (rate, gamma), (c0, c1, c2) = _polish(d, p, scale)
     # the two exponentials can trade roles with negated amplitudes; pin the
     # labeling so the c1 term carries the faster rate
     if rate < 2.0 * gamma:

@@ -210,8 +210,9 @@ def esr_spectrum(lines, linewidth: float, grid) -> Spectrum:
     if linewidth <= 0:
         raise ValueError("linewidth must be positive")
     hwhm = linewidth / 2.0
+    tiny = np.finfo(float).tiny
     # at a line center hwhm^2 / hwhm^2 is 0 / 0 once the square underflows
-    if hwhm * hwhm < np.finfo(float).tiny:
+    if hwhm * hwhm < tiny:
         raise ValueError(f"linewidth {linewidth!r} MHz is too narrow: its half width squared underflows")
     f = checked_grid(grid, "frequency grid")
     # the Lorentzian squares the detunings and the half width; beyond float
@@ -219,6 +220,13 @@ def esr_spectrum(lines, linewidth: float, grid) -> Spectrum:
     reach = max(abs(float(f[0])), abs(float(f[-1]))) + max((abs(c) for c, _ in lines), default=0.0)
     if not math.isfinite(reach * reach + hwhm * hwhm):
         raise OverflowError(f"Lorentzian of width {linewidth!r} MHz overflows on a grid reaching {reach!r} MHz")
+    # a subnormal peak height prob hwhm^2 has lost bits
+    for _, prob in lines:
+        if 0 < prob and prob * hwhm**2 < tiny:
+            raise ValueError(
+                f"linewidth {linewidth!r} MHz is too narrow: "
+                f"the peak height of a line of probability {prob!r} underflows"
+            )
     amp = np.zeros_like(f)
     for center, prob in lines:
         amp += prob * hwhm**2 / ((f - center) ** 2 + hwhm**2)

@@ -608,6 +608,8 @@ MALFORMED = {
     "fit-sinusoid-nan": ["fit", "sinusoid", "--data", "{nan_csv}", "--nu", "0.1"],
     "spectrum-fid-inf": ["spectrum", "--set", "spectrum.fid_csv={inf_csv}"],
     "fit-polarization-nan": ["fit", "polarization", "--data", "{nan_polarization_csv}"],
+    # a curve whose squared residual overflows, refused before the fit
+    "fit-polarization-overflow": ["fit", "polarization", "--data", "{huge_polarization_csv}"],
     "fit-fidelities-b0-negative": [
         "fit", "fidelities", "--b0", "-1", "--b1", "0.11", "--bm1", "0.2", "--f", "0.7",
     ],
@@ -635,6 +637,9 @@ MALFORMED = {
         "--set", "esr.f_max_mhz=0.2", "--set", "esr.n_points=3",
     ],
     "esr-linewidth-underflow-zero": ["esr", "--set", "esr.linewidth_mhz=1e-170"],
+    # the half width squared is a normal float, but the peak height of the
+    # line of probability 0.47 is not
+    "esr-linewidth-peak-underflow": ["esr", "--set", "esr.linewidth_mhz=3e-154"],
     "esr-key-misspelt": ["esr", "--set", "esr.linewdith_mhz=5"],
     # a top-level key that names no config block, given by --set or by --config
     "root-key-misspelt": ["angles", "--set", "paramz.b_gauss=1"],
@@ -820,6 +825,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv):
         "repeated_csv": "tau_us,signal\n0.0,0.5\n1.0,0.75\n1.0,0.25\n2.0,0.5\n",
         "one_delay_csv": "tau_us,signal\n" + "2.0,0.5\n" * 6,
         "nan_polarization_csv": "d_l_us,p\n" + "".join(f"{d}.0,{'nan' if d == 3 else 0.1 * d}\n" for d in range(8)),
+        "huge_polarization_csv": "d_l_us,p\n" + "".join(f"{d}.0,{d + 1}e200\n" for d in range(8)),
         "unknown_root": json.dumps({"params": {"b_mt": 0.05}, "paramz": {"b_gauss": 1}}),
     }
     paths = {}

@@ -446,6 +446,41 @@ def test_fit_polarization_degenerate_data_fails_or_is_a_minimum(case):
     assert r @ r - after <= 2.0 * np.linalg.norm(r) * roundoff + roundoff**2
 
 
+def test_fit_polarization_fits_every_degenerate_input():
+    """Each degenerate input ends in a fit: on `zero` the gradient at the
+    start is exactly 0, which counts as converged, and the short span ends
+    on the round-off of its residual."""
+    for case, (d, p) in _degenerate_cases().items():
+        fit = nc.fit_polarization(np.column_stack([d, p]))
+        assert math.isfinite(fit.pump_rate_per_us + fit.gamma_per_us), case
+
+
+def test_fit_polarization_evaluation_cap_raises(monkeypatch):
+    """With one evaluation allowed the polish cannot take a step, and the
+    fit of the paper's curve raises NoConvergence."""
+    monkeypatch.setattr(experiments, "_POLISH_EVALS", 1)
+    p = nc.polarization_curve(nc.paper_polarization_model(), FIT_DESIGN)
+    with pytest.raises(NoConvergence, match="did not converge in 1 evaluations"):
+        nc.fit_polarization(np.column_stack([FIT_DESIGN, p]))
+
+
+def test_fit_polarization_raises_when_no_damped_step_descends(monkeypatch):
+    """When every trial raises the residual, the damping grows until no step
+    is left, and the fit raises NoConvergence long before its cap."""
+    varpro, points = experiments._varpro, []
+
+    def uphill(d, p, x, scale):
+        f, *rest = varpro(d, p, x, scale)
+        points.append(x)
+        return (f + (len(points) > 1), *rest)
+
+    monkeypatch.setattr(experiments, "_varpro", uphill)
+    p = nc.polarization_curve(nc.paper_polarization_model(), FIT_DESIGN)
+    with pytest.raises(NoConvergence, match="no damped step lowers the residual"):
+        nc.fit_polarization(np.column_stack([FIT_DESIGN, p]))
+    assert 2 < len(points) < experiments._POLISH_EVALS
+
+
 def _grid_oracle(d, p):
     """The squared residual of each start-grid point's amplitudes, solved by
     lstsq one point at a time, in (rate, gamma) row-major order."""

@@ -64,6 +64,17 @@ def test_import_leaves_the_search_and_the_experiments_unloaded():
     assert resolved.split() == ["nvctrl.optimizer", "nvctrl.experiments"]
 
 
+def test_the_experiments_do_not_load_the_search():
+    """The polarization fit has its own polish, so importing the experiments
+    leaves the search module unloaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parents[1]))
+    probe = "import sys, nvctrl.experiments; print('nvctrl.optimizer' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.split() == ["False"]
+
+
 @pytest.mark.parametrize("module", EXPORTS)
 def test_every_name_is_the_submodules_own_object(module):
     sub = getattr(nc, module)

@@ -293,16 +293,28 @@ def test_esr_spectrum_bad_grid():
 def test_esr_spectrum_rejects_a_linewidth_whose_square_leaves_float_range(paper):
     """Below a linewidth of 2 sqrt(float min), about 2.98e-154 MHz, hwhm^2 is
     subnormal or 0: the Lorentzian at a line center is then 0 / 0 (nan), and
-    at 1e-170 every amplitude would read 0.  A square that overflows is
-    named as such."""
+    at 1e-170 every amplitude would read 0.  Above it, a line's peak height
+    prob hwhm^2 must not be subnormal either, or it loses bits: at 3.0e-154
+    the paper's line of probability 0.4706 read 0.4705768951626945, and a
+    line of probability 1e-3 loses more.  A square that overflows is named
+    as such."""
     lines = nc.esr_lines(paper, -1)
     center = lines[0][0]
     grid = np.linspace(center, 0.2, 3)
     for linewidth in (1e-200, 1e-170, 2.9e-154):
         with pytest.raises(ValueError, match="half width squared underflows"):
             nc.esr_spectrum(lines, linewidth, grid)
-    spec = nc.esr_spectrum(lines, 3.0e-154, grid)
-    assert spec.amplitude[0] == pytest.approx(lines[0][1], rel=1e-12)
+    for low, linewidth in ((lines, 3.0e-154), ([(center, 1e-3)], 3.0e-154), ([(center, 1e-3)], 6e-153)):
+        with pytest.raises(ValueError, match="peak height of a line of probability .* underflows"):
+            nc.esr_spectrum(low, linewidth, grid)
+    # the narrowest linewidths whose peak heights are normal floats give
+    # each line its probability to the last bit
+    for lines_at, linewidth in ((lines, 4.4e-154), ([(center, 1e-3)], 9.5e-153)):
+        spec = nc.esr_spectrum(lines_at, linewidth, grid)
+        assert spec.amplitude[0] == lines_at[0][1]
+    # a line of probability 0 adds nothing at any accepted linewidth
+    spec = nc.esr_spectrum([(center, 0.0), (center, 1.0)], 3.0e-154, grid)
+    assert spec.amplitude[0] == 1.0
     with pytest.raises(OverflowError, match=r"Lorentzian of width 1e\+300 MHz overflows"):
         nc.esr_spectrum(lines, 1e300, grid)
 
